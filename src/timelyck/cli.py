@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
     doc = {"solution_checks": report.to_json_dict()}
     ok = report.ok()
     if args.optimal and ok:
-        opt = verify_optimal(instance, result, guard=args.guard)
+        opt = verify_optimal(instance, result, report=report, guard=args.guard)
         doc["optimality"] = opt.to_json_dict()
         ok = ok and opt.ok()
     _emit(doc, args.output)

@@ -56,31 +56,30 @@ def _coords(e) -> EventTuple:
 def is_delta_coordinated(ensemble, spec: TimingSpec) -> bool:
     """Whether every occurrence of e_i is answered by e_j within delta(i, j).
 
-    Computed both ways — the literal point quantifier and the window
-    containment e_i <= within(e_j, delta(i, j)) — and cross-checked.
+    Computed two independent ways and cross-checked:
+
+    * by first instants: in every run where e_i holds, e_j holds too and
+      its first instant is at most e_i's first instant plus delta(i, j);
+    * by window containment: e_i <= within(e_j, delta(i, j)).
+
+    The literal point quantifier is `naive.n_delta_coordinated`, which the
+    test suite and the property suite check this predicate against.
     """
     tup = _coords(ensemble)
     if tup.agents != spec.agents:
         raise InvariantViolation("ensemble agents do not match the timing spec")
-    u = tup.universe
 
-    pointwise = True
-    for i, j in spec.pairs():
-        d = spec.delta(i, j)
-        table_j = tup[j].table
-        for r, t in zip(*np.nonzero(tup[i].table)):
-            if not any(
-                t2 <= t + d and table_j[r, t2] for t2 in range(u.n_times)
-            ):
-                pointwise = False
-                break
-        if not pointwise:
-            break
+    holds = {a: tup[a].table.any(axis=1) for a in spec.agents}
+    first = {a: tup[a].table.argmax(axis=1) for a in spec.agents}
+    by_first = all(
+        np.all(~holds[i] | (holds[j] & (first[j] <= first[i] + spec.delta(i, j))))
+        for i, j in spec.pairs()
+    )
 
     by_windows = all(
         tup[i] <= within(tup[j], spec.delta(i, j)) for i, j in spec.pairs()
     )
-    if pointwise != by_windows:
+    if by_first != by_windows:
         raise InternalConsistencyError(
             "the two formulations of timing coordination disagree"
         )

@@ -11,11 +11,17 @@ Events here are plain frozensets of (run_index, time) pairs.
 from __future__ import annotations
 
 from itertools import product
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from .universe import DeltaValue, Universe
 
 PointSet = FrozenSet[Tuple[int, int]]
+
+
+def point_set(e) -> PointSet:
+    """The points of an `events.Event` as (run_index, time) pairs."""
+    runs, times = e.table.nonzero()
+    return frozenset(zip(runs.tolist(), times.tolist()))
 
 
 def all_points(u: Universe) -> PointSet:
@@ -83,3 +89,17 @@ def n_is_local(u: Universe, agent: str, e: PointSet) -> bool:
 
 def n_is_stable(u: Universe, e: PointSet) -> bool:
     return n_within(u, e, 0) == e
+
+
+def n_delta_coordinated(
+    u: Universe, coords: Mapping[str, PointSet], delta: Mapping[tuple, DeltaValue]
+) -> bool:
+    """Every point of coordinate i has a point of coordinate j in its run, at
+    most delta[(i, j)] steps later, for every ordered pair of distinct agents."""
+    return all(
+        any(t2 <= t + delta[(i, j)] and (r, t2) in coords[j] for t2 in range(u.n_times))
+        for i in coords
+        for j in coords
+        if i != j
+        for r, t in coords[i]
+    )

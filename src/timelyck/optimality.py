@@ -36,7 +36,7 @@ from .errors import (
     SizeGuardExceeded,
 )
 from .fixpoint import EventTuple
-from .scenarios import ProtocolResult, TCRInstance, verify_solution
+from .scenarios import ProtocolResult, SolutionReport, TCRInstance, verify_solution
 from .universe import is_finite_delta
 
 DEFAULT_ENUM_GUARD = 10**6
@@ -337,14 +337,16 @@ def verify_optimal(
     result: ProtocolResult,
     *,
     knowledge: EventTuple | None = None,
+    report: SolutionReport | None = None,
     guard: int = DEFAULT_ENUM_GUARD,
 ) -> OptimalityReport:
     """Confirm no run-equivalent solution ever responds earlier, and that every
     possible response point lies inside timely common knowledge's coordinate.
 
-    The supplied result must already pass `verify_solution`.
+    The supplied result must pass `verify_solution`; pass that call's report
+    as `report` to skip checking the result again.
     """
-    solution_report = verify_solution(instance, result)
+    solution_report = report if report is not None else verify_solution(instance, result)
     if not solution_report.ok():
         raise InvariantViolation(
             f"result is not a solution: {solution_report.to_json_dict()}"

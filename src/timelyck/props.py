@@ -41,11 +41,13 @@ from .fixpoint import (
     timely_ck_oracle,
     tuple_leq,
 )
+from .naive import n_delta_coordinated, point_set
 from .nested import nested_conjunction, verify_nested_characterization
 from .sampling import (
     random_event,
     random_spec,
     random_stable_event,
+    random_tuple,
     random_universe,
 )
 from .universe import INF
@@ -281,6 +283,16 @@ def check_coordination_laws(rng, cases: int) -> PropResult:
         const = TimingSpec(u.agents, {p: eps for p in spec.pairs()})
         if is_delta_coordinated(single, const) != is_epsilon_coordinated(single, eps):
             failures.append(f"case {case}: constant bound vs window mismatch")
+        # the literal point quantifier, on unstable coordinates that are empty
+        # in some runs, with bounds from below -(H+1) to above H and inf
+        y = random_tuple(rng, u)
+        h = u.horizon
+        wide = random_spec(rng, u.agents, lo=-(h + 2), hi=h + 2)
+        literal = n_delta_coordinated(
+            u, {a: point_set(y[a]) for a in u.agents}, {p: wide.delta(*p) for p in wide.pairs()}
+        )
+        if is_delta_coordinated(y, wide) != literal:
+            failures.append(f"case {case}: predicate vs literal point quantifier")
     return _result("coordination_laws", cases, failures)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .events import Event, within
-from .fixpoint import TimingSpec
+from .fixpoint import EventTuple, TimingSpec
 from .universe import INF, Universe
 
 AGENT_POOL = ("a", "b", "c", "d")
@@ -70,6 +70,17 @@ def random_event(rng: np.random.Generator, u: Universe, *, density: float | None
 
 def random_stable_event(rng: np.random.Generator, u: Universe) -> Event:
     return within(random_event(rng, u), 0)
+
+
+def random_tuple(rng: np.random.Generator, u: Universe) -> EventTuple:
+    """One random, generally unstable event per agent, each cleared in about
+    30% of the runs."""
+    coords = {}
+    for agent in u.agents:
+        table = random_event(rng, u, density=float(rng.uniform(0.1, 0.6))).table.copy()
+        table[rng.random(u.n_runs) < 0.3] = False
+        coords[agent] = Event(u, table)
+    return EventTuple(u, coords)
 
 
 def random_delta(rng: np.random.Generator, *, lo: int = -2, hi: int = 2, p_inf: float = 0.25):

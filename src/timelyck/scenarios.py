@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 from .errors import (
     InternalConsistencyError,
     InvariantViolation,
@@ -146,11 +148,9 @@ class TCRInstance:
     def trigger_history(self) -> Event:
         return within(self.trigger, 0)
 
-    def run_info(self, name: str) -> RunInfo:
-        for info in self.runs:
-            if info.name == name:
-                return info
-        raise InvariantViolation(f"unknown run {name!r}")
+
+def _none_as_minus_one(times) -> np.ndarray:
+    return np.array([-1 if t is None else t for t in times], dtype=np.int64)
 
 
 def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRInstance:
@@ -182,23 +182,33 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
             f"scenario generates {len(runs)} runs, above the cap {scenario.run_cap}"
         )
 
-    obs_of = {info.name: info.observations for info in runs}
+    # agent a's state at (run, t) is (t, obs if obs <= t else None), coded as
+    # t * (H + 2) + (obs + 1, or 0 for None), then interned by first appearance
+    clock = np.arange(horizon + 1)
+    state_ids, labels = [], []
+    for agent in scenario.agents:
+        obs = _none_as_minus_one(info.observations[agent] for info in runs)[:, None]
+        codes = clock * (horizon + 2) + np.where(obs <= clock, obs + 1, 0)
+        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        state_ids.append(rank[inverse].reshape(codes.shape))
+        t_of, seen_of = np.divmod(uniq[order], horizon + 2)
+        labels.append(
+            [(t, s - 1 if s else None) for t, s in zip(t_of.tolist(), seen_of.tolist())]
+        )
 
-    def state(agent, run, t):
-        seen = obs_of[run][agent]
-        return (t, seen if seen is not None and seen <= t else None)
-
-    universe = Universe(
+    universe = Universe.from_state_ids(
         scenario.agents,
         [info.name for info in runs],
         horizon,
-        state,
+        state_ids,
+        labels,
         synchronous=synchronous,
     )
-    trigger = Event.from_points(
-        universe,
-        [(info.name, info.trigger_time) for info in runs if info.trigger_time is not None],
-    )
+    fired_at = _none_as_minus_one(info.trigger_time for info in runs)
+    trigger = Event(universe, clock == fired_at[:, None])
     timing, changed = scenario.timing.normalized(horizon)
     return TCRInstance(scenario, universe, trigger, runs, timing, changed)
 
@@ -232,14 +242,20 @@ class ProtocolResult:
 
     def response_events(self, instance: TCRInstance) -> EventTuple:
         u = instance.universe
+        rows = np.array([u.run_index(run) for run in self.responses], dtype=np.intp)
         coords = {}
         for agent in instance.timing.agents:
-            pts = []
-            for run, per_agent in self.responses.items():
-                t = per_agent.get(agent)
-                if t is not None:
-                    pts.append((run, t))
-            coords[agent] = Event.from_points(u, pts)
+            times = [per.get(agent) for per in self.responses.values()]
+            hit = np.array([t is not None for t in times], dtype=bool)
+            at = np.array([t for t in times if t is not None], dtype=np.int64)
+            outside = (at < 0) | (at > u.horizon)
+            if outside.any():
+                raise InvariantViolation(
+                    f"time {at[outside][0]} outside 0..{u.horizon}"
+                )
+            table = np.zeros((u.n_runs, u.n_times), dtype=bool)
+            table[rows[hit], at] = True
+            coords[agent] = Event(u, table)
         return EventTuple(u, coords)
 
     def to_json_dict(self) -> dict:
@@ -261,22 +277,23 @@ def synthesize_optimal(
     if not solvability(instance, knowledge=xi):
         raise Unsolvable("instance admits no coordinated response protocol")
     u = instance.universe
-    responses: dict = {}
-    for info in instance.runs:
-        ri = u.run_index(info.name)
-        per = {}
-        for agent in instance.timing.agents:
-            hits = xi[agent].table[ri].nonzero()[0]
-            per[agent] = int(hits[0]) if hits.size else None
-        responses[info.name] = per
-        if info.trigger_time is None and any(t is not None for t in per.values()):
-            raise InternalConsistencyError(
-                "knowledge coordinate holds in a run without a trigger"
-            )
-        if info.trigger_time is not None and any(t is None for t in per.values()):
-            raise InternalConsistencyError(
-                "solvable instance left an agent without a response time"
-            )
+    agents = instance.timing.agents
+    tables = np.stack([xi[agent].table for agent in agents])  # (agent, run, time)
+    holds = tables.any(axis=2)
+    fired = instance.trigger.table.any(axis=1)
+    if (holds & ~fired).any():
+        raise InternalConsistencyError(
+            "knowledge coordinate holds in a run without a trigger"
+        )
+    if (~holds & fired).any():
+        raise InternalConsistencyError(
+            "solvable instance left an agent without a response time"
+        )
+    first = np.where(holds, tables.argmax(axis=2), -1).T.tolist()  # (run, agent)
+    responses = {
+        run: {agent: (t if t >= 0 else None) for agent, t in zip(agents, row)}
+        for run, row in zip(u.runs, first)
+    }
     return ProtocolResult(responses)
 
 

@@ -99,6 +99,58 @@ class Universe:
         *,
         synchronous: bool = True,
     ):
+        self._set_geometry(agents, runs, horizon, synchronous)
+        if callable(states):
+            lookup = states
+        else:
+            mapping = dict(states)
+
+            def lookup(agent, run, t):
+                try:
+                    return mapping[(agent, run, t)]
+                except KeyError:
+                    raise InvariantViolation(
+                        f"local state undefined for ({agent!r}, {run!r}, {t})"
+                    ) from None
+
+        # intern labels in first-appearance order, run by run, time by time
+        times = range(self.n_times)
+        state_ids, labels = [], []
+        for agent in self.agents:
+            interned: dict = {}
+            flat = np.fromiter(
+                (
+                    interned.setdefault(lookup(agent, run, t), len(interned))
+                    for run in self.runs
+                    for t in times
+                ),
+                dtype=np.int64,
+                count=self.n_points,
+            )
+            state_ids.append(flat.reshape(self.n_runs, self.n_times))
+            labels.append(list(interned))
+        self._set_states(state_ids, labels)
+
+    @classmethod
+    def from_state_ids(
+        cls,
+        agents: Iterable[str],
+        runs: Iterable[str],
+        horizon: int,
+        state_ids,
+        labels,
+        *,
+        synchronous: bool = True,
+    ) -> "Universe":
+        """A universe from interned states: per agent, an integer array of shape
+        (n_runs, n_times) of ids 0..n-1 (every id used) and the n distinct
+        labels the ids stand for."""
+        u = cls.__new__(cls)
+        u._set_geometry(agents, runs, horizon, synchronous)
+        u._set_states(state_ids, labels)
+        return u
+
+    def _set_geometry(self, agents, runs, horizon, synchronous) -> None:
         self.agents = tuple(agents)
         self.runs = tuple(runs)
         if not self.agents:
@@ -116,55 +168,52 @@ class Universe:
         self._agent_pos = {a: k for k, a in enumerate(self.agents)}
         self._run_pos = {r: k for k, r in enumerate(self.runs)}
 
-        if callable(states):
-            lookup = states
-        else:
-            mapping = dict(states)
-
-            def lookup(agent, run, t):
-                try:
-                    return mapping[(agent, run, t)]
-                except KeyError:
-                    raise InvariantViolation(
-                        f"local state undefined for ({agent!r}, {run!r}, {t})"
-                    ) from None
-
-        n_times = self.horizon + 1
+    def _set_states(self, state_ids, labels) -> None:
+        if len(state_ids) != len(self.agents) or len(labels) != len(self.agents):
+            raise InvariantViolation("need one state-id array and label list per agent")
         self._state_ids = []
         self._id_labels = []
         self._n_classes = []
-        for agent in self.agents:
-            interned: dict = {}
-            labels: list = []
-            ids = np.empty((len(self.runs), n_times), dtype=np.int64)
-            for ri, run in enumerate(self.runs):
-                for t in range(n_times):
-                    label = lookup(agent, run, t)
-                    sid = interned.get(label)
-                    if sid is None:
-                        sid = len(interned)
-                        interned[label] = sid
-                        labels.append(label)
-                    ids[ri, t] = sid
+        for agent, ids, names in zip(self.agents, state_ids, labels):
+            if not np.issubdtype(np.asarray(ids).dtype, np.integer):
+                raise InvariantViolation(f"state ids of agent {agent!r} must be integers")
+            ids = np.array(ids, dtype=np.int64)
+            names = list(names)
+            if ids.shape != (self.n_runs, self.n_times):
+                raise InvariantViolation(
+                    f"state ids of agent {agent!r} have shape {ids.shape}, "
+                    f"expected {(self.n_runs, self.n_times)}"
+                )
+            used = np.bincount(ids.ravel()) if ids.min() >= 0 else np.zeros(0)
+            if used.size != len(names) or not used.all():
+                raise InvariantViolation(
+                    f"state ids of agent {agent!r} must use exactly 0..{len(names) - 1}"
+                )
+            if len(set(names)) != len(names):
+                raise InvariantViolation(f"duplicate state labels for agent {agent!r}")
             ids.setflags(write=False)
             self._state_ids.append(ids)
-            self._id_labels.append(labels)
-            self._n_classes.append(len(labels))
-
+            self._id_labels.append(names)
+            self._n_classes.append(len(names))
         if self.synchronous:
             self._check_time_in_state()
 
     def _check_time_in_state(self) -> None:
-        for agent, ids in zip(self.agents, self._state_ids):
-            seen_at: dict[int, int] = {}
-            for t in range(self.n_times):
-                for sid in np.unique(ids[:, t]):
-                    prev = seen_at.setdefault(int(sid), t)
-                    if prev != t:
-                        raise InvariantViolation(
-                            f"synchronous universe: agent {agent!r} has the same "
-                            f"state at times {prev} and {t}"
-                        )
+        """Each state id of each agent must occur at exactly one time."""
+        times = np.tile(np.arange(self.n_times), self.n_runs)
+        for agent, ids, n in zip(self.agents, self._state_ids, self._n_classes):
+            flat = ids.ravel()
+            first = np.full(n, self.n_times, dtype=np.int64)
+            last = np.full(n, -1, dtype=np.int64)
+            np.minimum.at(first, flat, times)
+            np.maximum.at(last, flat, times)
+            bad = np.flatnonzero(first != last)
+            if bad.size:
+                sid = bad[0]
+                raise InvariantViolation(
+                    f"synchronous universe: agent {agent!r} has the same "
+                    f"state at times {first[sid]} and {last[sid]}"
+                )
 
     # -- basic geometry ----------------------------------------------------
 
@@ -232,13 +281,12 @@ class Universe:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        states = {
-            agent: {
-                run: [str(self.state_label(agent, run, t)) for t in range(self.n_times)]
-                for run in self.runs
+        states = {}
+        for agent, ids, labels in zip(self.agents, self._state_ids, self._id_labels):
+            names = [str(label) for label in labels]
+            states[agent] = {
+                run: [names[sid] for sid in row] for run, row in zip(self.runs, ids.tolist())
             }
-            for agent in self.agents
-        }
         return {
             "agents": list(self.agents),
             "runs": list(self.runs),

@@ -1,9 +1,11 @@
 """CLI verbs, exit codes and output determinism, via subprocess."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +177,27 @@ def test_solve_outputs_byte_identical(tmp_path):
         proc = run_cli("solve", PKG_DATA["car_wash"], "-o", str(path))
         assert proc.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["sha256"]))
+def test_cli_output_matches_golden_hashes(tmp_path, name):
+    """The output bytes of each verb on each bundled scenario are pinned.
+
+    The hashes in tests/data/cli_golden.json were recorded from the CLI
+    before its hot paths were vectorized; any change to an output byte
+    shows up here, not only a change between two runs of the same code.
+    """
+    from timelyck.cli import main
+
+    scenario = str(timelyck.bundled_scenario_path(name))
+    for verb in GOLDEN["verbs"]:
+        out = tmp_path / (verb.replace(" ", "_") + ".json")
+        code = main([*verb.split(), scenario, "-o", str(out)])
+        assert code == GOLDEN["exit"][name][verb], (name, verb)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN["sha256"][name][verb], (name, verb)

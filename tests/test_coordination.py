@@ -20,7 +20,9 @@ from timelyck.fixpoint import (
     timely_ck,
     tuple_union,
 )
-from timelyck.sampling import random_event, random_spec, random_universe
+from timelyck.naive import n_delta_coordinated, point_set
+from timelyck.sampling import random_event, random_spec, random_tuple, random_universe
+from timelyck.universe import INF, Universe
 
 
 def spec2(dab, dba):
@@ -46,6 +48,47 @@ def test_delta_coordination_examples(toy):
     eb = Event.from_points(toy, [("r1", 2)])
     assert is_delta_coordinated(tup(toy, ea, eb), spec2(1, 0))
     assert not is_delta_coordinated(tup(toy, ea, eb), spec2(0, 0))
+
+
+def _literal(ens, spec):
+    return n_delta_coordinated(
+        ens.universe,
+        {a: point_set(ens[a]) for a in spec.agents},
+        {p: spec.delta(*p) for p in spec.pairs()},
+    )
+
+
+def test_delta_coordination_matches_literal_quantifier(rng):
+    seen = dict.fromkeys(
+        ("unstable", "empty_run", "inf", "negative", "beyond_horizon", "yes", "no"), 0
+    )
+    for _ in range(400):
+        u = random_universe(rng, n_agents=int(rng.integers(2, 4)), max_runs=3, max_times=5)
+        h = u.horizon
+        ens = random_tuple(rng, u)
+        s = random_spec(rng, u.agents, lo=-(h + 2), hi=h + 2)
+        verdict = is_delta_coordinated(ens, s)
+        assert verdict == _literal(ens, s)
+        deltas = [s.delta(*p) for p in s.pairs()]
+        seen["unstable"] += any(ens[a] != within(ens[a], 0) for a in u.agents)
+        seen["empty_run"] += any(not ens[a].table.any(axis=1).all() for a in u.agents)
+        seen["inf"] += INF in deltas
+        seen["negative"] += any(d < 0 for d in deltas)
+        seen["beyond_horizon"] += any(h < d < INF for d in deltas)
+        seen["yes" if verdict else "no"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_infinite_bound_needs_a_response_in_the_run():
+    # regression: j's coordinate is empty in run r1 where i's holds; an infinite
+    # bound must not count the missing first instant as a witness
+    u = Universe(["a", "b"], ["r0", "r1"], 2, lambda agent, run, t: (t, run))
+    ea = Event.from_points(u, [("r0", 0), ("r1", 1)])
+    eb = Event.from_points(u, [("r0", 2)])
+    spec = spec2(INF, INF)
+    assert not _literal(tup(u, ea, eb), spec)
+    assert not is_delta_coordinated(tup(u, ea, eb), spec)
+    assert is_delta_coordinated(tup(u, ea, eb | Event.from_points(u, [("r1", 0)])), spec)
 
 
 def test_perfect_and_eventual(toy, rng):

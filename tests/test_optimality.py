@@ -154,6 +154,30 @@ def test_verify_optimal_rejects_non_solution():
         verify_optimal(inst, res)
 
 
+def test_verify_optimal_reuses_the_callers_report(monkeypatch):
+    import timelyck.optimality as optimality
+    from timelyck.scenarios import verify_solution
+
+    inst = carwash_instance()
+    res = synthesize_optimal(inst)
+    report = verify_solution(inst, res)
+    expected = verify_optimal(inst, res).to_json_dict()
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the solution was checked again")
+
+    monkeypatch.setattr(optimality, "verify_solution", unexpected)
+    assert verify_optimal(inst, res, report=report).to_json_dict() == expected
+
+    bad = synthesize_optimal(inst)
+    bad.responses["t0_L0_R0_D0"]["D"] = None
+    monkeypatch.undo()
+    failing = verify_solution(inst, bad)
+    monkeypatch.setattr(optimality, "verify_solution", unexpected)
+    with pytest.raises(InvariantViolation):
+        verify_optimal(inst, bad, report=failing)
+
+
 def test_result_assignment_requires_class_constancy():
     inst = generate_system(
         make_scenario(("a", "b"), simultaneous_delta(("a", "b")), obs_delay=(0, 1))

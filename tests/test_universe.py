@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from timelyck.errors import InvariantViolation
+from timelyck.sampling import random_spec
+from timelyck.scenarios import generate_system, make_scenario
 from timelyck.universe import INF, Universe, check_delta, clamp_delta
 
 
@@ -31,6 +34,65 @@ def test_synchronous_mode_rejects_time_ambiguous_states():
     # the same assignment is fine asynchronously
     u = Universe(["a"], ["r0"], 1, states, synchronous=False)
     assert u.n_state_classes("a") == 1
+
+
+def test_time_ambiguity_names_agent_and_both_times():
+    states = {("a", "r0", t): ("a", t) for t in range(3)}
+    states.update({("b", "r0", 0): "x", ("b", "r0", 1): "y", ("b", "r0", 2): "x"})
+    with pytest.raises(InvariantViolation, match=r"agent 'b' .* times 0 and 2"):
+        Universe(["a", "b"], ["r0"], 2, states)
+    ids = [np.array([[0, 1, 2], [0, 1, 2]]), np.array([[0, 1, 2], [1, 3, 4]])]
+    labels = [["p", "q", "s"], ["u", "v", "w", "x", "y"]]
+    with pytest.raises(InvariantViolation, match=r"agent 'b' .* times 0 and 1"):
+        Universe.from_state_ids(["a", "b"], ["r0", "r1"], 2, ids, labels)
+    u = Universe.from_state_ids(["a", "b"], ["r0", "r1"], 2, ids, labels, synchronous=False)
+    assert u.state_label("b", "r1", 0) == "v"
+
+
+@pytest.mark.parametrize(
+    "ids, labels",
+    [
+        ([[0, 1]], ["x"]),  # id 1 has no label
+        ([[0, 2]], ["x", "y", "z"]),  # id 1 unused
+        ([[0, -1]], ["x", "y"]),
+        ([[0, 1]], ["x", "x"]),
+        ([[0, 1, 2]], ["x", "y", "z"]),  # wrong shape
+        ([[0.0, 1.0]], ["x", "y"]),
+    ],
+)
+def test_from_state_ids_validates(ids, labels):
+    with pytest.raises(InvariantViolation):
+        Universe.from_state_ids(["a"], ["r0"], 1, [np.array(ids)], [labels])
+
+
+def test_generated_universe_matches_callback_universe():
+    rng = np.random.default_rng(4)
+    for case in range(60):
+        agents = tuple("abc"[: int(rng.integers(2, 4))])
+        scenario = make_scenario(
+            agents,
+            random_spec(rng, agents),
+            obs_delay={a: sorted(int(x) for x in rng.integers(0, 4, size=2)) for a in agents},
+            trigger_times=sorted({int(x) for x in rng.integers(0, 4, size=2)}),
+            include_never_run=bool(rng.random() < 0.7),
+        )
+        synchronous = bool(rng.random() < 0.8)
+        inst = generate_system(scenario, synchronous=synchronous)
+        obs = {info.name: info.observations for info in inst.runs}
+
+        def state(agent, run, t):
+            seen = obs[run][agent]
+            return (t, seen if seen is not None and seen <= t else None)
+
+        u = inst.universe
+        ref = Universe(u.agents, u.runs, u.horizon, state, synchronous=synchronous)
+        for agent in agents:
+            assert np.array_equal(u.state_ids(agent), ref.state_ids(agent)), case
+            assert u.n_state_classes(agent) == ref.n_state_classes(agent)
+            for run in u.runs:
+                for t in range(u.n_times):
+                    assert u.state_label(agent, run, t) == ref.state_label(agent, run, t)
+        assert u.to_json() == ref.to_json()
 
 
 def test_unknown_ids_rejected(toy):

@@ -1,47 +1,13 @@
-"""Compiled inner loops with pure-numpy fallbacks.
+"""The two hot enumerations, as vectorized numpy sweeps.
 
-The two hot enumerations — the tuple-lattice sweep behind the fixed-point
-oracle and the solution-space sweep behind the optimality oracle — run either
-as numba-compiled kernels or as vectorized/chunked numpy code.
-
-Backend selection: environment variable TIMELYCK_NUMBA.
-    unset / "auto"  use numba when importable, else numpy
-    "0" / "off"     force the numpy path
-    "1" / "force"   require numba, raise if unavailable
-
-Both paths are exercised by the test suite and compared by the benchmark in
-benchmarks/bench_kernels.py.
+The tuple-lattice sweep behind the fixed-point oracle and the solution-space
+sweep behind the optimality oracle.  The test suite checks the solution sweep
+against the depth-first reference `naive.n_scan_solutions`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_MODE = os.environ.get("TIMELYCK_NUMBA", "auto").strip().lower()
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    _HAVE_NUMBA = False
-
-if _MODE in ("0", "off", "false", "no"):
-    _USE_NUMBA = False
-elif _MODE in ("1", "force", "require", "yes", "on"):
-    if not _HAVE_NUMBA:
-        raise ImportError("TIMELYCK_NUMBA requires numba, which is not importable")
-    _USE_NUMBA = True
-else:
-    _USE_NUMBA = _HAVE_NUMBA
-
-
-def backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
-
 
 # -- tuple-lattice sweep -------------------------------------------------------
 #
@@ -50,12 +16,22 @@ def backend() -> str:
 # coordinate.  The sweep ORs all such tuples together (their join).
 
 
-def _scan_postfixed_join_numpy(P, k, psi, within_tables, pair_index, knows_tables, chunk=1 << 18):
+# Tuples per vectorized block.  Blocks of 2^13 keep every int64 temporary at
+# 64 KiB, under glibc's default mmap threshold, so each block reuses freed
+# heap memory instead of mapping and faulting in fresh pages.
+_CHUNK = 1 << 13
+
+
+def scan_postfixed_join(P, k, psi, within_tables, pair_index, knows_tables):
+    within_tables = np.ascontiguousarray(within_tables, dtype=np.int64)
+    knows_tables = np.ascontiguousarray(knows_tables, dtype=np.int64)
+    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
+    psi = int(psi)
     total = 1 << (P * k)
     coord_mask = (1 << P) - 1
     join = np.zeros(k, dtype=np.int64)
-    for start in range(0, total, chunk):
-        u = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        u = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         coords = [(u >> (P * j)) & coord_mask for j in range(k)]
         ok = np.ones(u.shape[0], dtype=bool)
         for i in range(k):
@@ -72,171 +48,56 @@ def _scan_postfixed_join_numpy(P, k, psi, within_tables, pair_index, knows_table
     return join
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _scan_postfixed_join_numba(P, k, psi, within_tables, pair_index, knows_tables):
-        coord_mask = (np.int64(1) << P) - 1
-        total = np.int64(1) << (P * k)
-        join = np.zeros(k, dtype=np.int64)
-        for packed in range(total):
-            ok = True
-            for i in range(k):
-                body = psi
-                for j in range(k):
-                    if j != i:
-                        x_j = (packed >> (P * j)) & coord_mask
-                        body &= within_tables[pair_index[i, j], x_j]
-                f_i = knows_tables[i, body]
-                x_i = (packed >> (P * i)) & coord_mask
-                if x_i & ~f_i:
-                    ok = False
-                    break
-            if ok:
-                for i in range(k):
-                    join[i] |= (packed >> (P * i)) & coord_mask
-        return join
-
-
-def scan_postfixed_join(P, k, psi, within_tables, pair_index, knows_tables):
-    within_tables = np.ascontiguousarray(within_tables, dtype=np.int64)
-    knows_tables = np.ascontiguousarray(knows_tables, dtype=np.int64)
-    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
-    if _USE_NUMBA:
-        return _scan_postfixed_join_numba(
-            P, k, np.int64(psi), within_tables, pair_index, knows_tables
-        )
-    return _scan_postfixed_join_numpy(P, k, int(psi), within_tables, pair_index, knows_tables)
-
-
 # -- solution-space sweep ---------------------------------------------------------
 #
 # Variables with integer domains [lo_v, hi_v] and difference constraints
-# t[q] <= t[p] + c.  Enumerates every solution depth-first, pruning by the
-# bounds the already-assigned prefix imposes, and accumulates: solution count,
-# per-variable minima, and the exact set of attained values per variable.
-# Constraint arrays are in CSR layout per variable, split by whether the
-# constraint caps the variable from above or below.
-
-
-def _scan_solutions_python(lo, hi, ub_other, ub_c, ub_off, lb_other, lb_c, lb_off, n_vals, guard):
-    V = len(lo)
-    mins = np.full(V, np.int64(2**62), dtype=np.int64)
-    attained = np.zeros((V, n_vals), dtype=np.bool_)
-    val = np.zeros(V, dtype=np.int64)
-    lob = np.zeros(V, dtype=np.int64)
-    hib = np.zeros(V, dtype=np.int64)
-    count = 0
-    nodes = 0
-
-    def bounds(v):
-        lo_v, hi_v = lo[v], hi[v]
-        for m in range(ub_off[v], ub_off[v + 1]):
-            b = val[ub_other[m]] + ub_c[m]
-            if b < hi_v:
-                hi_v = b
-        for m in range(lb_off[v], lb_off[v + 1]):
-            b = val[lb_other[m]] - lb_c[m]
-            if b > lo_v:
-                lo_v = b
-        return lo_v, hi_v
-
-    depth = 0
-    lob[0], hib[0] = bounds(0)
-    val[0] = lob[0] - 1
-    while depth >= 0:
-        val[depth] += 1
-        if val[depth] > hib[depth]:
-            depth -= 1
-            continue
-        nodes += 1
-        if nodes > guard:
-            return count, mins, attained, True
-        if depth == V - 1:
-            count += 1
-            for v in range(V):
-                x = val[v]
-                if x < mins[v]:
-                    mins[v] = x
-                attained[v, x] = True
-        else:
-            depth += 1
-            lob[depth], hib[depth] = bounds(depth)
-            val[depth] = lob[depth] - 1
-    return count, mins, attained, False
-
-
-if _HAVE_NUMBA:
-    _scan_solutions_numba = numba.njit(cache=True)(_scan_solutions_python)
-
-
-def _scan_solutions_numpy(lo, hi, constraints, n_vals, guard):
-    """Progressive cartesian extension with vectorized constraint filtering."""
-    V = len(lo)
-    by_latest = [[] for _ in range(V)]
-    for p, q, c in constraints:
-        if p != q:
-            by_latest[max(p, q)].append((p, q, c))
-
-    sols = np.zeros((1, 0), dtype=np.int64)
-    for v in range(V):
-        vals = np.arange(lo[v], hi[v] + 1, dtype=np.int64)
-        n_new = sols.shape[0] * vals.shape[0]
-        if n_new > guard:
-            return 0, np.full(V, 2**62, dtype=np.int64), np.zeros((V, n_vals), bool), True
-        sols = np.concatenate(
-            [
-                np.repeat(sols, vals.shape[0], axis=0),
-                np.tile(vals, sols.shape[0])[:, None],
-            ],
-            axis=1,
-        )
-        for p, q, c in by_latest[v]:
-            sols = sols[sols[:, q] <= sols[:, p] + c]
-
-    mins = np.full(V, 2**62, dtype=np.int64)
-    attained = np.zeros((V, n_vals), dtype=bool)
-    if sols.shape[0]:
-        mins = sols.min(axis=0)
-        for v in range(V):
-            attained[v, np.unique(sols[:, v])] = True
-    return int(sols.shape[0]), mins, attained, False
+# t[q] <= t[p] + c (constraints with p == q are skipped).  Extends the partial
+# assignments one variable at a time, evaluating every candidate value of the
+# new variable against the constraints whose later variable it is, and
+# accumulates: solution count, per-variable minima, and the exact set of
+# attained values per variable.
 
 
 def scan_solutions(lo, hi, constraints, n_vals, guard):
-    """Enumerate all solutions; returns (count, mins, attained, overflowed)."""
+    """Enumerate all solutions; returns (count, mins, attained, overflowed).
+
+    Overflows, returning no solutions, when the candidate partial assignments
+    at some variable (the surviving prefixes times that variable's domain size)
+    exceed `guard`.
+    """
     V = len(lo)
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
-    if not _USE_NUMBA:
-        return _scan_solutions_numpy(lo, hi, constraints, n_vals, guard)
-
-    ubs = [[] for _ in range(V)]
-    lbs = [[] for _ in range(V)]
+    # per later variable: (earlier variable, c, later-is-upper-bounded)
+    by_latest = [[] for _ in range(V)]
     for p, q, c in constraints:
-        if p == q:
-            continue
-        if q > p:
-            ubs[q].append((p, c))  # t[q] <= t[p] + c, p assigned first
-        else:
-            lbs[p].append((q, c))  # t[p] >= t[q] - c, q assigned first
+        if p != q:
+            by_latest[max(p, q)].append((min(p, q), int(c), q > p))
 
-    def csr(rows):
-        off = np.zeros(V + 1, dtype=np.int64)
-        other, cs = [], []
-        for v in range(V):
-            off[v + 1] = off[v] + len(rows[v])
-            for o, c in rows[v]:
-                other.append(o)
-                cs.append(c)
-        return (
-            np.asarray(other, dtype=np.int64),
-            np.asarray(cs, dtype=np.int64),
-            off,
-        )
+    cols: list = []  # cols[v][r] is variable v's value in surviving prefix r
+    n_rows = 1
+    for v in range(V):
+        vals = np.arange(lo[v], hi[v] + 1, dtype=np.int64)
+        if n_rows * vals.shape[0] > guard:
+            return 0, np.full(V, 2**62, dtype=np.int64), np.zeros((V, n_vals), bool), True
+        # each constraint bounds the new variable by the prefix's value of the other
+        lower = np.full(n_rows, lo[v], dtype=np.int64)
+        upper = np.full(n_rows, hi[v], dtype=np.int64)
+        for o, c, caps_from_above in by_latest[v]:
+            if caps_from_above:  # t[v] <= t[o] + c
+                np.minimum(upper, cols[o] + c, out=upper)
+            else:  # t[o] <= t[v] + c
+                np.maximum(lower, cols[o] - c, out=lower)
+        keep = (vals >= lower[:, None]) & (vals <= upper[:, None])
+        parent, pick = np.nonzero(keep)
+        cols = [col[parent] for col in cols]
+        cols.append(vals[pick])
+        n_rows = parent.shape[0]
 
-    ub_other, ub_c, ub_off = csr(ubs)
-    lb_other, lb_c, lb_off = csr(lbs)
-    return _scan_solutions_numba(
-        lo, hi, ub_other, ub_c, ub_off, lb_other, lb_c, lb_off, n_vals, guard
-    )
+    mins = np.full(V, 2**62, dtype=np.int64)
+    attained = np.zeros((V, n_vals), dtype=bool)
+    if n_rows:
+        for v, col in enumerate(cols):
+            mins[v] = col.min()
+            attained[v] = np.bincount(col, minlength=n_vals) > 0
+    return n_rows, mins, attained, False

@@ -264,7 +264,7 @@ def cmd_props(args) -> int:
             status = "PASS" if r.ok() else "FAIL"
             extra = f"  {r.info}" if r.info else ""
             lines.append(f"{status}  {r.name}  cases={r.cases}{extra}")
-            for f in r.failures[:3]:
+            for f in ([r.error] if r.error else []) + r.failures[:3]:
                 lines.append(f"      {f}")
         text = "\n".join(lines) + "\n"
         if args.output:
@@ -272,6 +272,8 @@ def cmd_props(args) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+    if any(r.error for r in results):
+        return EXIT_INTERNAL
     return EXIT_OK if all(r.ok() for r in results) else EXIT_VERIFY
 
 

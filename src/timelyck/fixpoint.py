@@ -394,8 +394,8 @@ def timely_ck_oracle(
     """Packed-bitmask version of the Tarski sweep for the window-based map.
 
     Operator tables come from the definition-direct evaluators, the sweep runs
-    in a compiled kernel (or its numpy fallback); nothing is shared with
-    `timely_ck` except the universe itself.
+    in a vectorized numpy kernel; nothing is shared with `timely_ck` except
+    the universe itself.
     """
     from .packed import packed_timely_ck_oracle
 

@@ -3,7 +3,8 @@
 Deliberately slow, loop-based transcriptions of the operator definitions.
 They share nothing with the vectorized implementations in `events` and serve
 as independent oracles in the test suite; the packed brute-force engines also
-build their lookup tables from these.
+build their lookup tables from these.  `n_scan_solutions` is the depth-first
+reference for the vectorized solution sweep in `_kernels`.
 
 Events here are plain frozensets of (run_index, time) pairs.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 from itertools import product
 from typing import FrozenSet, Iterable, Mapping, Tuple
+
+import numpy as np
 
 from .universe import DeltaValue, Universe
 
@@ -103,3 +106,54 @@ def n_delta_coordinated(
         if i != j
         for r, t in coords[i]
     )
+
+
+def n_scan_solutions(lo, hi, constraints, n_vals: int, guard: int):
+    """Depth-first enumeration of the integer assignments with lo[v] <= t[v] <=
+    hi[v] and t[q] <= t[p] + c for every constraint (p, q, c) with p != q.
+
+    Returns (count, mins, attained, overflowed) like `_kernels.scan_solutions`,
+    under the same guard: it overflows, returning no solutions, when the
+    assignments of some prefix of the variables that satisfy the constraints
+    among them, times the next variable's domain size, exceed `guard`.
+    """
+    V = len(lo)
+    lo = [int(x) for x in lo]
+    hi = [int(x) for x in hi]
+    sizes = [max(0, h - l + 1) for l, h in zip(lo, hi)]
+    uppers = [[] for _ in range(V)]  # v -> [(p, c)]: t[v] <= t[p] + c, p < v
+    lowers = [[] for _ in range(V)]  # v -> [(q, c)]: t[v] >= t[q] - c, q < v
+    for p, q, c in constraints:
+        if p < q:
+            uppers[q].append((p, int(c)))
+        elif q < p:
+            lowers[p].append((q, int(c)))
+
+    mins = np.full(V, 2**62, dtype=np.int64)
+    attained = np.zeros((V, n_vals), dtype=bool)
+    prefixes = [0] * V  # prefixes[d]: consistent assignments of variables 0..d
+    val = [0] * V
+    count = 0
+
+    def extend(depth) -> bool:
+        nonlocal count
+        if depth == V:
+            count += 1
+            for v, x in enumerate(val):
+                mins[v] = min(mins[v], x)
+                attained[v, x] = True
+            return True
+        lo_d = max([lo[depth]] + [val[q] - c for q, c in lowers[depth]])
+        hi_d = min([hi[depth]] + [val[p] + c for p, c in uppers[depth]])
+        for x in range(lo_d, hi_d + 1):
+            val[depth] = x
+            prefixes[depth] += 1
+            if depth + 1 < V and prefixes[depth] * sizes[depth + 1] > guard:
+                return False
+            if not extend(depth + 1):
+                return False
+        return True
+
+    if (V and sizes[0] > guard) or not extend(0):
+        return 0, np.full(V, 2**62, dtype=np.int64), np.zeros((V, n_vals), bool), True
+    return count, mins, attained, False

@@ -12,11 +12,16 @@ run by run.  That search space is swept three independent ways:
     element, computed by chaotic iteration; every value between the two
     extremes of a variable is attained by some solution (raising one variable
     propagates along nonnegative cycles only);
-  * depth-first enumeration of every solution (compiled kernel or numpy
-    fallback), feasible when the raw candidate space fits the guard;
+  * enumeration of every solution, extending the partial assignments one
+    variable at a time and testing each candidate value against the
+    constraints that variable closes, feasible when the raw candidate space
+    fits the guard;
   * for product-structured instances (every observation-time combination of
-    every pair realized in some run), a sweep over per-agent (min, max)
-    signature boxes, which the pairwise constraints see exhaustively.
+    every pair realized in some run), a sweep over every combination of
+    per-agent (min, max) signature boxes, which the pairwise constraints see
+    exhaustively.  A pair's bound reads only its two agents' boxes, so the
+    sweep builds one boolean table per bounded pair and ANDs the tables by
+    broadcasting into a feasibility tensor of one byte per combination.
 
 A protocol is time-optimal iff it is the least solution; necessity holds iff
 every attainable response point lies inside the corresponding coordinate of
@@ -26,6 +31,7 @@ timely common knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -140,7 +146,7 @@ def is_valid_assignment(model: StrategyModel, t) -> bool:
     return all(t[q] <= t[p] + c for p, q, c in model.constraints)
 
 
-# -- exhaustive depth-first sweep ----------------------------------------------
+# -- exhaustive sweep ----------------------------------------------------------
 
 
 def enumerate_all_solutions(model: StrategyModel, *, guard: int = DEFAULT_ENUM_GUARD):
@@ -155,7 +161,10 @@ def enumerate_all_solutions(model: StrategyModel, *, guard: int = DEFAULT_ENUM_G
         model.lo, model.hi, model.constraints, n_vals, guard
     )
     if overflow:
-        raise SizeGuardExceeded(f"solution sweep visited more than {guard} nodes")
+        raise SizeGuardExceeded(
+            f"solution sweep met more than {guard} candidate partial assignments "
+            f"at one variable"
+        )
     return int(count), mins, attained
 
 
@@ -223,50 +232,44 @@ def box_sweep(model: StrategyModel, *, cap: int = BOX_SWEEP_CAP):
         )
     agents = model.instance.timing.agents
     horizon = instance_horizon(model)
-    obs = {a: [s for (b, s) in model.variables if b == a] for a in agents}
-
-    boxes = {}
-    for a in agents:
-        s_max = max(obs[a])
-        pairs = [
-            (m, M)
-            for m in range(horizon + 1)
-            for M in range(max(m, s_max), horizon + 1)
-        ]
-        boxes[a] = np.array(pairs, dtype=np.int64)
-
     k = len(agents)
-    sizes = [len(boxes[a]) for a in agents]
-    grids = np.meshgrid(*[np.arange(n) for n in sizes], indexing="ij")
-    idx = [g.ravel() for g in grids]
-    mins_per_agent = [boxes[a][:, 0][idx[ai]] for ai, a in enumerate(agents)]
-    maxs_per_agent = [boxes[a][:, 1][idx[ai]] for ai, a in enumerate(agents)]
+    box_min, box_max = [], []  # per agent: its boxes' (m, M), m <= M, M >= s_max
+    for a in agents:
+        s_max = max(s for (b, s) in model.variables if b == a)
+        m, M = np.triu_indices(horizon + 1)
+        box_min.append(m[M >= s_max])
+        box_max.append(M[M >= s_max])
 
-    feasible = np.ones(idx[0].shape[0], dtype=bool)
-    for ai, i in enumerate(agents):
-        for aj, j in enumerate(agents):
-            if ai == aj:
-                continue
-            d = model.instance.timing.delta(i, j)
-            if is_finite_delta(d):
-                feasible &= maxs_per_agent[aj] <= mins_per_agent[ai] + int(d)
+    def along(values, axis):  # lay one agent's box values along its tensor axis
+        shape = [1] * k
+        shape[axis] = -1
+        return values.reshape(shape)
+
+    # feasible[b_0, ..., b_k-1]: every bounded pair holds in that combination;
+    # a bound max_j <= min_i + delta(i, j) reads only the boxes of i and j, so
+    # each pair contributes an n_i x n_j table, broadcast over the other axes
+    feasible = np.ones([len(m) for m in box_min], dtype=bool)
+    for ai, aj in permutations(range(k), 2):
+        d = model.instance.timing.delta(agents[ai], agents[aj])
+        if is_finite_delta(d):
+            feasible &= along(box_max[aj], aj) <= along(box_min[ai], ai) + int(d)
 
     if not feasible.any():
         return False, None, None
 
     mins = np.full(model.n_vars, np.iinfo(np.int64).max, dtype=np.int64)
     attained = np.zeros((model.n_vars, horizon + 1), dtype=bool)
+    times = np.arange(horizon + 1)
     for ai, a in enumerate(agents):
-        used = np.zeros(len(boxes[a]), dtype=bool)
-        used[np.unique(idx[ai][feasible])] = True
-        for b in np.nonzero(used)[0]:
-            m, M = int(boxes[a][b, 0]), int(boxes[a][b, 1])
-            for s in obs[a]:
-                v = model.var_index[(a, s)]
-                lo_v = max(s, m)
-                if lo_v <= M:
-                    mins[v] = min(mins[v], lo_v)
-                    attained[v, lo_v : M + 1] = True
+        used = feasible.any(axis=tuple(x for x in range(k) if x != ai))
+        m, M = box_min[ai][used], box_max[ai][used]
+        v, obs = np.array([(v, s) for v, (b, s) in enumerate(model.variables) if b == a]).T
+        # within a box, (a, s) attains [max(s, m), M]; M >= s by construction
+        first = np.maximum(obs[:, None], m[None, :])
+        mins[v] = first.min(axis=1)
+        attained[v] = (
+            (first[:, :, None] <= times) & (times <= M[None, :, None])
+        ).any(axis=1)
     return True, mins, attained
 
 

@@ -132,7 +132,7 @@ class PackedSpace:
 def packed_timely_ck_oracle(psi: Event, spec) -> "EventTuple":
     """Tarski sweep: join of every tuple below its packed image.
 
-    The compiled kernel (or its numpy twin) walks all 2^(P * k) packed tuples.
+    The numpy kernel walks all 2^(P * k) packed tuples.
     """
     from .fixpoint import EventTuple
 

@@ -21,6 +21,7 @@ from .coordination import (
     is_perfectly_coordinated,
     verify_greatest_coordinated_ensemble,
 )
+from .errors import InternalConsistencyError
 from .events import (
     Event,
     eventually,
@@ -59,12 +60,15 @@ class PropResult:
     cases: int
     failures: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
+    error: str | None = None  # an InternalConsistencyError the group raised
 
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and self.error is None
 
     def to_json_dict(self) -> dict:
         out = {"group": self.name, "cases": self.cases, "ok": self.ok()}
+        if self.error is not None:
+            out["error"] = self.error
         if self.failures:
             out["failures"] = self.failures[:5]
         if self.info:
@@ -415,8 +419,14 @@ GROUPS = [
 
 
 def run_all(seed: int, cases: int = 120) -> list[PropResult]:
+    """Run every group; a group whose two routes disagree (it raises
+    InternalConsistencyError) fails with the message, and the rest still run."""
     results = []
     for idx, (name, fn, scale) in enumerate(GROUPS):
         rng = np.random.default_rng([seed, idx])
-        results.append(fn(rng, max(1, int(cases * scale))))
+        n = max(1, int(cases * scale))
+        try:
+            results.append(fn(rng, n))
+        except InternalConsistencyError as exc:
+            results.append(PropResult(name, n, error=f"internal inconsistency: {exc}"))
     return results

@@ -1,65 +1,61 @@
-"""The compiled kernels and their numpy fallbacks must agree bit for bit."""
+"""The vectorized sweeps must agree with their definition-direct references."""
 
 import numpy as np
-import pytest
 
 from timelyck import _kernels
 from timelyck.fixpoint import TimingSpec, timely_ck
+from timelyck.naive import n_scan_solutions
 from timelyck.optimality import build_strategy_model
-from timelyck.packed import PackedSpace
 from timelyck.sampling import random_event, random_spec, random_universe
-from timelyck.scenarios import generate_system, make_scenario, solvability
+from timelyck.scenarios import generate_system, make_scenario
 from timelyck.universe import INF
 
-HAVE_NUMBA = _kernels._HAVE_NUMBA
 
+def test_dispatch_matches_engine_fixed_point():
+    # the packed tuple sweep equals the engine's fixed point
+    rng = np.random.default_rng(17)
+    from timelyck.fixpoint import timely_ck_oracle
 
-def test_backend_reports_a_known_name():
-    assert _kernels.backend() in ("numba", "numpy")
-
-
-def _oracle_tables(u, spec, psi):
-    space = PackedSpace(u)
-    agents = spec.agents
-    k = len(agents)
-    pair_index = np.zeros((k, k), dtype=np.int64)
-    tables, key_of = [], {}
-    for ai, i in enumerate(agents):
-        for aj, j in enumerate(agents):
-            if ai == aj:
-                continue
-            d = spec.delta(i, j)
-            key = INF if d == INF else int(d)
-            if key not in key_of:
-                key_of[key] = len(tables)
-                tables.append(space.within_table(key))
-            pair_index[ai, aj] = key_of[key]
-    within_tables = np.stack(tables)
-    knows_tables = np.stack([space.knows_table(a) for a in agents])
-    return space, within_tables, pair_index, knows_tables
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_postfixed_join_backends_agree():
-    rng = np.random.default_rng(11)
-    for _ in range(8):
-        u = random_universe(rng, n_agents=2, bit_budget=12, max_runs=2, max_times=3)
+    for _ in range(5):
+        u = random_universe(rng, n_agents=2, bit_budget=14, max_runs=2, max_times=3)
         spec = random_spec(rng, u.agents)
         psi = random_event(rng, u)
-        space, wt, pi, kt = _oracle_tables(u, spec, psi)
-        args = (space.n_bits, 2, space.pack(psi), wt, pi, kt)
-        a = _kernels._scan_postfixed_join_numba(
-            args[0], args[1], np.int64(args[2]), *args[3:]
-        )
-        b = _kernels._scan_postfixed_join_numpy(*args)
-        assert np.array_equal(a, b)
+        assert timely_ck_oracle(psi, spec) == timely_ck(psi, spec)
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_solution_scan_backends_agree():
+def _assert_scans_agree(lo, hi, constraints, n_vals, guard):
+    got = _kernels.scan_solutions(lo, hi, constraints, n_vals, guard)
+    want = n_scan_solutions(lo, hi, constraints, n_vals, guard)
+    assert (int(got[0]), bool(got[3])) == (want[0], want[3]), (lo, hi, constraints, guard)
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    return want
+
+
+def test_solution_scan_matches_depth_first_reference():
     rng = np.random.default_rng(13)
-    checked = 0
-    while checked < 8:
+    seen = dict(infeasible=0, self_loop=0, unconstrained=0, overflow=0, solutions=0)
+    for _ in range(400):
+        V = int(rng.integers(0, 6))
+        lo = rng.integers(0, 4, size=V)
+        hi = lo + rng.integers(-1, 4, size=V)  # some domains are empty
+        constraints = [
+            (int(rng.integers(V)), int(rng.integers(V)), int(rng.integers(-2, 3)))
+            for _ in range(int(rng.integers(0, 7)) if V else 0)
+        ]
+        guard = 10**6 if rng.random() < 0.6 else int(rng.integers(1, 40))
+        count, _, _, overflowed = _assert_scans_agree(lo, hi, constraints, 8, guard)
+        seen["overflow"] += overflowed
+        seen["infeasible"] += not overflowed and count == 0
+        seen["solutions"] += count > 0
+        seen["self_loop"] += any(p == q for p, q, _ in constraints)
+        seen["unconstrained"] += V > 0 and not constraints
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_solution_scan_matches_reference_on_strategy_models():
+    rng = np.random.default_rng(19)
+    for _ in range(12):
         k = int(rng.integers(2, 4))
         agents = tuple("abc"[:k])
         delta = {
@@ -71,56 +67,7 @@ def test_solution_scan_backends_agree():
         inst = generate_system(
             make_scenario(agents, TimingSpec(agents, delta), obs_delay=(0, 1))
         )
-        if not solvability(inst):
-            continue
         model = build_strategy_model(inst)
         n_vals = inst.universe.horizon + 1
-
-        def run(fn):
-            V = model.n_vars
-            ubs = [[] for _ in range(V)]
-            lbs = [[] for _ in range(V)]
-            for p, q, c in model.constraints:
-                (ubs[q] if q > p else lbs[p]).append(
-                    (p, c) if q > p else (q, c)
-                )
-
-            def csr(rows):
-                off = np.zeros(V + 1, dtype=np.int64)
-                other, cs = [], []
-                for v in range(V):
-                    off[v + 1] = off[v] + len(rows[v])
-                    for o, c in rows[v]:
-                        other.append(o)
-                        cs.append(c)
-                return (
-                    np.asarray(other, dtype=np.int64),
-                    np.asarray(cs, dtype=np.int64),
-                    off,
-                )
-
-            uo, uc, uoff = csr(ubs)
-            lo_, lc, loff = csr(lbs)
-            return fn(model.lo, model.hi, uo, uc, uoff, lo_, lc, loff, n_vals, 10**6)
-
-        ca, ma, aa, fa = run(_kernels._scan_solutions_python)
-        cb, mb, ab, fb = run(_kernels._scan_solutions_numba)
-        cc, mc, ac, fc = _kernels._scan_solutions_numpy(
-            model.lo, model.hi, model.constraints, n_vals, 10**6
-        )
-        assert (ca, fa) == (cb, fb) == (cc, fc)
-        assert np.array_equal(ma, mb) and np.array_equal(aa, ab)
-        assert np.array_equal(ma, mc) and np.array_equal(aa, ac)
-        checked += 1
-
-
-def test_dispatch_matches_engine_fixed_point():
-    # whatever backend is selected, the packed sweep equals the engine
-    rng = np.random.default_rng(17)
-    from timelyck.fixpoint import timely_ck_oracle
-
-    for _ in range(5):
-        u = random_universe(rng, n_agents=2, bit_budget=14, max_runs=2, max_times=3)
-        spec = random_spec(rng, u.agents)
-        psi = random_event(rng, u)
-        assert timely_ck_oracle(psi, spec) == timely_ck(psi, spec)
+        _assert_scans_agree(model.lo, model.hi, model.constraints, n_vals, 10**6)
+        _assert_scans_agree(model.lo, model.hi, model.constraints, n_vals, 50)

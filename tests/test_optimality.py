@@ -1,11 +1,15 @@
 """The strategy-space sweeps behind optimality and necessity verification."""
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
 from timelyck.errors import InvariantViolation, SizeGuardExceeded
 from timelyck.fixpoint import TimingSpec
 from timelyck.optimality import (
+    box_space,
     box_sweep,
     build_strategy_model,
     enumerate_all_solutions,
@@ -95,6 +99,97 @@ def test_carwash_box_sweep_matches_propagation():
         expected = np.zeros(model.instance.universe.horizon + 1, dtype=bool)
         expected[least[v] : greatest[v] + 1] = True
         assert np.array_equal(attained[v], expected)
+
+
+def literal_box_sweep(model):
+    """box_sweep's definition, one box combination at a time."""
+    agents = model.instance.timing.agents
+    horizon = model.instance.universe.horizon
+    obs = {a: [(v, s) for v, (b, s) in enumerate(model.variables) if b == a] for a in agents}
+    boxes = [
+        [(m, M) for m in range(horizon + 1)
+         for M in range(max(m, max(s for _, s in obs[a])), horizon + 1)]
+        for a in agents
+    ]
+    bounded = [
+        (ai, aj, model.instance.timing.delta(i, j))
+        for ai, i in enumerate(agents)
+        for aj, j in enumerate(agents)
+        if ai != aj and model.instance.timing.delta(i, j) != INF
+    ]
+    mins = np.full(model.n_vars, np.iinfo(np.int64).max, dtype=np.int64)
+    attained = np.zeros((model.n_vars, horizon + 1), dtype=bool)
+    feasible = False
+    for combo in product(*boxes):
+        if all(combo[aj][1] <= combo[ai][0] + d for ai, aj, d in bounded):
+            feasible = True
+            for a, (m, M) in zip(agents, combo):
+                for v, s in obs[a]:
+                    mins[v] = min(mins[v], max(s, m))
+                    attained[v, max(s, m) : M + 1] = True
+    return (True, mins, attained) if feasible else (False, None, None)
+
+
+def test_box_sweep_matches_literal_combination_loop():
+    rng = np.random.default_rng(23)
+    infeasible = checked = 0
+    feasible_agent_counts = set()
+    while checked < 24:
+        k = int(rng.integers(2, 5))
+        agents = tuple("abcd"[:k])
+        delta = {
+            (i, j): (INF if rng.random() < 0.25 else int(rng.integers(-2, 5)))
+            for i in agents
+            for j in agents
+            if i != j
+        }
+        inst = generate_system(
+            make_scenario(
+                agents,
+                TimingSpec(agents, delta),
+                obs_delay=(0, int(rng.integers(0, 2))),
+                horizon=int(rng.integers(2, 4)) if k == 4 else None,
+            )
+        )
+        model = build_strategy_model(inst)
+        assert is_product_structured(model)
+        if box_space(model) > 50_000:
+            continue
+        got, want = box_sweep(model), literal_box_sweep(model)
+        assert got[0] == want[0]
+        if want[0]:
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            feasible_agent_counts.add(k)
+        else:
+            assert got == (False, None, None)
+            infeasible += 1
+        checked += 1
+    assert infeasible and feasible_agent_counts == {2, 3, 4}
+
+    # a pair that must each respond strictly before the other
+    agents = ("a", "b")
+    inst = generate_system(
+        make_scenario(agents, TimingSpec(agents, {("a", "b"): -1, ("b", "a"): -1}))
+    )
+    model = build_strategy_model(inst)
+    assert box_sweep(model) == literal_box_sweep(model) == (False, None, None)
+
+
+def test_box_sweep_memory_is_about_one_byte_per_combination():
+    agents = ("a", "b", "c", "d")
+    timing = TimingSpec(agents, {(i, j): 1 for i in agents for j in agents if i != j})
+    inst = generate_system(make_scenario(agents, timing, obs_delay=(0, 1), horizon=8))
+    model = build_strategy_model(inst)
+    combinations = box_space(model)
+    assert combinations > 3 * 10**6
+    tracemalloc.start()
+    try:
+        feasible, _, _ = box_sweep(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feasible
+    assert peak < 2 * combinations
 
 
 def test_enumeration_matches_propagation_small():

@@ -2,6 +2,9 @@
 
 import pytest
 
+from timelyck import props
+from timelyck.cli import main
+from timelyck.errors import InternalConsistencyError
 from timelyck.props import GROUPS, run_all
 
 
@@ -19,3 +22,24 @@ def test_run_all_is_reproducible():
     a = [r.to_json_dict() for r in run_all(5, cases=25)]
     b = [r.to_json_dict() for r in run_all(5, cases=25)]
     assert a == b
+
+
+def test_a_raising_group_fails_alone(monkeypatch, tmp_path):
+    def disagree(rng, cases):
+        raise InternalConsistencyError("two routes disagree")
+
+    name = GROUPS[1][0]
+    monkeypatch.setattr(
+        props, "GROUPS", [(n, disagree if n == name else fn, s) for n, fn, s in GROUPS]
+    )
+    results = run_all(1, cases=5)
+    assert [r.name for r in results] == [g[0] for g in GROUPS]
+    assert [r.name for r in results if not r.ok()] == [name]
+    assert results[1].error == "internal inconsistency: two routes disagree"
+
+    out = tmp_path / "props.txt"
+    assert main(["props", "--seed", "1", "--cases", "5", "-o", str(out)]) == 7
+    lines = out.read_text().splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == len(GROUPS) - 1
+    assert f"FAIL  {name}  cases=5" in lines
+    assert "      internal inconsistency: two routes disagree" in lines

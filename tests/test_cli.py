@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,11 +24,16 @@ PKG_DATA = {
 }
 
 
-def run_cli(*argv):
+def run_cli(*argv, env_extra=None):
+    env = dict(os.environ)
+    env.pop("TIMELYCK_NUMBA", None)
+    if env_extra:
+        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "timelyck.cli", *argv],
         capture_output=True,
         text=True,
+        env=env,
         timeout=600,
     )
 
@@ -151,13 +157,16 @@ def test_async_mode_flag(tmp_path):
     assert json.loads(out.read_text())["universe"]["synchronous"] is False
 
 
-def test_oracle_output_is_deterministic(tmp_path):
+@pytest.mark.parametrize("backend", ["auto", "0"])
+def test_determinism_across_backends(tmp_path, backend):
+    # numpy is the only kernel backend; a leftover TIMELYCK_NUMBA setting
+    # from the retired numba switch must leave the output byte-identical.
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    for path in (a, b):
+    for path, env in ((a, {"TIMELYCK_NUMBA": backend}), (b, None)):
         proc = run_cli(
             "oracle", PKG_DATA["firing_squad_2"], "--seed", "7", "--cases", "6",
-            "-o", str(path),
+            "-o", str(path), env_extra=env,
         )
         assert proc.returncode == 0, proc.stderr
     assert a.read_bytes() == b.read_bytes()

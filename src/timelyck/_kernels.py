@@ -51,11 +51,11 @@ def scan_postfixed_join(P, k, psi, within_tables, pair_index, knows_tables):
 # -- solution-space sweep ---------------------------------------------------------
 #
 # Variables with integer domains [lo_v, hi_v] and difference constraints
-# t[q] <= t[p] + c (constraints with p == q are skipped).  Extends the partial
-# assignments one variable at a time, evaluating every candidate value of the
-# new variable against the constraints whose later variable it is, and
-# accumulates: solution count, per-variable minima, and the exact set of
-# attained values per variable.
+# t[q] <= t[p] + c (with p == q, one holds for every value if c >= 0 and for
+# none if c < 0).  Extends the partial assignments one variable at a time,
+# evaluating every candidate value of the new variable against the
+# constraints whose later variable it is, and accumulates: solution count,
+# per-variable minima, and the exact set of attained values per variable.
 
 
 def scan_solutions(lo, hi, constraints, n_vals, guard):
@@ -70,9 +70,12 @@ def scan_solutions(lo, hi, constraints, n_vals, guard):
     hi = np.asarray(hi, dtype=np.int64)
     # per later variable: (earlier variable, c, later-is-upper-bounded)
     by_latest = [[] for _ in range(V)]
+    contradicted = set()  # variables with t[v] <= t[v] + c for some c < 0
     for p, q, c in constraints:
         if p != q:
             by_latest[max(p, q)].append((min(p, q), int(c), q > p))
+        elif c < 0:
+            contradicted.add(p)
 
     cols: list = []  # cols[v][r] is variable v's value in surviving prefix r
     n_rows = 1
@@ -88,6 +91,8 @@ def scan_solutions(lo, hi, constraints, n_vals, guard):
                 np.minimum(upper, cols[o] + c, out=upper)
             else:  # t[o] <= t[v] + c
                 np.maximum(lower, cols[o] - c, out=lower)
+        if v in contradicted:
+            upper[:] = lo[v] - 1
         keep = (vals >= lower[:, None]) & (vals <= upper[:, None])
         parent, pick = np.nonzero(keep)
         cols = [col[parent] for col in cols]

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation, UniverseMismatch
-from .universe import INF, DeltaValue, Point, Universe, check_delta
+from .universe import INF, DeltaValue, Point, Universe, check_delta, clamp_delta
 
 
 class Event:
@@ -143,19 +143,28 @@ def shift_exact(e: Event, eps: DeltaValue) -> Event:
     return Event(u, out)
 
 
+def first_instants(table: np.ndarray) -> np.ndarray:
+    """Per run, the first time a (..., n_runs, n_times) table holds.
+
+    A run where it never holds gets 2 * n_times, which lies beyond every
+    window a clamped delta can open.
+    """
+    n_times = table.shape[-1]
+    return np.where(table.any(axis=-1), table.argmax(axis=-1), 2 * n_times)
+
+
 def within(e: Event, eps: DeltaValue) -> Event:
     """The event holds at some time no later than `eps` steps from now.
 
     The witness time ranges over the whole horizon 0..H, so for eps = inf this
     is exactly `eventually`, and for eps = 0 it means "now or previously".
+    It holds at (r, t) iff t >= first[r] - eps, where first[r] is the event's
+    first instant in run r; eps is clamped to the horizon, and inf acts like H.
     """
     eps = check_delta(eps)
-    if eps == INF:
-        return eventually(e)
     u = e.universe
-    cum = np.logical_or.accumulate(e.table, axis=1)
-    bound = np.arange(u.n_times) + eps
-    out = cum[:, np.clip(bound, 0, u.horizon)] & (bound >= 0)[None, :]
+    d = u.horizon if eps == INF else clamp_delta(eps, u.horizon)
+    out = np.arange(u.n_times) >= (first_instants(e.table) - d)[:, None]
     return Event(u, out)
 
 

@@ -7,10 +7,19 @@ vectorial map whose coordinate for agent i is
     knows(i, psi & AND_j within(x_j, delta(i, j)))     (j ranging over the
                                                         other agents)
 
-computed by descending iteration from the all-full tuple.  `timely_ck_g` is
-the companion fixed point that uses exact shifts instead of within-windows and
-skips unbounded pairs; it is the one the nested-knowledge characterisation
-reconstructs path by path.
+computed by descending iteration from the all-full tuple.  The descent runs
+on the coordinates stacked into one (k, n_runs, n_times) boolean array and
+works on first instants: within(x_j, d) holds at (r, t) iff x_j's first
+instant in run r is at most t + d, so each step takes every coordinate's first
+instants, gives agent i the per-run threshold max_j(first_j[r] - delta(i, j))
+(deltas clamped to the horizon, inf acting like H, an empty run putting the
+threshold past H), ANDs it with psi and applies knows through the state ids.
+Events are built only for the final value; `apply_f` is one such step.
+
+`timely_ck_g` is the companion fixed point that uses exact shifts instead of
+within-windows and skips unbounded pairs; it is the one the nested-knowledge
+characterisation reconstructs path by path.  It runs through the generic
+`gfp` on event tuples.
 
 `gfp_bruteforce_oracle` and `timely_ck_oracle` provide the independent check:
 enumerate every tuple in the (finite) lattice, keep the ones below their own
@@ -32,8 +41,9 @@ from .errors import (
     SizeGuardExceeded,
     UniverseMismatch,
 )
-from .events import Event, eventually, knows, shift_exact, within
+from .events import Event, eventually, first_instants, knows, shift_exact
 from .universe import (
+    INF,
     DeltaValue,
     Universe,
     check_delta,
@@ -241,16 +251,53 @@ def _check_shapes(psi: Event, spec: TimingSpec, x: EventTuple) -> None:
         psi.universe.agent_index(a)
 
 
+def _window_operands(psi: Event, spec: TimingSpec) -> tuple:
+    """The constants of the window map for one psi and spec.
+
+    Returns psi's table; the (k, k) matrix of clamped deltas, where an inf
+    pair reaches as far as H does and the diagonal is so large that an
+    agent's own coordinate never sets its threshold; the agents' state ids
+    shifted into one shared id range, stacked to shape (k, n_runs, n_times);
+    and the size of that range.
+    """
+    u = psi.universe
+    k = len(spec.agents)
+    reach = np.full((k, k), 4 * u.n_times, dtype=np.int64)
+    for ai, i in enumerate(spec.agents):
+        for aj, j in enumerate(spec.agents):
+            if ai != aj:
+                d = spec.delta(i, j)
+                reach[ai, aj] = u.horizon if d == INF else clamp_delta(d, u.horizon)
+    offsets = np.cumsum([0] + [u.n_state_classes(a) for a in spec.agents])
+    ids = np.stack([u.state_ids(a) + off for a, off in zip(spec.agents, offsets)])
+    return psi.table, reach, ids, int(offsets[-1])
+
+
+def _window_step(x: np.ndarray, psi, reach, ids, n_ids) -> np.ndarray:
+    """The window map on coordinates stacked to shape (k, n_runs, n_times).
+
+    within(x_j, d) holds at (r, t) iff t >= first_j[r] - d, so agent i's body
+    is psi from the latest of those thresholds over its partners j on; knows
+    then keeps the points whose whole state class lies in the body.
+    """
+    start = (first_instants(x)[None, :, :] - reach[:, :, None]).max(axis=1)
+    body = psi & (np.arange(x.shape[2]) >= start[:, :, None])
+    ok = np.ones(n_ids, dtype=bool)
+    ok[ids[~body]] = False
+    return ok[ids]
+
+
+def _as_tuple(universe: Universe, agents: tuple, x: np.ndarray) -> EventTuple:
+    return EventTuple(universe, {a: Event(universe, x[n]) for n, a in enumerate(agents)})
+
+
 def apply_f(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
     """One application of the window-based coordination map."""
     _check_shapes(psi, spec, x)
-    coords = {}
-    for i in spec.agents:
-        body = psi
-        for j in spec.others(i):
-            body = body & within(x[j], spec.delta(i, j))
-        coords[i] = knows(i, body)
-    return EventTuple(psi.universe, coords)
+    stacked = np.stack([x[a].table for a in spec.agents])
+    return _as_tuple(
+        psi.universe, spec.agents, _window_step(stacked, *_window_operands(psi, spec))
+    )
 
 
 def apply_g(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
@@ -305,8 +352,30 @@ def gfp(step: Callable[[EventTuple], EventTuple], start: EventTuple) -> GfpResul
 
 
 def timely_ck_info(psi: Event, spec: TimingSpec) -> GfpResult:
-    top = EventTuple.top(psi.universe, spec.agents)
-    return gfp(lambda x: apply_f(psi, spec, x), top)
+    """The greatest fixed point of the window map, with `gfp`'s checks and trace.
+
+    Descends from the all-full tuple on stacked boolean tables and builds
+    events only for the final value.
+    """
+    u = psi.universe
+    agents = spec.agents
+    operands = _window_operands(psi, spec)
+    cur = np.ones((len(agents), u.n_runs, u.n_times), dtype=bool)
+    bound = u.n_points * len(agents) + 1
+    trace = [dict.fromkeys(agents, u.n_points)]
+    for iteration in range(1, bound + 1):
+        nxt = _window_step(cur, *operands)
+        if (nxt & ~cur).any():
+            raise InternalConsistencyError(
+                "fixed-point iteration did not descend; the map is not monotone"
+            )
+        trace.append(dict(zip(agents, nxt.sum(axis=(1, 2)).tolist())))
+        if np.array_equal(nxt, cur):
+            return GfpResult(_as_tuple(u, agents, nxt), iteration, trace)
+        cur = nxt
+    raise InternalConsistencyError(
+        f"fixed-point iteration failed to stabilize within {bound} steps"
+    )
 
 
 def timely_ck(psi: Event, spec: TimingSpec) -> EventTuple:

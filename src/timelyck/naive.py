@@ -110,7 +110,7 @@ def n_delta_coordinated(
 
 def n_scan_solutions(lo, hi, constraints, n_vals: int, guard: int):
     """Depth-first enumeration of the integer assignments with lo[v] <= t[v] <=
-    hi[v] and t[q] <= t[p] + c for every constraint (p, q, c) with p != q.
+    hi[v] and t[q] <= t[p] + c for every constraint (p, q, c).
 
     Returns (count, mins, attained, overflowed) like `_kernels.scan_solutions`,
     under the same guard: it overflows, returning no solutions, when the
@@ -123,11 +123,14 @@ def n_scan_solutions(lo, hi, constraints, n_vals: int, guard: int):
     sizes = [max(0, h - l + 1) for l, h in zip(lo, hi)]
     uppers = [[] for _ in range(V)]  # v -> [(p, c)]: t[v] <= t[p] + c, p < v
     lowers = [[] for _ in range(V)]  # v -> [(q, c)]: t[v] >= t[q] - c, q < v
+    selfs = [[] for _ in range(V)]  # v -> [c]: t[v] <= t[v] + c
     for p, q, c in constraints:
         if p < q:
             uppers[q].append((p, int(c)))
         elif q < p:
             lowers[p].append((q, int(c)))
+        else:
+            selfs[p].append(int(c))
 
     mins = np.full(V, 2**62, dtype=np.int64)
     attained = np.zeros((V, n_vals), dtype=bool)
@@ -146,6 +149,8 @@ def n_scan_solutions(lo, hi, constraints, n_vals: int, guard: int):
         lo_d = max([lo[depth]] + [val[q] - c for q, c in lowers[depth]])
         hi_d = min([hi[depth]] + [val[p] + c for p, c in uppers[depth]])
         for x in range(lo_d, hi_d + 1):
+            if not all(x <= x + c for c in selfs[depth]):
+                continue
             val[depth] = x
             prefixes[depth] += 1
             if depth + 1 < V and prefixes[depth] * sizes[depth + 1] > guard:

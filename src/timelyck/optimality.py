@@ -230,6 +230,11 @@ def box_sweep(model: StrategyModel, *, cap: int = BOX_SWEEP_CAP):
         raise SizeGuardExceeded(
             f"{box_space(model)} box combinations exceed the sweep cap {cap}"
         )
+    return _sweep_boxes(model)
+
+
+def _sweep_boxes(model: StrategyModel):
+    """`box_sweep` on a model already known to be product-structured."""
     agents = model.instance.timing.agents
     horizon = instance_horizon(model)
     k = len(agents)
@@ -408,7 +413,7 @@ def verify_optimal(
 
     if is_product_structured(model) and box_space(model) <= BOX_SWEEP_CAP:
         methods.append("signature_boxes")
-        feasible, mins, attained = box_sweep(model)
+        feasible, mins, attained = _sweep_boxes(model)
         if not feasible:
             raise InternalConsistencyError("signature sweep found no solutions")
         expected = np.zeros_like(attained)

@@ -17,9 +17,14 @@ from . import naive
 from ._kernels import scan_postfixed_join
 from .errors import SizeGuardExceeded
 from .events import Event
-from .universe import INF, DeltaValue, Universe
+from .universe import DeltaValue, Universe, clamp_delta
 
 MAX_PACKED_POINTS = 20  # full tables are 2^P entries
+
+# The bitmask images of within(single point, d) depend only on the geometry
+# and the clamped delta, so every universe of one shape shares them; keyed by
+# (n_runs, n_times, d), and MAX_PACKED_POINTS bounds the keys.
+_WITHIN_SINGLES: dict[tuple, list[int]] = {}
 
 
 class PackedSpace:
@@ -65,17 +70,21 @@ class PackedSpace:
 
     def within_table(self, d: DeltaValue) -> np.ndarray:
         """within(., d) for every possible event mask, via union of singletons."""
-        key = INF if d == INF else int(d)
+        u = self.universe
+        key = clamp_delta(d, u.horizon)
         tab = self._within_full.get(key)
         if tab is None:
-            u = self.universe
-            singles = []
-            for b in range(self.n_bits):
-                pts = frozenset({(b // u.n_times, b % u.n_times)})
-                singles.append(self._pack_pointset(naive.n_within(u, pts, key)))
+            singles = _WITHIN_SINGLES.get((u.n_runs, u.n_times, key))
+            if singles is None:
+                singles = []
+                for b in range(self.n_bits):
+                    pts = frozenset({divmod(b, u.n_times)})
+                    singles.append(self._pack_pointset(naive.n_within(u, pts, key)))
+                _WITHIN_SINGLES[(u.n_runs, u.n_times, key)] = singles
+            # masks with top bit b map to their image without b, plus b's image
             tab = np.zeros(1 << self.n_bits, dtype=np.int64)
-            for b in range(self.n_bits):
-                tab[(self._indices >> b) & 1 == 1] |= singles[b]
+            for b, single in enumerate(singles):
+                tab[1 << b : 2 << b] = tab[: 1 << b] | single
             self._within_full[key] = tab
         return tab
 
@@ -148,7 +157,7 @@ def packed_timely_ck_oracle(psi: Event, spec) -> "EventTuple":
             if ai == aj:
                 continue
             d = spec.delta(i, j)
-            key = INF if d == INF else int(d)
+            key = clamp_delta(d, psi.universe.horizon)
             if key not in key_of:
                 key_of[key] = len(tables)
                 tables.append(space.within_table(key))

@@ -107,17 +107,42 @@ class ScenarioSpec:
         try:
             agents = tuple(doc["agents"])
             timing = TimingSpec.from_json_dict(agents, doc["delta"])
+            trigger_times = doc["trigger_times"]
+            if not isinstance(trigger_times, (list, tuple)):
+                raise InvariantViolation(
+                    f"trigger_times must be a list, got {trigger_times!r}"
+                )
+            obs_delay = doc["obs_delay"]
+            if not isinstance(obs_delay, dict):
+                raise InvariantViolation(f"obs_delay must be an object, got {obs_delay!r}")
+            windows = {}
+            for a, window in obs_delay.items():
+                if not isinstance(window, (list, tuple)) or len(window) != 2:
+                    raise InvariantViolation(
+                        f"obs_delay.{a} must be a [lo, hi] pair, got {window!r}"
+                    )
+                windows[a] = tuple(_json_int(v, f"obs_delay.{a}") for v in window)
+            horizon = doc.get("horizon")
             return cls(
                 agents=agents,
-                trigger_times=tuple(doc["trigger_times"]),
-                obs_delay={a: tuple(v) for a, v in doc["obs_delay"].items()},
+                trigger_times=tuple(
+                    _json_int(t, f"trigger_times[{n}]") for n, t in enumerate(trigger_times)
+                ),
+                obs_delay=windows,
                 timing=timing,
                 actions=dict(doc["actions"]),
                 include_never_run=doc.get("include_never_run", True),
-                horizon=doc.get("horizon"),
+                horizon=None if horizon is None else _json_int(horizon, "horizon"),
             )
         except KeyError as exc:
             raise InvariantViolation(f"scenario document missing field {exc}") from None
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer, or an InvariantViolation naming the field it came from."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvariantViolation(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 NEVER_RUN = "never"

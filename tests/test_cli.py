@@ -142,6 +142,32 @@ def test_invariant_violation_exit_code(tmp_path):
     assert proc.returncode == 3
 
 
+def _solve_edited(tmp_path, edit):
+    doc = json.loads(open(PKG_DATA["ordered_2"]).read())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return run_cli("solve", str(bad))
+
+
+def test_string_horizon_exits_3_naming_the_field(tmp_path):
+    proc = _solve_edited(tmp_path, lambda doc: doc.update(horizon="9"))
+    assert proc.returncode == 3, proc.stderr
+    assert "horizon" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_short_obs_delay_window_exits_3_naming_the_field(tmp_path):
+    proc = _solve_edited(tmp_path, lambda doc: doc["obs_delay"].update(first=[0]))
+    assert proc.returncode == 3, proc.stderr
+    assert "obs_delay.first" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_string_trigger_time_exits_3_naming_the_field(tmp_path):
+    proc = _solve_edited(tmp_path, lambda doc: doc.update(trigger_times=["0"]))
+    assert proc.returncode == 3, proc.stderr
+    assert "trigger_times[0]" in proc.stderr
+
+
 def test_no_never_run_flag(tmp_path):
     out = tmp_path / "u.json"
     proc = run_cli("generate", PKG_DATA["firing_squad_2"], "--no-never-run", "-o", str(out))

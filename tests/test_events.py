@@ -203,6 +203,8 @@ def test_operators_match_naive_definitions(synchronous):
         assert _as_set(shift_exact(e, eps)) == naive.n_shift_exact(u, s, eps)
         assert _as_set(within(e, eps)) == naive.n_within(u, s, eps)
         assert _as_set(within(e, INF)) == naive.n_within(u, s, INF)
+        for huge in (10**30, -(10**30)):  # beyond int64: clamped, not overflowed
+            assert _as_set(within(e, huge)) == naive.n_within(u, s, huge)
         for agent in u.agents:
             assert _as_set(knows(agent, e)) == naive.n_knows(u, agent, s)
         assert _as_set(common_knowledge(u.agents, e)) == naive.n_common_knowledge(

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from timelyck import naive
 from timelyck.errors import (
     InternalConsistencyError,
     InvariantViolation,
     SizeGuardExceeded,
 )
-from timelyck.events import Event, common_knowledge, knows
+from timelyck.events import Event, common_knowledge, knows, within
 from timelyck.fixpoint import (
     EventTuple,
     TimingSpec,
@@ -238,6 +239,78 @@ def test_timely_ck_iteration_trace(toy):
     res = timely_ck_info(Event.full(toy), spec2())
     assert res.iterations >= 1
     assert res.trace[0] == {"a": 8, "b": 8}
+
+
+def _apply_f_by_within(psi, spec, x):
+    """The window map composed event by event from `within` and `knows`."""
+    coords = {}
+    for i in spec.agents:
+        body = psi
+        for j in spec.others(i):
+            body = body & within(x[j], spec.delta(i, j))
+        coords[i] = knows(i, body)
+    return EventTuple(psi.universe, coords)
+
+
+def test_array_descent_matches_within_composed_map():
+    # the stacked first-instant descent gives the value, iteration count and
+    # trace of the generic gfp over the map composed from `within`
+    rng = np.random.default_rng(41)
+    seen = dict(asynchronous=0, inf_pair=0, beyond_horizon=0, huge=0, empty_psi=0,
+                emptied_run=0)
+    for _ in range(400):
+        k = int(rng.integers(2, 5))
+        u = random_universe(
+            rng, n_agents=k, max_runs=4, max_times=5, synchronous=rng.random() < 0.6
+        )
+        H = u.horizon
+        delta = {}
+        for i in u.agents:
+            for j in u.agents:
+                if i != j:
+                    roll = rng.random()
+                    if roll < 0.15:
+                        delta[(i, j)] = INF
+                    elif roll < 0.2:
+                        delta[(i, j)] = int(rng.choice([-1, 1])) * 10**30
+                    else:
+                        delta[(i, j)] = int(rng.integers(-H - 3, H + 4))
+        spec = TimingSpec(u.agents, delta)
+        psi = Event.empty(u) if rng.random() < 0.1 else random_event(rng, u)
+        got = timely_ck_info(psi, spec)
+        want = gfp(lambda x: _apply_f_by_within(psi, spec, x), EventTuple.top(u, u.agents))
+        assert got.value == want.value
+        assert (got.iterations, got.trace) == (want.iterations, want.trace)
+        x = random_tuple(rng, u, u.agents)
+        image = apply_f(psi, spec, x)
+        assert image == _apply_f_by_within(psi, spec, x)
+        for i in u.agents:  # and with the definition-direct evaluators
+            body = naive.point_set(psi)
+            for j in spec.others(i):
+                body &= naive.n_within(u, naive.point_set(x[j]), spec.delta(i, j))
+            assert naive.point_set(image[i]) == naive.n_knows(u, i, body)
+
+        finite = [d for d in delta.values() if d != INF]
+        seen["asynchronous"] += not u.synchronous
+        seen["inf_pair"] += len(finite) < len(delta)
+        seen["beyond_horizon"] += any(abs(d) > H for d in finite)
+        seen["huge"] += any(abs(d) == 10**30 for d in finite)
+        seen["empty_psi"] += psi.is_empty()
+        seen["emptied_run"] += any(
+            psi.table[r].any() and not got.value[a].table[r].any()
+            for a in u.agents
+            for r in range(u.n_runs)
+        )
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_array_descent_rejects_a_step_that_does_not_descend(toy, monkeypatch):
+    import timelyck.fixpoint as fixpoint
+
+    # complementing empties the full tuple, then refills the empty one
+    monkeypatch.setattr(fixpoint, "_window_step", lambda x, *operands: ~x)
+    with pytest.raises(InternalConsistencyError, match="did not descend"):
+        timely_ck_info(Event.full(toy), spec2())
 
 
 def test_induction_rule(toy, rng):

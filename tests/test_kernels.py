@@ -3,9 +3,11 @@
 import numpy as np
 
 from timelyck import _kernels
+from timelyck.events import within
 from timelyck.fixpoint import TimingSpec, timely_ck
 from timelyck.naive import n_scan_solutions
 from timelyck.optimality import build_strategy_model
+from timelyck.packed import PackedSpace
 from timelyck.sampling import random_event, random_spec, random_universe
 from timelyck.scenarios import generate_system, make_scenario
 from timelyck.universe import INF
@@ -23,6 +25,19 @@ def test_dispatch_matches_engine_fixed_point():
         assert timely_ck_oracle(psi, spec) == timely_ck(psi, spec)
 
 
+def test_within_tables_match_within_on_every_mask():
+    # universes of one shape share the singleton images; every table entry
+    # must still be within() of the event the mask stands for
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        u = random_universe(rng, n_agents=2, max_runs=2, max_times=4)
+        space = PackedSpace(u)
+        for d in (-u.horizon - 2, -1, 0, 1, u.horizon + 3, 10**30, INF):
+            table = space.within_table(d)
+            for mask in range(1 << space.n_bits):
+                assert table[mask] == space.pack(within(space.unpack(mask), d))
+
+
 def _assert_scans_agree(lo, hi, constraints, n_vals, guard):
     got = _kernels.scan_solutions(lo, hi, constraints, n_vals, guard)
     want = n_scan_solutions(lo, hi, constraints, n_vals, guard)
@@ -34,7 +49,8 @@ def _assert_scans_agree(lo, hi, constraints, n_vals, guard):
 
 def test_solution_scan_matches_depth_first_reference():
     rng = np.random.default_rng(13)
-    seen = dict(infeasible=0, self_loop=0, unconstrained=0, overflow=0, solutions=0)
+    seen = dict(infeasible=0, self_loop=0, contradiction=0, unconstrained=0, overflow=0,
+                solutions=0)
     for _ in range(400):
         V = int(rng.integers(0, 6))
         lo = rng.integers(0, 4, size=V)
@@ -48,9 +64,19 @@ def test_solution_scan_matches_depth_first_reference():
         seen["overflow"] += overflowed
         seen["infeasible"] += not overflowed and count == 0
         seen["solutions"] += count > 0
-        seen["self_loop"] += any(p == q for p, q, _ in constraints)
+        seen["self_loop"] += any(p == q and c >= 0 for p, q, c in constraints)
+        seen["contradiction"] += any(p == q and c < 0 for p, q, c in constraints)
         seen["unconstrained"] += V > 0 and not constraints
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_self_constraint_with_negative_bound_is_infeasible():
+    # t[0] <= t[0] - 1 holds for no value, t[0] <= t[0] + 1 for every value
+    for scan in (_kernels.scan_solutions, n_scan_solutions):
+        count, mins, attained, overflowed = scan([0], [2], [(0, 0, -1)], 3, 10)
+        assert (int(count), bool(overflowed), attained.any()) == (0, False, False)
+        count, mins, attained, overflowed = scan([0], [2], [(0, 0, 1)], 3, 10)
+        assert (int(count), int(mins[0]), bool(overflowed)) == (3, 0, False)
 
 
 def test_solution_scan_matches_reference_on_strategy_models():

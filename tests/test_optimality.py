@@ -273,6 +273,37 @@ def test_verify_optimal_reuses_the_callers_report(monkeypatch):
         verify_optimal(inst, bad, report=failing)
 
 
+def test_box_sweep_refuses_a_non_product_model():
+    # trigger times 0 and 1 with delays 0..1: observation times 0 and 2 are
+    # never realized together, so the boxes would miss combinations
+    inst = generate_system(
+        make_scenario(
+            ("a", "b"), simultaneous_delta(("a", "b")), obs_delay=(0, 1),
+            trigger_times=(0, 1),
+        )
+    )
+    model = build_strategy_model(inst)
+    assert not is_product_structured(model)
+    with pytest.raises(InvariantViolation, match="product-structured"):
+        box_sweep(model)
+
+
+def test_verify_optimal_checks_product_structure_once(monkeypatch):
+    import timelyck.optimality as optimality
+
+    inst = carwash_instance()
+    res = synthesize_optimal(inst)
+    expected = verify_optimal(inst, res).to_json_dict()
+    assert "signature_boxes" in expected["methods"]
+    calls = []
+    real = optimality.is_product_structured
+    monkeypatch.setattr(
+        optimality, "is_product_structured", lambda m: calls.append(m) or real(m)
+    )
+    assert verify_optimal(inst, res).to_json_dict() == expected
+    assert len(calls) == 1
+
+
 def test_result_assignment_requires_class_constancy():
     inst = generate_system(
         make_scenario(("a", "b"), simultaneous_delta(("a", "b")), obs_delay=(0, 1))

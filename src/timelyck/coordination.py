@@ -5,7 +5,10 @@ ensembles.
 An ensemble is an event tuple whose coordinate for agent i is i-local (the
 agent can always tell whether its coordinate holds).  Timing coordination of
 an ensemble says: whenever agent i's coordinate holds, agent j's coordinate
-holds somewhere in the run no later than delta(i, j) steps away.
+holds somewhere in the run no later than delta(i, j) steps away.  It is
+decided on first instants; the literal point quantifier is
+`naive.n_delta_coordinated`, which the test and property suites check it
+against.
 
 `verify_greatest_coordinated_ensemble` checks, by exhaustive enumeration of
 local ensembles on small universes, that the timely-common-knowledge tuple is
@@ -21,8 +24,8 @@ from itertools import product
 import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation, SizeGuardExceeded
-from .events import Event, eventually, is_local, within
-from .fixpoint import EventTuple, TimingSpec, apply_f, timely_ck, tuple_union
+from .events import Event, eventually, first_instants, is_local
+from .fixpoint import EventTuple, TimingSpec, apply_f, reach_matrix, timely_ck, tuple_union
 from .packed import PackedSpace
 from .universe import Universe, check_delta
 
@@ -53,37 +56,28 @@ def _coords(e) -> EventTuple:
     return e.tuple if isinstance(e, Ensemble) else e
 
 
-def is_delta_coordinated(ensemble, spec: TimingSpec) -> bool:
-    """Whether every occurrence of e_i is answered by e_j within delta(i, j).
+def uncoordinated_pairs(ensemble, spec: TimingSpec) -> list[tuple]:
+    """The pairs (i, j), in `spec.pairs()` order, where some occurrence of e_i
+    is not answered by e_j within delta(i, j).
 
-    Computed two independent ways and cross-checked:
-
-    * by first instants: in every run where e_i holds, e_j holds too and
-      its first instant is at most e_i's first instant plus delta(i, j);
-    * by window containment: e_i <= within(e_j, delta(i, j)).
-
-    The literal point quantifier is `naive.n_delta_coordinated`, which the
-    test suite and the property suite check this predicate against.
+    By first instants: in every run where e_i holds, e_j must hold too, with
+    its first instant at most e_i's first instant plus delta(i, j) (deltas
+    clamped to the horizon, inf acting like H).
     """
     tup = _coords(ensemble)
     if tup.agents != spec.agents:
         raise InvariantViolation("ensemble agents do not match the timing spec")
+    u = tup.universe
+    first = first_instants(tup.stacked())
+    reach = reach_matrix(spec, u)
+    late = first[None, :, :] > first[:, None, :] + reach[:, :, None]
+    bad = (late & (first < u.n_times)[:, None, :]).any(axis=2)
+    return [(spec.agents[i], spec.agents[j]) for i, j in zip(*np.nonzero(bad))]
 
-    holds = {a: tup[a].table.any(axis=1) for a in spec.agents}
-    first = {a: tup[a].table.argmax(axis=1) for a in spec.agents}
-    by_first = all(
-        np.all(~holds[i] | (holds[j] & (first[j] <= first[i] + spec.delta(i, j))))
-        for i, j in spec.pairs()
-    )
 
-    by_windows = all(
-        tup[i] <= within(tup[j], spec.delta(i, j)) for i, j in spec.pairs()
-    )
-    if by_first != by_windows:
-        raise InternalConsistencyError(
-            "the two formulations of timing coordination disagree"
-        )
-    return by_windows
+def is_delta_coordinated(ensemble, spec: TimingSpec) -> bool:
+    """Whether every occurrence of e_i is answered by e_j within delta(i, j)."""
+    return not uncoordinated_pairs(ensemble, spec)
 
 
 def is_perfectly_coordinated(ensemble) -> bool:
@@ -122,10 +116,6 @@ def is_epsilon_coordinated(ensemble, eps: int) -> bool:
             if not found:
                 return False
     return True
-
-
-# re-exported here because the union operation belongs to ensemble analysis
-union = tuple_union
 
 
 # -- local-ensemble enumeration ----------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvariantViolation, UniverseMismatch
+from .errors import InvariantViolation, UniverseMismatch
 from .universe import INF, DeltaValue, Point, Universe, check_delta, clamp_delta
 
 
@@ -113,14 +113,6 @@ class Event:
         return f"Event({self.size} of {self.universe.n_points} points)"
 
 
-def _require_same_universe(*events: Event) -> Universe:
-    u = events[0].universe
-    for e in events[1:]:
-        if e.universe is not u:
-            raise UniverseMismatch("events belong to different universes")
-    return u
-
-
 # -- temporal operators ---------------------------------------------------------
 
 
@@ -196,35 +188,18 @@ def everyone_knows(agents: Iterable[str], e: Event) -> Event:
 
 
 def common_knowledge(agents: Iterable[str], e: Event) -> Event:
-    """Stabilized intersection of iterated everyone-knows.
+    """Common knowledge of `e`: the greatest fixed point of
+    x -> everyone_knows(e & x), descended from the full event.
 
-    Computed twice: as the descending chain of everyone-knows iterates, and as
-    the greatest fixed point of x -> everyone_knows(e & x) iterated from the
-    full event.  The two must agree exactly; a mismatch is an engine defect.
+    It equals the stabilized intersection of iterated everyone-knows, which
+    `naive.n_common_knowledge` computes as the independent reference.
     """
+    from .fixpoint import event_gfp
+
     agents = tuple(agents)
     if not agents:
         raise InvariantViolation("common_knowledge requires a nonempty agent set")
-
-    chain = everyone_knows(agents, e)
-    while True:
-        nxt = everyone_knows(agents, chain)
-        if nxt == chain:
-            break
-        chain = nxt
-
-    fp = Event.full(e.universe)
-    while True:
-        nxt = everyone_knows(agents, e & fp)
-        if nxt == fp:
-            break
-        fp = nxt
-
-    if chain != fp:
-        raise InternalConsistencyError(
-            "iterated everyone-knows and its fixed-point computation disagree"
-        )
-    return fp
+    return event_gfp(lambda x: everyone_knows(agents, e & x), e.universe, agents[0])
 
 
 def is_local(agent: str, e: Event) -> bool:

@@ -18,8 +18,11 @@ Events are built only for the final value; `apply_f` is one such step.
 
 `timely_ck_g` is the companion fixed point that uses exact shifts instead of
 within-windows and skips unbounded pairs; it is the one the nested-knowledge
-characterisation reconstructs path by path.  It runs through the generic
-`gfp` on event tuples.
+characterisation reconstructs path by path.  Its step gathers every partner's
+coordinate at the shifted time, and `apply_g` is one such step.  Both fixed
+points, the generic `gfp` on event tuples and the single-event fixed points
+(`event_gfp`: common, eventual and window common knowledge) run through one
+descent loop (`_descend`) with one descent check, iteration bound and trace.
 
 `gfp_bruteforce_oracle` and `timely_ck_oracle` provide the independent check:
 enumerate every tuple in the (finite) lattice, keep the ones below their own
@@ -41,7 +44,7 @@ from .errors import (
     SizeGuardExceeded,
     UniverseMismatch,
 )
-from .events import Event, eventually, first_instants, knows, shift_exact
+from .events import Event, eventually, first_instants, knows
 from .universe import (
     INF,
     DeltaValue,
@@ -122,9 +125,6 @@ class TimingSpec:
     def all_finite(self) -> bool:
         return all(is_finite_delta(v) for v in self._delta.values())
 
-    def finite_nonpositive_only(self) -> bool:
-        return all(not is_finite_delta(v) or v <= 0 for v in self._delta.values())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimingSpec):
             return NotImplemented
@@ -200,6 +200,10 @@ class EventTuple:
     def sizes(self) -> dict[str, int]:
         return {a: self.coords[a].size for a in self.agents}
 
+    def stacked(self) -> np.ndarray:
+        """The coordinates' tables stacked to shape (k, n_runs, n_times)."""
+        return np.stack([self.coords[a].table for a in self.agents])
+
     def to_json_dict(self) -> dict:
         return {a: self.coords[a].to_json_list() for a in self.agents}
 
@@ -251,26 +255,34 @@ def _check_shapes(psi: Event, spec: TimingSpec, x: EventTuple) -> None:
         psi.universe.agent_index(a)
 
 
-def _window_operands(psi: Event, spec: TimingSpec) -> tuple:
-    """The constants of the window map for one psi and spec.
-
-    Returns psi's table; the (k, k) matrix of clamped deltas, where an inf
-    pair reaches as far as H does and the diagonal is so large that an
-    agent's own coordinate never sets its threshold; the agents' state ids
-    shifted into one shared id range, stacked to shape (k, n_runs, n_times);
-    and the size of that range.
-    """
+def _operands(psi: Event, spec: TimingSpec, matrix: np.ndarray) -> tuple:
+    """The constants of one map: psi's table, the map's per-pair matrix, the
+    agents' state ids shifted into one shared id range and stacked to shape
+    (k, n_runs, n_times), and the size of that range."""
     u = psi.universe
-    k = len(spec.agents)
-    reach = np.full((k, k), 4 * u.n_times, dtype=np.int64)
+    offsets = np.cumsum([0] + [u.n_state_classes(a) for a in spec.agents])
+    ids = np.stack([u.state_ids(a) + off for a, off in zip(spec.agents, offsets)])
+    return psi.table, matrix, ids, int(offsets[-1])
+
+
+def _knows_all(body: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """knows applied to every agent's body at once through the shared ids."""
+    ok = np.ones(n_ids, dtype=bool)
+    ok[ids[~body]] = False
+    return ok[ids]
+
+
+def reach_matrix(spec: TimingSpec, universe: Universe) -> np.ndarray:
+    """The (k, k) matrix of deltas clamped to the horizon, inf acting like H;
+    the diagonal is so large that an agent's own coordinate never binds."""
+    k, h = len(spec.agents), universe.horizon
+    reach = np.full((k, k), 4 * universe.n_times, dtype=np.int64)
     for ai, i in enumerate(spec.agents):
         for aj, j in enumerate(spec.agents):
             if ai != aj:
                 d = spec.delta(i, j)
-                reach[ai, aj] = u.horizon if d == INF else clamp_delta(d, u.horizon)
-    offsets = np.cumsum([0] + [u.n_state_classes(a) for a in spec.agents])
-    ids = np.stack([u.state_ids(a) + off for a, off in zip(spec.agents, offsets)])
-    return psi.table, reach, ids, int(offsets[-1])
+                reach[ai, aj] = h if d == INF else clamp_delta(d, h)
+    return reach
 
 
 def _window_step(x: np.ndarray, psi, reach, ids, n_ids) -> np.ndarray:
@@ -282,9 +294,36 @@ def _window_step(x: np.ndarray, psi, reach, ids, n_ids) -> np.ndarray:
     """
     start = (first_instants(x)[None, :, :] - reach[:, :, None]).max(axis=1)
     body = psi & (np.arange(x.shape[2]) >= start[:, :, None])
-    ok = np.ones(n_ids, dtype=bool)
-    ok[ids[~body]] = False
-    return ok[ids]
+    return _knows_all(body, ids, n_ids)
+
+
+def _shift_columns(spec: TimingSpec, universe: Universe) -> np.ndarray:
+    """cols[i, j, t]: the column of x_j that agent i reads at time t, in x
+    padded with a False column (n_times) and a True column (n_times + 1).
+
+    It is t + delta(i, j) when that lies in 0..H, the False column when the
+    shift leaves 0..H, and the True column for an unbounded pair or i == j.
+    """
+    k, n = len(spec.agents), universe.n_times
+    cols = np.full((k, k, n), n + 1, dtype=np.int64)
+    for ai, i in enumerate(spec.agents):
+        for aj, j in enumerate(spec.agents):
+            d = spec.delta(i, j) if ai != aj else INF
+            if is_finite_delta(d):
+                s = np.arange(n) + max(-n, min(n, d))
+                cols[ai, aj] = np.where((s >= 0) & (s < n), s, n)
+    return cols
+
+
+def _shift_step(x: np.ndarray, psi, cols, ids, n_ids) -> np.ndarray:
+    """The exact-shift map on coordinates stacked to shape (k, n_runs, n_times):
+    agent i's body is psi and every x_j read at the columns cols[i, j]."""
+    k, n_runs, _ = x.shape
+    pad = np.zeros((k, n_runs, 2), dtype=bool)
+    pad[..., 1] = True
+    # (k_i, k_j, n_times, n_runs): partner j's value at agent i's shifted time
+    read = np.concatenate((x, pad), axis=2)[np.arange(k)[None, :, None], :, cols]
+    return _knows_all(psi & read.all(axis=1).transpose(0, 2, 1), ids, n_ids)
 
 
 def _as_tuple(universe: Universe, agents: tuple, x: np.ndarray) -> EventTuple:
@@ -294,24 +333,15 @@ def _as_tuple(universe: Universe, agents: tuple, x: np.ndarray) -> EventTuple:
 def apply_f(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
     """One application of the window-based coordination map."""
     _check_shapes(psi, spec, x)
-    stacked = np.stack([x[a].table for a in spec.agents])
-    return _as_tuple(
-        psi.universe, spec.agents, _window_step(stacked, *_window_operands(psi, spec))
-    )
+    operands = _operands(psi, spec, reach_matrix(spec, psi.universe))
+    return _as_tuple(psi.universe, spec.agents, _window_step(x.stacked(), *operands))
 
 
 def apply_g(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
     """One application of the exact-shift map; unbounded pairs impose nothing."""
     _check_shapes(psi, spec, x)
-    coords = {}
-    for i in spec.agents:
-        body = psi
-        for j in spec.others(i):
-            d = spec.delta(i, j)
-            if is_finite_delta(d):
-                body = body & shift_exact(x[j], d)
-        coords[i] = knows(i, body)
-    return EventTuple(psi.universe, coords)
+    operands = _operands(psi, spec, _shift_columns(spec, psi.universe))
+    return _as_tuple(psi.universe, spec.agents, _shift_step(x.stacked(), *operands))
 
 
 # -- greatest fixed points ---------------------------------------------------
@@ -324,58 +354,63 @@ class GfpResult:
     trace: list  # per-iteration coordinate sizes
 
 
-def gfp(step: Callable[[EventTuple], EventTuple], start: EventTuple) -> GfpResult:
-    """Iterate a monotone tuple map from `start` until two iterates coincide.
+def _descend(step, start, universe: Universe, agents: tuple) -> GfpResult:
+    """Iterate a monotone map on stacked (k, n_runs, n_times) coordinates
+    until two iterates coincide; `start` None means the all-full tuple.
 
     On a finite lattice the stabilized value of a descending Kleene iteration
     from the top is the greatest fixed point.  Each strict step must remove at
     least one point from at least one coordinate, which bounds the iteration
     count; exceeding the bound, or any non-descending step, means the supplied
-    map was not monotone and is reported as an internal error.
+    map was not monotone and is reported as an internal error.  Events are
+    built only for the final value.
     """
-    bound = start.universe.n_points * len(start.agents) + 1
-    cur = start
-    trace = [cur.sizes()]
+    bound = universe.n_points * len(agents) + 1
+    if start is None:
+        cur = np.ones((len(agents), universe.n_runs, universe.n_times), dtype=bool)
+        trace = [dict.fromkeys(agents, universe.n_points)]
+    else:
+        cur = start
+        trace = [dict(zip(agents, start.sum(axis=(1, 2)).tolist()))]
     for iteration in range(1, bound + 1):
         nxt = step(cur)
-        if not tuple_leq(nxt, cur):
-            raise InternalConsistencyError(
-                "fixed-point iteration did not descend; the map is not monotone"
-            )
-        trace.append(nxt.sizes())
-        if nxt == cur:
-            return GfpResult(nxt, iteration, trace)
-        cur = nxt
-    raise InternalConsistencyError(
-        f"fixed-point iteration failed to stabilize within {bound} steps"
-    )
-
-
-def timely_ck_info(psi: Event, spec: TimingSpec) -> GfpResult:
-    """The greatest fixed point of the window map, with `gfp`'s checks and trace.
-
-    Descends from the all-full tuple on stacked boolean tables and builds
-    events only for the final value.
-    """
-    u = psi.universe
-    agents = spec.agents
-    operands = _window_operands(psi, spec)
-    cur = np.ones((len(agents), u.n_runs, u.n_times), dtype=bool)
-    bound = u.n_points * len(agents) + 1
-    trace = [dict.fromkeys(agents, u.n_points)]
-    for iteration in range(1, bound + 1):
-        nxt = _window_step(cur, *operands)
         if (nxt & ~cur).any():
             raise InternalConsistencyError(
                 "fixed-point iteration did not descend; the map is not monotone"
             )
         trace.append(dict(zip(agents, nxt.sum(axis=(1, 2)).tolist())))
         if np.array_equal(nxt, cur):
-            return GfpResult(_as_tuple(u, agents, nxt), iteration, trace)
+            return GfpResult(_as_tuple(universe, agents, nxt), iteration, trace)
         cur = nxt
     raise InternalConsistencyError(
         f"fixed-point iteration failed to stabilize within {bound} steps"
     )
+
+
+def gfp(step: Callable[[EventTuple], EventTuple], start: EventTuple) -> GfpResult:
+    """Iterate a monotone tuple map from `start` until two iterates coincide."""
+    u, agents = start.universe, start.agents
+
+    def stacked_step(x: np.ndarray) -> np.ndarray:
+        image = step(_as_tuple(u, agents, x))
+        start._same(image)
+        return image.stacked()
+
+    return _descend(stacked_step, start.stacked(), u, agents)
+
+
+def event_gfp(step: Callable[[Event], Event], universe: Universe, agent: str) -> Event:
+    """The greatest fixed point of a monotone map on single events, descended
+    from the full event as a one-coordinate tuple labelled `agent`."""
+    return _descend(
+        lambda x: step(Event(universe, x[0])).table[None], None, universe, (agent,)
+    ).value[agent]
+
+
+def timely_ck_info(psi: Event, spec: TimingSpec) -> GfpResult:
+    """The greatest fixed point of the window map, with its iteration trace."""
+    operands = _operands(psi, spec, reach_matrix(spec, psi.universe))
+    return _descend(lambda x: _window_step(x, *operands), None, psi.universe, spec.agents)
 
 
 def timely_ck(psi: Event, spec: TimingSpec) -> EventTuple:
@@ -383,8 +418,9 @@ def timely_ck(psi: Event, spec: TimingSpec) -> EventTuple:
 
 
 def timely_ck_g_info(psi: Event, spec: TimingSpec) -> GfpResult:
-    top = EventTuple.top(psi.universe, spec.agents)
-    return gfp(lambda x: apply_g(psi, spec, x), top)
+    """The greatest fixed point of the exact-shift map, with its iteration trace."""
+    operands = _operands(psi, spec, _shift_columns(spec, psi.universe))
+    return _descend(lambda x: _shift_step(x, *operands), None, psi.universe, spec.agents)
 
 
 def timely_ck_g(psi: Event, spec: TimingSpec) -> EventTuple:
@@ -430,22 +466,17 @@ def gfp_bruteforce_oracle(
     Independent of the iterative computation: no fixed-point iteration at all,
     just a sweep of the entire tuple lattice.  Exponential, hence guarded.
     """
+    from .packed import PackedSpace
+
     agents = tuple(agents)
     p = universe.n_points
     _oracle_bits(universe, len(agents), guard_bits)
-    n_runs, n_times = universe.n_runs, universe.n_times
-
-    def mask_to_event(mask: int) -> Event:
-        table = np.zeros(p, dtype=bool)
-        for b in range(p):
-            if mask >> b & 1:
-                table[b] = True
-        return Event(universe, table.reshape(n_runs, n_times))
+    space = PackedSpace(universe)
 
     join = EventTuple.bottom(universe, agents)
     for packed in range(1 << (p * len(agents))):
         coords = {
-            a: mask_to_event((packed >> (p * k)) & ((1 << p) - 1))
+            a: space.unpack((packed >> (p * k)) & ((1 << p) - 1))
             for k, a in enumerate(agents)
         }
         x = EventTuple(universe, coords)
@@ -480,14 +511,14 @@ def eventual_ck(agents: Iterable[str], psi: Event) -> Event:
     agents = tuple(agents)
     if not agents:
         raise InvariantViolation("eventual_ck requires a nonempty agent set")
-    cur = Event.full(psi.universe)
-    while True:
-        nxt = Event.full(psi.universe)
+
+    def step(x: Event) -> Event:
+        out = Event.full(psi.universe)
         for i in agents:
-            nxt = nxt & eventually(knows(i, psi & cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
+            out = out & eventually(knows(i, psi & x))
+        return out
+
+    return event_gfp(step, psi.universe, agents[0])
 
 
 def window_everyone_knows(agents: Iterable[str], e: Event, eps: int) -> Event:
@@ -526,9 +557,6 @@ def epsilon_ck(agents: Iterable[str], psi: Event, eps: int) -> Event:
     agents = tuple(agents)
     if not agents:
         raise InvariantViolation("epsilon_ck requires a nonempty agent set")
-    cur = Event.full(psi.universe)
-    while True:
-        nxt = window_everyone_knows(agents, psi & cur, eps)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    return event_gfp(
+        lambda x: window_everyone_knows(agents, psi & x, eps), psi.universe, agents[0]
+    )

@@ -7,29 +7,31 @@ timing bounds.  Each path denotes a nested formula
 
 with the exact shift of delta(i_m, i_m+1) between levels.  Intersecting these
 formulae over all paths from an agent reconstructs that agent's coordinate of
-the exact-shift fixed point `timely_ck_g`, and the depth-n partial
-intersection tracks the n-th descending iterate of the exact-shift map: that
-identity is asserted at every depth and is the independent check this module
-provides on the fixed-point engine.
+the exact-shift fixed point `timely_ck_g`.
 
-Two evaluation modes: the default folds shared path suffixes (per-depth work
-linear in the agent count squared), while the explicit mode evaluates every
-path separately and is kept, behind a flag, as the genuinely redundant route
-for small depths.
+Folding shared path suffixes makes the depth-n conjunction of the whole path
+family exactly the n-th descending iterate of the exact-shift map, so the
+default evaluation is `timely_ck_g` itself.  The explicit mode evaluates every path
+separately with the event operators and asserts that its running conjunction
+stays between consecutive iterates and lands on the fixed point; it is the
+independent check this module provides on the fixed-point engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation, SizeGuardExceeded
-from .events import Event, eventually, knows, shift_exact
+from .events import Event, eventually, first_instants, is_stable, knows, shift_exact
 from .fixpoint import (
     EventTuple,
     TimingSpec,
     apply_g,
     timely_ck,
     timely_ck_g,
+    timely_ck_g_info,
     tuple_leq,
 )
 from .universe import is_finite_delta
@@ -107,44 +109,6 @@ def nested_formula(path, psi: Event, spec: TimingSpec) -> Event:
     return value
 
 
-@dataclass
-class NestedEvaluation:
-    coords: dict  # agent -> Event, the stabilized conjunction
-    depths: int
-    per_depth_sizes: list = field(default_factory=list)
-
-
-def _folded_evaluation(psi: Event, spec: TimingSpec) -> NestedEvaluation:
-    """Shared-suffix evaluation; cross-checked against the exact-shift iterates.
-
-    Folding shared suffixes makes the depth-m value of the whole path family
-    exactly one application of the exact-shift map to the depth-(m-1) values,
-    so each depth is compared against an independently iterated `apply_g`.
-    """
-    u = psi.universe
-    cur = {j: Event.full(u) for j in spec.agents}
-    iterate = EventTuple.top(u, spec.agents)
-    sizes = []
-    bound = u.n_points * len(spec.agents) + 2
-    for depth in range(1, bound + 1):
-        nxt = {}
-        for j in spec.agents:
-            body = psi
-            for k in finite_successors(spec, j):
-                body = body & shift_exact(cur[k], spec.delta(j, k))
-            nxt[j] = knows(j, body)
-        iterate = apply_g(psi, spec, iterate)
-        if any(nxt[j] != iterate[j] for j in spec.agents):
-            raise InternalConsistencyError(
-                "folded path evaluation diverged from the exact-shift iterates"
-            )
-        sizes.append({j: nxt[j].size for j in spec.agents})
-        if nxt == cur:
-            return NestedEvaluation(nxt, depth, sizes)
-        cur = nxt
-    raise InternalConsistencyError("folded path evaluation failed to stabilize")
-
-
 def _explicit_evaluation(
     start: str, psi: Event, spec: TimingSpec, max_paths: int
 ) -> Event:
@@ -208,7 +172,7 @@ def nested_conjunction(
         raise InvariantViolation(f"start agent {start!r} is not in the timing spec")
     if explicit_paths:
         return _explicit_evaluation(start, psi, spec, max_paths)
-    return _folded_evaluation(psi, spec).coords[start]
+    return timely_ck_g(psi, spec)[start]
 
 
 # -- the characterisation report ------------------------------------------------
@@ -234,16 +198,6 @@ class NestedReport:
         }
 
 
-def first_instants(e: Event) -> dict:
-    """Earliest time per run at which the event holds (None if never)."""
-    u = e.universe
-    out = {}
-    for ri, run in enumerate(u.runs):
-        hits = e.table[ri].nonzero()[0]
-        out[run] = int(hits[0]) if hits.size else None
-    return out
-
-
 def verify_nested_characterization(
     psi: Event,
     spec: TimingSpec,
@@ -253,8 +207,10 @@ def verify_nested_characterization(
 ) -> NestedReport:
     """Compare the nested-path conjunction with both fixed points.
 
-    Always asserted, in any finite universe: the conjunction equals the
-    exact-shift fixed point, coordinate by coordinate, at every depth.
+    The depth-n conjunction is the n-th exact-shift iterate, so `depths` and
+    `per_depth_sizes` are the iteration count and trace of `timely_ck_g`.
+    With `explicit_paths` every agent's path conjunction is also evaluated
+    path by path and asserted equal to the exact-shift fixed point.
 
     The relation between the two fixed points depends on the bounds.  With all
     bounds finite the exact-shift fixed point must sit below the window one
@@ -267,18 +223,12 @@ def verify_nested_characterization(
     (the solvability condition).
     """
     u = psi.universe
-    from .events import is_stable
-
-    evaluation = _folded_evaluation(psi, spec)
-    g_fix = timely_ck_g(psi, spec)
+    g_info = timely_ck_g_info(psi, spec)
+    g_fix = g_info.value
     f_fix = timely_ck(psi, spec)
 
-    for agent in spec.agents:
-        if evaluation.coords[agent] != g_fix[agent]:
-            raise InternalConsistencyError(
-                "nested conjunction disagrees with the exact-shift fixed point"
-            )
-        if explicit_paths:
+    if explicit_paths:
+        for agent in spec.agents:
             ex = _explicit_evaluation(agent, psi, spec, max_paths)
             if ex != g_fix[agent]:
                 raise InternalConsistencyError(
@@ -319,8 +269,9 @@ def verify_nested_characterization(
             "equals_window_fixed_point": f_fix[agent] == g_fix[agent],
             "window_only_points": window_only.size,
             "exact_shift_only_points": shift_only.size,
-            "first_instants_agree": first_instants(f_fix[agent])
-            == first_instants(g_fix[agent]),
+            "first_instants_agree": np.array_equal(
+                first_instants(f_fix[agent].table), first_instants(g_fix[agent].table)
+            ),
         }
 
     asserted = False
@@ -334,8 +285,8 @@ def verify_nested_characterization(
     return NestedReport(
         pre,
         per_agent,
-        evaluation.depths,
-        evaluation.per_depth_sizes,
+        g_info.iterations,
+        g_info.trace[1:],
         asserted,
         exact_shift_below_window=g_below_f,
     )

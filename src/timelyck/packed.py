@@ -92,14 +92,8 @@ class PackedSpace:
         """knows(agent, .) for every possible event mask, from state classes."""
         tab = self._knows_full.get(agent)
         if tab is None:
-            u = self.universe
-            ids = u.state_ids(agent)
-            class_masks = []
-            for sid in range(u.n_state_classes(agent)):
-                pts = [(int(r), int(t)) for r, t in zip(*np.nonzero(ids == sid))]
-                class_masks.append(self._pack_pointset(pts))
             tab = np.zeros(1 << self.n_bits, dtype=np.int64)
-            for cm in class_masks:
+            for cm in self.class_masks(agent):
                 tab[(self._indices & cm) == cm] |= cm
             self._knows_full[agent] = tab
         return tab

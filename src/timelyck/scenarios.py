@@ -377,16 +377,12 @@ def verify_solution(instance: TCRInstance, result: ProtocolResult) -> SolutionRe
 
     ensemble = result.response_events(instance)
 
-    from .coordination import is_delta_coordinated
+    from .coordination import uncoordinated_pairs
 
-    coordinated = is_delta_coordinated(ensemble, instance.timing)
-    checks["coordinated"] = coordinated
-    if not coordinated:
-        cex["coordinated"] = [
-            {"pair": f"{i}->{j}"}
-            for i, j in instance.timing.pairs()
-            if not (ensemble[i] <= within(ensemble[j], instance.timing.delta(i, j)))
-        ]
+    broken = uncoordinated_pairs(ensemble, instance.timing)
+    checks["coordinated"] = not broken
+    if broken:
+        cex["coordinated"] = [{"pair": f"{i}->{j}"} for i, j in broken]
 
     history = instance.trigger_history()
     stray = tuple_union(ensemble) - history

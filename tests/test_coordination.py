@@ -60,13 +60,18 @@ def _literal(ens, spec):
 
 def test_delta_coordination_matches_literal_quantifier(rng):
     seen = dict.fromkeys(
-        ("unstable", "empty_run", "inf", "negative", "beyond_horizon", "yes", "no"), 0
+        ("unstable", "empty_run", "inf", "negative", "beyond_horizon", "huge", "yes", "no"),
+        0,
     )
     for _ in range(400):
         u = random_universe(rng, n_agents=int(rng.integers(2, 4)), max_runs=3, max_times=5)
         h = u.horizon
         ens = random_tuple(rng, u)
         s = random_spec(rng, u.agents, lo=-(h + 2), hi=h + 2)
+        if rng.random() < 0.2:  # a finite bound far beyond int64
+            delta = {p: s.delta(*p) for p in s.pairs()}
+            delta[s.pairs()[int(rng.integers(len(delta)))]] = int(rng.choice([-1, 1])) * 10**30
+            s = TimingSpec(u.agents, delta)
         verdict = is_delta_coordinated(ens, s)
         assert verdict == _literal(ens, s)
         deltas = [s.delta(*p) for p in s.pairs()]
@@ -75,6 +80,7 @@ def test_delta_coordination_matches_literal_quantifier(rng):
         seen["inf"] += INF in deltas
         seen["negative"] += any(d < 0 for d in deltas)
         seen["beyond_horizon"] += any(h < d < INF for d in deltas)
+        seen["huge"] += any(abs(d) == 10**30 for d in deltas)
         seen["yes" if verdict else "no"] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -89,6 +95,18 @@ def test_infinite_bound_needs_a_response_in_the_run():
     assert not _literal(tup(u, ea, eb), spec)
     assert not is_delta_coordinated(tup(u, ea, eb), spec)
     assert is_delta_coordinated(tup(u, ea, eb | Event.from_points(u, [("r1", 0)])), spec)
+
+
+def test_huge_finite_bound_is_clamped_not_overflowed():
+    # bounds of +-10^30 do not fit int64: they act like H and -(H+1)
+    u = Universe(["a", "b"], ["r0", "r1"], 2, lambda agent, run, t: (t, run))
+    ea = Event.from_points(u, [("r0", 0), ("r1", 1)])
+    eb = Event.from_points(u, [("r0", 2), ("r1", 0)])
+    for dab, dba in ((10**30, 10**30), (-(10**30), 10**30), (10**30, -(10**30))):
+        spec = spec2(dab, dba)
+        assert is_delta_coordinated(tup(u, ea, eb), spec) == _literal(tup(u, ea, eb), spec)
+    assert is_delta_coordinated(tup(u, ea, eb), spec2(10**30, 10**30))
+    assert not is_delta_coordinated(tup(u, ea, eb), spec2(-(10**30), 10**30))
 
 
 def test_perfect_and_eventual(toy, rng):

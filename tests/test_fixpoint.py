@@ -7,7 +7,7 @@ from timelyck.errors import (
     InvariantViolation,
     SizeGuardExceeded,
 )
-from timelyck.events import Event, common_knowledge, knows, within
+from timelyck.events import Event, common_knowledge, knows, shift_exact, within
 from timelyck.fixpoint import (
     EventTuple,
     TimingSpec,
@@ -20,6 +20,7 @@ from timelyck.fixpoint import (
     gfp_bruteforce_oracle,
     timely_ck,
     timely_ck_g,
+    timely_ck_g_info,
     timely_ck_info,
     timely_ck_oracle,
     tuple_join,
@@ -313,6 +314,74 @@ def test_array_descent_rejects_a_step_that_does_not_descend(toy, monkeypatch):
         timely_ck_info(Event.full(toy), spec2())
 
 
+def _apply_g_by_shift(psi, spec, x):
+    """The exact-shift map composed event by event from `shift_exact` and `knows`."""
+    coords = {}
+    for i in spec.agents:
+        body = psi
+        for j in spec.others(i):
+            d = spec.delta(i, j)
+            if d != INF:
+                body = body & shift_exact(x[j], d)
+        coords[i] = knows(i, body)
+    return EventTuple(psi.universe, coords)
+
+
+def test_shift_descent_matches_shift_composed_map():
+    # the stacked exact-shift descent gives the value, iteration count and
+    # trace of the generic gfp over the map composed from `shift_exact`
+    rng = np.random.default_rng(43)
+    seen = dict(asynchronous=0, inf_pair=0, beyond_horizon=0, huge=0, empty_psi=0)
+    for _ in range(400):
+        k = int(rng.integers(2, 5))
+        u = random_universe(
+            rng, n_agents=k, max_runs=4, max_times=5, synchronous=rng.random() < 0.6
+        )
+        H = u.horizon
+        delta = {}
+        for i in u.agents:
+            for j in u.agents:
+                if i != j:
+                    roll = rng.random()
+                    if roll < 0.15:
+                        delta[(i, j)] = INF
+                    elif roll < 0.2:
+                        delta[(i, j)] = int(rng.choice([-1, 1])) * 10**30
+                    else:
+                        delta[(i, j)] = int(rng.integers(-H - 3, H + 4))
+        spec = TimingSpec(u.agents, delta)
+        psi = Event.empty(u) if rng.random() < 0.1 else random_event(rng, u)
+        got = timely_ck_g_info(psi, spec)
+        want = gfp(lambda x: _apply_g_by_shift(psi, spec, x), EventTuple.top(u, u.agents))
+        assert got.value == want.value
+        assert (got.iterations, got.trace) == (want.iterations, want.trace)
+        x = random_tuple(rng, u, u.agents)
+        image = apply_g(psi, spec, x)
+        assert image == _apply_g_by_shift(psi, spec, x)
+        for i in u.agents:  # and with the definition-direct evaluators
+            body = naive.point_set(psi)
+            for j in spec.others(i):
+                if spec.delta(i, j) != INF:
+                    body &= naive.n_shift_exact(u, naive.point_set(x[j]), spec.delta(i, j))
+            assert naive.point_set(image[i]) == naive.n_knows(u, i, body)
+
+        finite = [d for d in delta.values() if d != INF]
+        seen["asynchronous"] += not u.synchronous
+        seen["inf_pair"] += len(finite) < len(delta)
+        seen["beyond_horizon"] += any(abs(d) > H for d in finite)
+        seen["huge"] += any(abs(d) == 10**30 for d in finite)
+        seen["empty_psi"] += psi.is_empty()
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_shift_descent_rejects_a_step_that_does_not_descend(toy, monkeypatch):
+    import timelyck.fixpoint as fixpoint
+
+    monkeypatch.setattr(fixpoint, "_shift_step", lambda x, *operands: ~x)
+    with pytest.raises(InternalConsistencyError, match="did not descend"):
+        timely_ck_g_info(Event.full(toy), spec2())
+
+
 def test_induction_rule(toy, rng):
     psi = random_event(rng, toy)
     s = random_spec(rng, ("a", "b"))
@@ -322,6 +391,14 @@ def test_induction_rule(toy, rng):
 
 
 # -- degenerate variants -----------------------------------------------------------
+
+
+def test_event_gfp_rejects_a_step_that_does_not_descend(toy):
+    from timelyck.fixpoint import event_gfp
+
+    assert event_gfp(lambda x: x, toy, "a") == Event.full(toy)
+    with pytest.raises(InternalConsistencyError, match="did not descend"):
+        event_gfp(lambda x: ~x, toy, "a")
 
 
 def test_eventual_ck_full(toy):

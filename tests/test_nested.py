@@ -88,7 +88,7 @@ def test_conjunction_matches_g_fixed_point(toy, rng):
         s = random_spec(rng, ("a", "b"))
         fix = timely_ck_g(psi, s)
         for agent in ("a", "b"):
-            assert nested_conjunction(agent, psi, s) == fix[agent]
+            assert nested_conjunction(agent, psi, s, explicit_paths=True) == fix[agent]
 
 
 def test_explicit_mode_agrees(toy, rng):

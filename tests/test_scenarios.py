@@ -224,6 +224,18 @@ def test_verify_solution_rejects_coordination_break():
     assert not report.checks["coordinated"] or not report.checks["locally_determined"]
 
 
+def test_verify_solution_names_exactly_the_broken_pair():
+    # the dryer answering at 7 where the right washer saw the car at 2 breaks
+    # only t_R <= t_D - 6; the other five bounds still hold in every run
+    inst = carwash_instance()
+    res = synthesize_optimal(inst)
+    assert res.responses["t0_L0_R2_D0"] == {"L": 0, "R": 2, "D": 8}
+    res.responses["t0_L0_R2_D0"]["D"] = 7
+    report = verify_solution(inst, res)
+    assert not report.checks["coordinated"]
+    assert report.counterexamples["coordinated"] == [{"pair": "D->R"}]
+
+
 def test_verify_solution_rejects_missing_response():
     inst = carwash_instance()
     res = synthesize_optimal(inst)

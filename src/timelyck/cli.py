@@ -40,6 +40,7 @@ from .scenarios import (
     ScenarioSpec,
     TCRInstance,
     generate_system,
+    json_object,
     response_knowledge,
     solvability,
     synthesize_optimal,
@@ -93,10 +94,7 @@ def _load_instance(args) -> TCRInstance:
 def _runs_block(instance: TCRInstance, result: ProtocolResult | None) -> dict:
     out = {}
     for info in instance.runs:
-        entry = {
-            "trigger_time": info.trigger_time,
-            "observations": dict(info.observations),
-        }
+        entry = {"trigger_time": info.trigger_time, "observations": info.observations}
         if result is not None:
             entry["responses"] = dict(result.responses[info.name])
         out[info.name] = entry
@@ -172,13 +170,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _load_instance(args)
-    result_doc = _load_json(args.result)
-    responses = result_doc["runs"] if "runs" in result_doc else result_doc
-    if responses and isinstance(next(iter(responses.values())), dict) and "responses" in next(
-        iter(responses.values())
-    ):
-        responses = {run: entry["responses"] for run, entry in responses.items()}
-    result = ProtocolResult.from_json_dict(responses)
+    result = ProtocolResult.from_json_dict(_load_json(args.result))
     report = verify_solution(instance, result)
     doc = {"solution_checks": report.to_json_dict()}
     ok = report.ok()
@@ -278,24 +270,28 @@ def cmd_props(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = _load_json(args.result)
-    runs = doc.get("runs", doc)
+    doc = json_object(_load_json(args.result), "result")
+    where = "runs" if "runs" in doc else "result"
+    runs = json_object(doc.get("runs", doc), where)
     if args.format == "json":
         _emit(doc, args.output)
         return EXIT_OK
-    agents: list = []
-    for entry in runs.values():
-        for a in entry.get("responses", {}):
-            if a not in agents:
-                agents.append(a)
+    table = {}
+    for name, entry in runs.items():
+        entry = json_object(entry, f"{where}.{name}")
+        table[name] = [entry.get("trigger_time")] + [
+            json_object(entry.get(key, {}), f"{where}.{name}.{key}")
+            for key in ("observations", "responses")
+        ]
+    agents = list(dict.fromkeys(a for _, _, responses in table.values() for a in responses))
     header = ["run", "trigger"]
     header += [f"obs[{a}]" for a in agents] + [f"resp[{a}]" for a in agents]
     rows = [header]
-    for name in sorted(runs):
-        entry = runs[name]
-        row = [name, _cell(entry.get("trigger_time"))]
-        row += [_cell(entry.get("observations", {}).get(a)) for a in agents]
-        row += [_cell(entry.get("responses", {}).get(a)) for a in agents]
+    for name in sorted(table):
+        trigger, observations, responses = table[name]
+        row = [name, _cell(trigger)]
+        row += [_cell(observations.get(a)) for a in agents]
+        row += [_cell(responses.get(a)) for a in agents]
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = [

@@ -26,10 +26,15 @@ run by run.  That search space is swept three independent ways:
 A protocol is time-optimal iff it is the least solution; necessity holds iff
 every attainable response point lies inside the corresponding coordinate of
 timely common knowledge.
+
+The model is read off the instance's run table.  Its `var_of` matrix names each
+triggered run's variable per agent; the constraints, product structure, the
+projection of a result and the necessity check are array operations on it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -42,7 +47,13 @@ from .errors import (
     SizeGuardExceeded,
 )
 from .fixpoint import EventTuple
-from .scenarios import ProtocolResult, SolutionReport, TCRInstance, verify_solution
+from .scenarios import (
+    ProtocolResult,
+    SolutionReport,
+    TCRInstance,
+    response_knowledge,
+    verify_solution,
+)
 from .universe import is_finite_delta
 
 DEFAULT_ENUM_GUARD = 10**6
@@ -51,25 +62,24 @@ DEFAULT_ENUM_GUARD = 10**6
 @dataclass
 class StrategyModel:
     instance: TCRInstance
-    variables: list  # (agent, observation time)
-    var_index: dict
+    variables: list  # (agent, observation time), agents in timing order
     lo: np.ndarray
     hi: np.ndarray
-    constraints: list  # (p, q, c): t[q] <= t[p] + c
-    run_vars: dict  # triggered run name -> {agent -> variable index}
+    constraints: list  # (p, q, c): t[q] <= t[p] + c, sorted
+    var_of: np.ndarray  # (n_triggered, k): each triggered run's variable per agent
 
     @property
     def n_vars(self) -> int:
         return len(self.variables)
 
-    def domain_sizes(self) -> np.ndarray:
-        return self.hi - self.lo + 1
-
     def raw_space(self) -> int:
-        return int(np.prod(self.domain_sizes(), dtype=object))
+        return int(np.prod(self.hi - self.lo + 1, dtype=object))
 
 
 def build_strategy_model(instance: TCRInstance) -> StrategyModel:
+    """The variables are the observation times seen per agent in the triggered
+    runs; each bounded pair (i, j) contributes t[q] <= t[p] + delta(i, j) for
+    every distinct (p, q) = (var of i, var of j) those runs realize."""
     if not instance.scenario.include_never_run:
         raise InvariantViolation(
             "optimality sweep needs the never-run: without it responses are "
@@ -77,35 +87,22 @@ def build_strategy_model(instance: TCRInstance) -> StrategyModel:
             "observation-indexed"
         )
     agents = instance.timing.agents
-    horizon = instance.universe.horizon
+    observed = instance.observed_at[instance.trigger_time >= 0]
+    columns = [np.unique(col, return_inverse=True) for col in observed.T]
+    variables = [(a, s) for a, (seen, _) in zip(agents, columns) for s in seen.tolist()]
+    offsets = np.cumsum([0] + [len(seen) for seen, _ in columns])
+    var_of = np.stack([inverse + off for (_, inverse), off in zip(columns, offsets)], axis=1)
+    lo = np.concatenate([seen for seen, _ in columns]).astype(np.int64)
+    hi = np.full(len(variables), instance.universe.horizon, dtype=np.int64)
 
-    obs_times = {a: sorted({info.observations[a] for info in instance.runs
-                            if info.trigger_time is not None}) for a in agents}
-    variables = [(a, s) for a in agents for s in obs_times[a]]
-    var_index = {v: k for k, v in enumerate(variables)}
-    lo = np.array([s for _, s in variables], dtype=np.int64)
-    hi = np.full(len(variables), horizon, dtype=np.int64)
-
-    constraints = set()
-    run_vars = {}
-    for info in instance.runs:
-        if info.trigger_time is None:
-            continue
-        run_vars[info.name] = {
-            a: var_index[(a, info.observations[a])] for a in agents
-        }
-        for i in agents:
-            for j in agents:
-                if i == j:
-                    continue
-                d = instance.timing.delta(i, j)
-                if is_finite_delta(d):
-                    constraints.add(
-                        (run_vars[info.name][i], run_vars[info.name][j], int(d))
-                    )
-    return StrategyModel(
-        instance, variables, var_index, lo, hi, sorted(constraints), run_vars
-    )
+    n, constraints = len(variables), []
+    for ai, aj in permutations(range(len(agents)), 2):
+        d = instance.timing.delta(agents[ai], agents[aj])
+        if is_finite_delta(d):  # one code p * n + q per realized variable pair
+            p, q = np.divmod(np.unique(var_of[:, ai] * n + var_of[:, aj]), max(n, 1))
+            constraints += zip(p.tolist(), q.tolist(), [int(d)] * p.size)
+    constraints.sort()
+    return StrategyModel(instance, variables, lo, hi, constraints, var_of)
 
 
 # -- difference-bound propagation ----------------------------------------------
@@ -156,7 +153,7 @@ def enumerate_all_solutions(model: StrategyModel, *, guard: int = DEFAULT_ENUM_G
             f"solution space has {model.raw_space()} raw candidates, above the "
             f"guard {guard}"
         )
-    n_vals = instance_horizon(model) + 1
+    n_vals = model.instance.universe.horizon + 1
     count, mins, attained, overflow = scan_solutions(
         model.lo, model.hi, model.constraints, n_vals, guard
     )
@@ -168,36 +165,17 @@ def enumerate_all_solutions(model: StrategyModel, *, guard: int = DEFAULT_ENUM_G
     return int(count), mins, attained
 
 
-def instance_horizon(model: StrategyModel) -> int:
-    return model.instance.universe.horizon
-
-
 # -- signature-box sweep -------------------------------------------------------------
 
 
 def is_product_structured(model: StrategyModel) -> bool:
-    """Every pair of observation times co-realized for every constrained pair."""
-    agents = model.instance.timing.agents
-    obs = {a: sorted({s for (b, s) in model.variables if b == a}) for a in agents}
-    realized = {}
-    for info in model.instance.runs:
-        if info.trigger_time is None:
-            continue
-        for i in agents:
-            for j in agents:
-                if i != j:
-                    realized.setdefault((i, j), set()).add(
-                        (info.observations[i], info.observations[j])
-                    )
-    for i in agents:
-        for j in agents:
-            if i == j or not is_finite_delta(model.instance.timing.delta(i, j)):
-                continue
-            if realized.get((i, j), set()) != {
-                (si, sj) for si in obs[i] for sj in obs[j]
-            }:
-                return False
-    return True
+    """Every pair of observation times co-realized for every bounded pair.
+
+    A bounded pair (i, j) has one constraint per realized pair of observation
+    times, at most n_i * n_j, so counting the constraints decides it."""
+    timing, n = model.instance.timing, Counter(a for a, _ in model.variables)
+    bounded = [p for p in permutations(timing.agents, 2) if is_finite_delta(timing.delta(*p))]
+    return len(model.constraints) == sum(n[i] * n[j] for i, j in bounded)
 
 
 BOX_SWEEP_CAP = 3 * 10**7
@@ -205,7 +183,7 @@ BOX_SWEEP_CAP = 3 * 10**7
 
 def box_space(model: StrategyModel) -> int:
     """Number of per-agent response-range box combinations the sweep visits."""
-    horizon = instance_horizon(model)
+    horizon = model.instance.universe.horizon
     total = 1
     for a in model.instance.timing.agents:
         s_max = max(s for (b, s) in model.variables if b == a)
@@ -236,7 +214,7 @@ def box_sweep(model: StrategyModel, *, cap: int = BOX_SWEEP_CAP):
 def _sweep_boxes(model: StrategyModel):
     """`box_sweep` on a model already known to be product-structured."""
     agents = model.instance.timing.agents
-    horizon = instance_horizon(model)
+    horizon = model.instance.universe.horizon
     k = len(agents)
     box_min, box_max = [], []  # per agent: its boxes' (m, M), m <= M, M >= s_max
     for a in agents:
@@ -315,28 +293,30 @@ class OptimalityReport:
 def result_assignment(model: StrategyModel, result: ProtocolResult) -> np.ndarray:
     """Project a protocol result onto the strategy variables.
 
-    Requires the result to be observation-indexed: the same response time in
-    every run sharing an observation class.
+    Requires the result to be observation-indexed: a response by every agent in
+    every triggered run, the same in every run sharing an observation class.
     """
-    t = np.full(model.n_vars, -1, dtype=np.int64)
-    for info in model.instance.runs:
-        if info.trigger_time is None:
-            continue
-        for agent, v in model.run_vars[info.name].items():
-            rt = result.responses.get(info.name, {}).get(agent)
-            if rt is None:
-                raise InvariantViolation(
-                    f"no response for agent {agent!r} in triggered run {info.name!r}"
-                )
-            if t[v] == -1:
-                t[v] = rt
-            elif t[v] != rt:
-                raise InvariantViolation(
-                    f"agent {agent!r} responds at different times in runs it "
-                    f"cannot distinguish"
-                )
-    if np.any(t < 0):
-        raise InvariantViolation("some observation class never responds")
+    instance = model.instance
+    times, problems = result.response_times(instance)
+    if problems:
+        raise InvariantViolation(f"malformed response: {problems[0]}")
+    fired = np.flatnonzero(instance.trigger_time >= 0)
+    times = times[fired]
+    missing = np.argwhere(times < 0)
+    if missing.size:
+        r, a = missing[0]
+        raise InvariantViolation(
+            f"no response for agent {instance.timing.agents[a]!r} in triggered run "
+            f"{instance.universe.runs[fired[r]]!r}"
+        )
+    t = np.empty(model.n_vars, dtype=np.int64)
+    t[model.var_of] = times  # every variable has a triggered run
+    split = np.argwhere(t[model.var_of] != times)
+    if split.size:
+        raise InvariantViolation(
+            f"agent {instance.timing.agents[split[0][1]]!r} responds at different "
+            f"times in runs it cannot distinguish"
+        )
     return t
 
 
@@ -378,8 +358,7 @@ def verify_optimal(
         )
 
     methods = ["difference_bound_propagation"]
-    least = least_solution(model)
-    greatest = greatest_solution(model)
+    least, greatest = least_solution(model), greatest_solution(model)
     if least is None or greatest is None:
         raise InternalConsistencyError(
             "a solution exists but constraint propagation found the space empty"
@@ -395,67 +374,49 @@ def verify_optimal(
             if assignment[v] != least[v]
         ][:5]
 
-    horizon = instance_horizon(model)
+    # every value between a variable's extremes is attained by some solution
+    times = np.arange(instance.universe.n_times)
+    expected = (least[:, None] <= times) & (times <= greatest[:, None])
+
+    def check_sweep(route, mins, attained):
+        if not np.array_equal(mins, least) or not np.array_equal(attained, expected):
+            raise InternalConsistencyError(f"{route} disagrees with constraint propagation")
+
     enumerated = None
     if model.raw_space() <= guard:
         methods.append("exhaustive_enumeration")
-        count, mins, attained = enumerate_all_solutions(model, guard=guard)
-        if count <= 0:
+        enumerated, mins, attained = enumerate_all_solutions(model, guard=guard)
+        if enumerated <= 0:
             raise InternalConsistencyError("exhaustive sweep found no solutions")
-        enumerated = count
-        expected = np.zeros_like(attained)
-        for v in range(model.n_vars):
-            expected[v, least[v] : greatest[v] + 1] = True
-        if not np.array_equal(mins, least) or not np.array_equal(attained, expected):
-            raise InternalConsistencyError(
-                "exhaustive sweep disagrees with constraint propagation"
-            )
+        check_sweep("exhaustive sweep", mins, attained)
 
     if is_product_structured(model) and box_space(model) <= BOX_SWEEP_CAP:
         methods.append("signature_boxes")
         feasible, mins, attained = _sweep_boxes(model)
         if not feasible:
             raise InternalConsistencyError("signature sweep found no solutions")
-        expected = np.zeros_like(attained)
-        for v in range(model.n_vars):
-            expected[v, least[v] : greatest[v] + 1] = True
-        if not np.array_equal(mins, least) or not np.array_equal(attained, expected):
-            raise InternalConsistencyError(
-                "signature sweep disagrees with constraint propagation"
-            )
+        check_sweep("signature sweep", mins, attained)
 
     # necessity: every attainable response point sits inside the corresponding
-    # coordinate of timely common knowledge
-    from .scenarios import response_knowledge
-
+    # coordinate of timely common knowledge, in every run of its class
     xi = knowledge if knowledge is not None else response_knowledge(instance)
-    u = instance.universe
-    necessity = True
-    misses = []
-    class_runs: dict = {}
-    for info in instance.runs:
-        if info.trigger_time is None:
-            continue
-        for agent, v in model.run_vars[info.name].items():
-            class_runs.setdefault(v, []).append(info.name)
-    for v, (agent, s) in enumerate(model.variables):
-        table = xi[agent].table
-        for t in range(int(least[v]), int(greatest[v]) + 1):
-            for run in class_runs[v]:
-                if not table[u.run_index(run), t]:
-                    necessity = False
-                    misses.append({"agent": agent, "run": run, "time": t})
-    violations["necessity"] = misses[:5]
+    agents = instance.timing.agents
+    fired = np.flatnonzero(instance.trigger_time >= 0)
+    holds = np.stack([xi[a].table[fired] for a in agents], axis=1)  # (run, agent, time)
+    r, a, t = np.nonzero(expected[model.var_of] & ~holds)
+    first = np.lexsort((r, t, model.var_of[r, a]))[:5]  # by variable, time, run
+    violations["necessity"] = [
+        {"agent": agents[a[n]], "run": instance.universe.runs[fired[r[n]]], "time": int(t[n])}
+        for n in first
+    ]
 
-    earliest = {model.variables[v]: int(least[v]) for v in range(model.n_vars)}
-    latest = {model.variables[v]: int(greatest[v]) for v in range(model.n_vars)}
     return OptimalityReport(
         solvable_space=True,
         optimal=optimal,
-        necessity=necessity,
+        necessity=r.size == 0,
         methods=methods,
         enumerated_solutions=enumerated,
-        earliest=earliest,
-        latest=latest,
+        earliest=dict(zip(model.variables, least.tolist())),
+        latest=dict(zip(model.variables, greatest.tolist())),
         violations=violations,
     )

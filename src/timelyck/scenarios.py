@@ -6,7 +6,9 @@ fire (plus, by default, a run in which it never does), and, per agent, a
 bounded window of private observation delays.  One run is generated per
 combination of trigger time and delay vector; local states are
 full-information records (current time plus the observation time, once seen),
-so generated universes are synchronous and never forget.
+so generated universes are synchronous and never forget.  An instance keeps
+its runs as a table (a trigger-time vector and an (n_runs, k) observation
+matrix, -1 for never), counted against the run cap before it is built.
 
 The solvable instances are exactly those in which the trigger guarantees that
 every agent eventually reaches its coordinate of timely common knowledge of
@@ -16,11 +18,13 @@ that coordinate holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
+from .coordination import uncoordinated_pairs
 from .errors import (
     InternalConsistencyError,
     InvariantViolation,
@@ -52,6 +56,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         self.agents = tuple(self.agents)
+        self.include_never_run = bool(self.include_never_run)
         self.trigger_times = tuple(sorted(set(int(t) for t in self.trigger_times)))
         if self.agents != self.timing.agents:
             raise InvariantViolation("scenario agents must match the timing spec agents")
@@ -104,6 +109,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioSpec":
+        json_object(doc, "scenario")
         try:
             agents = tuple(doc["agents"])
             timing = TimingSpec.from_json_dict(agents, doc["delta"])
@@ -145,11 +151,20 @@ def _json_int(value, field: str) -> int:
     return int(value)
 
 
+def json_object(value, field: str) -> dict:
+    """A JSON object, or an InvariantViolation naming the field it came from."""
+    if not isinstance(value, dict):
+        raise InvariantViolation(f"{field} must be an object, got {type(value).__name__}")
+    return value
+
+
 NEVER_RUN = "never"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunInfo:
+    """One row of an instance's run table, with None for never."""
+
     name: str
     trigger_time: int | None
     observations: dict  # agent -> observation time or None
@@ -157,62 +172,79 @@ class RunInfo:
 
 @dataclass
 class TCRInstance:
-    """A generated universe plus the task parameters acting on it."""
+    """A generated universe plus the task parameters acting on it.
+
+    The runs form a table in the universe's run order: `trigger_time[r]` and
+    `observed_at[r, a]` (agents in scenario order) are read-only int arrays
+    holding -1 where the trigger never fires, and so is never observed.
+    """
 
     scenario: ScenarioSpec
     universe: Universe
     trigger: Event
-    runs: list  # of RunInfo
+    trigger_time: np.ndarray  # (n_runs,)
+    observed_at: np.ndarray  # (n_runs, k)
     timing: TimingSpec  # normalized against the generated horizon
     delta_normalizations: dict = field(default_factory=dict)
 
     @property
-    def actions(self) -> dict:
-        return self.scenario.actions
+    def runs(self) -> list:
+        """The run table as RunInfo rows, built afresh on each access."""
+        agents, fired = self.scenario.agents, self.trigger_time.tolist()
+        return [
+            RunInfo(name, t, dict(zip(agents, row))) if t >= 0
+            else RunInfo(name, None, dict.fromkeys(agents))
+            for name, t, row in zip(self.universe.runs, fired, self.observed_at.tolist())
+        ]
 
     def trigger_history(self) -> Event:
         return within(self.trigger, 0)
 
 
-def _none_as_minus_one(times) -> np.ndarray:
-    return np.array([-1 if t is None else t for t in times], dtype=np.int64)
-
-
 def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRInstance:
-    """One run per trigger time and per in-window observation-delay vector.
+    """One run per trigger time and per in-window observation-delay vector, in
+    `itertools.product` order, then the never-run.
 
+    The run count is checked against the cap before anything is allocated.
     Generated local states carry the current time, so dropping the synchronous
     flag changes no indistinguishability class; it only skips the clock check.
     """
     horizon = scenario.effective_horizon()
     if scenario.trigger_times and scenario.trigger_times[-1] + scenario.max_hi() > horizon:
         raise InvariantViolation("an observation would land outside the horizon")
-
-    runs: list[RunInfo] = []
-    ranges = [
-        range(scenario.obs_delay[a][0], scenario.obs_delay[a][1] + 1)
-        for a in scenario.agents
-    ]
-    for tau in scenario.trigger_times:
-        for delays in product(*ranges):
-            name = f"t{tau}" + "".join(
-                f"_{a}{d}" for a, d in zip(scenario.agents, delays)
-            )
-            obs = {a: tau + d for a, d in zip(scenario.agents, delays)}
-            runs.append(RunInfo(name, tau, obs))
-    if scenario.include_never_run:
-        runs.append(RunInfo(NEVER_RUN, None, {a: None for a in scenario.agents}))
-    if len(runs) > scenario.run_cap:
+    agents = scenario.agents
+    lo = [scenario.obs_delay[a][0] for a in agents]
+    sizes = [scenario.obs_delay[a][1] - first + 1 for a, first in zip(agents, lo)]
+    n_runs = len(scenario.trigger_times) * math.prod(sizes) + scenario.include_never_run
+    if n_runs > scenario.run_cap:
         raise SizeGuardExceeded(
-            f"scenario generates {len(runs)} runs, above the cap {scenario.run_cap}"
+            f"scenario generates {n_runs} runs, above the cap {scenario.run_cap}"
         )
+
+    delays = np.indices(sizes).reshape(len(agents), -1).T + lo  # product order
+    triggers = np.array(scenario.trigger_times, dtype=np.int64)
+    n_fired = len(triggers) * len(delays)
+    trigger_time = np.full(n_runs, -1, dtype=np.int64)  # the never-run stays -1
+    observed_at = np.full((n_runs, len(agents)), -1, dtype=np.int64)
+    trigger_time[:n_fired] = np.repeat(triggers, len(delays))
+    observed_at[:n_fired] = (triggers[:, None, None] + delays).reshape(-1, len(agents))
+    suffixes = [
+        [f"_{a}{d}" for d in range(first, first + n)] for a, first, n in zip(agents, lo, sizes)
+    ]
+    names = [
+        f"t{tau}" + "".join(parts)
+        for tau in scenario.trigger_times
+        for parts in product(*suffixes)
+    ] + [NEVER_RUN] * scenario.include_never_run
+    for table in (trigger_time, observed_at):
+        table.setflags(write=False)
 
     # agent a's state at (run, t) is (t, obs if obs <= t else None), coded as
     # t * (H + 2) + (obs + 1, or 0 for None), then interned by first appearance
     clock = np.arange(horizon + 1)
     state_ids, labels = [], []
-    for agent in scenario.agents:
-        obs = _none_as_minus_one(info.observations[agent] for info in runs)[:, None]
+    for obs in observed_at.T:
+        obs = obs[:, None]
         codes = clock * (horizon + 2) + np.where(obs <= clock, obs + 1, 0)
         uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         order = np.argsort(first)
@@ -225,17 +257,13 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
         )
 
     universe = Universe.from_state_ids(
-        scenario.agents,
-        [info.name for info in runs],
-        horizon,
-        state_ids,
-        labels,
-        synchronous=synchronous,
+        agents, names, horizon, state_ids, labels, synchronous=synchronous
     )
-    fired_at = _none_as_minus_one(info.trigger_time for info in runs)
-    trigger = Event(universe, clock == fired_at[:, None])
+    trigger = Event(universe, clock == trigger_time[:, None])
     timing, changed = scenario.timing.normalized(horizon)
-    return TCRInstance(scenario, universe, trigger, runs, timing, changed)
+    return TCRInstance(
+        scenario, universe, trigger, trigger_time, observed_at, timing, changed
+    )
 
 
 # -- solvability and synthesis ---------------------------------------------------
@@ -265,23 +293,40 @@ def solvability(instance: TCRInstance, *, knowledge: EventTuple | None = None) -
 class ProtocolResult:
     responses: dict  # run name -> {agent -> response time or None}
 
+    def response_times(self, instance: TCRInstance) -> tuple[np.ndarray, list]:
+        """The responses as an (n_runs, k) array in the instance's run and agent
+        order, -1 for no response, and the well-formedness problems: unknown
+        runs and agents, times that are not JSON integers or null, and times
+        outside the horizon.  An entry with a problem stays -1."""
+        u, k = instance.universe, len(instance.timing.agents)
+        column = {a: c for c, a in enumerate(instance.timing.agents)}
+        offset = {run: r * k for r, run in enumerate(u.runs)}
+        flat = [-1] * (u.n_runs * k)
+        problems = []
+        for run, per in self.responses.items():
+            at = offset.get(run)
+            if at is None:
+                problems.append({"run": run, "problem": "unknown run"})
+                continue
+            for agent, t in per.items():
+                c = column.get(agent)
+                if c is None:
+                    problems.append({"run": run, "agent": agent, "problem": "unknown agent"})
+                elif t is None:
+                    continue
+                elif type(t) is not int and (isinstance(t, bool) or not isinstance(t, np.integer)):
+                    problems.append({"run": run, "agent": agent, "time": t, "problem": "not an integer"})
+                elif not 0 <= t <= u.horizon:
+                    problems.append({"run": run, "agent": agent, "time": t, "problem": "outside horizon"})
+                else:
+                    flat[at + c] = t
+        return np.array(flat, dtype=np.int64).reshape(u.n_runs, k), problems
+
     def response_events(self, instance: TCRInstance) -> EventTuple:
-        u = instance.universe
-        rows = np.array([u.run_index(run) for run in self.responses], dtype=np.intp)
-        coords = {}
-        for agent in instance.timing.agents:
-            times = [per.get(agent) for per in self.responses.values()]
-            hit = np.array([t is not None for t in times], dtype=bool)
-            at = np.array([t for t in times if t is not None], dtype=np.int64)
-            outside = (at < 0) | (at > u.horizon)
-            if outside.any():
-                raise InvariantViolation(
-                    f"time {at[outside][0]} outside 0..{u.horizon}"
-                )
-            table = np.zeros((u.n_runs, u.n_times), dtype=bool)
-            table[rows[hit], at] = True
-            coords[agent] = Event(u, table)
-        return EventTuple(u, coords)
+        times, problems = self.response_times(instance)
+        if problems:
+            raise InvariantViolation(f"malformed response: {problems[0]}")
+        return _response_events(instance, times)
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,8 +335,31 @@ class ProtocolResult:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ProtocolResult":
-        return cls({run: dict(per) for run, per in doc.items()})
+    def from_json_dict(cls, doc) -> "ProtocolResult":
+        """Responses from a run -> {agent -> time} object, or from a `solve`
+        document whose runs carry their responses.  Times are kept as given;
+        `response_times` judges them."""
+        where = "result"
+        if isinstance(doc, dict) and "runs" in doc:
+            doc, where = doc["runs"], "runs"
+        runs = json_object(doc, where)
+        first = next(iter(runs.values()), None)
+        nested = isinstance(first, dict) and "responses" in first
+        responses = {}
+        for run, per in runs.items():
+            path = f"{where}.{run}"
+            if nested:
+                per = json_object(per, path).get("responses")
+                path += ".responses"
+            responses[run] = dict(json_object(per, path))
+        return cls(responses)
+
+
+def _response_events(instance: TCRInstance, times: np.ndarray) -> EventTuple:
+    """Agent a's event holds at (r, times[r, a]); -1 matches no time."""
+    u = instance.universe
+    at = times[:, :, None] == np.arange(u.n_times)  # (run, agent, time)
+    return EventTuple(u, {a: Event(u, at[:, c]) for c, a in enumerate(instance.timing.agents)})
 
 
 def synthesize_optimal(
@@ -343,74 +411,47 @@ class SolutionReport:
 def verify_solution(instance: TCRInstance, result: ProtocolResult) -> SolutionReport:
     """The four defining conditions of a solution, plus local determination.
 
-    * each agent responds at most once per run, within the horizon;
+    * each agent responds at most once per run, at an integer time within the horizon;
     * the response ensemble respects every pairwise timing bound;
     * responses happen only at or after the trigger;
     * in every triggered run every agent responds;
     * each agent's response set is determined by its own local state.
     """
-    u = instance.universe
     checks: dict = {}
     cex: dict = {}
 
-    well_formed = True
-    problems = []
-    known_runs = {info.name for info in instance.runs}
-    for run, per in result.responses.items():
-        if run not in known_runs:
-            well_formed = False
-            problems.append({"run": run, "problem": "unknown run"})
-            continue
-        for agent, t in per.items():
-            if agent not in instance.timing.agents:
-                well_formed = False
-                problems.append({"run": run, "agent": agent, "problem": "unknown agent"})
-            elif t is not None and not (0 <= t <= u.horizon):
-                well_formed = False
-                problems.append({"run": run, "agent": agent, "time": t, "problem": "outside horizon"})
-    checks["well_formed"] = well_formed
+    times, problems = result.response_times(instance)
+    checks["well_formed"] = not problems
     cex["well_formed"] = problems
-    if not well_formed:
+    if problems:
         for name in ("coordinated", "follows_trigger", "covers_triggered_runs", "locally_determined"):
             checks[name] = False
         return SolutionReport(checks, cex)
 
-    ensemble = result.response_events(instance)
-
-    from .coordination import uncoordinated_pairs
-
+    ensemble = _response_events(instance, times)
     broken = uncoordinated_pairs(ensemble, instance.timing)
     checks["coordinated"] = not broken
     if broken:
         cex["coordinated"] = [{"pair": f"{i}->{j}"} for i, j in broken]
 
-    history = instance.trigger_history()
-    stray = tuple_union(ensemble) - history
+    stray = tuple_union(ensemble) - instance.trigger_history()
     checks["follows_trigger"] = stray.is_empty()
     if not stray.is_empty():
         cex["follows_trigger"] = [
             {"run": p.run, "time": p.time} for p in stray.points()[:5]
         ]
 
-    covered = True
-    misses = []
-    for agent in instance.timing.agents:
-        gap = instance.trigger - eventually(ensemble[agent])
-        if not gap.is_empty():
-            covered = False
-            misses.extend(
-                {"agent": agent, "run": p.run} for p in gap.points()[:3]
-            )
-    checks["covers_triggered_runs"] = covered
+    agents, fired = instance.timing.agents, instance.trigger_time >= 0
+    misses = [
+        {"agent": agent, "run": instance.universe.runs[r]}
+        for agent, col in zip(agents, times.T)
+        for r in np.flatnonzero(fired & (col < 0))[:3]
+    ]
+    checks["covers_triggered_runs"] = not misses
     cex["covers_triggered_runs"] = misses
 
-    local = True
-    nonlocal_agents = []
-    for agent in instance.timing.agents:
-        if not is_local(agent, ensemble[agent]):
-            local = False
-            nonlocal_agents.append({"agent": agent})
-    checks["locally_determined"] = local
+    nonlocal_agents = [{"agent": a} for a in agents if not is_local(a, ensemble[a])]
+    checks["locally_determined"] = not nonlocal_agents
     cex["locally_determined"] = nonlocal_agents
 
     return SolutionReport(checks, cex)

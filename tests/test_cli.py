@@ -168,6 +168,73 @@ def test_string_trigger_time_exits_3_naming_the_field(tmp_path):
     assert "trigger_times[0]" in proc.stderr
 
 
+def test_scenario_array_exits_3_naming_the_document(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    proc = run_cli("solve", str(bad))
+    assert proc.returncode == 3, proc.stderr
+    assert "scenario must be an object" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _verify_edited(tmp_path, edit, *flags):
+    solved = tmp_path / "result.json"
+    run_cli("solve", PKG_DATA["ordered_2"], "-o", str(solved))
+    doc = json.loads(solved.read_text())
+    doc = edit(doc) or doc
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    return run_cli("verify", PKG_DATA["ordered_2"], str(edited), *flags)
+
+
+@pytest.mark.parametrize("time", ["1", 2.5, True, [1]], ids=["string", "float", "bool", "list"])
+def test_verify_reports_a_response_time_that_is_not_an_integer(tmp_path, time):
+    def edit(doc):
+        doc["runs"]["t0_first0_second1"]["responses"]["second"] = time
+
+    proc = _verify_edited(tmp_path, edit, "--optimal")
+    assert proc.returncode == 6, proc.stderr
+    report = json.loads(proc.stdout)["solution_checks"]
+    assert report["checks"]["well_formed"] is False
+    assert report["counterexamples"]["well_formed"] == [
+        {"run": "t0_first0_second1", "agent": "second", "time": time,
+         "problem": "not an integer"}
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda doc: list(doc["runs"]), "result must be an object"),
+        (lambda doc: doc["runs"], None),  # a bare run -> responses object is fine
+        (lambda doc: doc["runs"].update(never=[None, None]), "runs.never must be"),
+        (lambda doc: doc["runs"]["never"].update(responses=[]), "runs.never.responses must be"),
+        (lambda doc: {"never": 3}, "result.never must be"),
+    ],
+    ids=["array", "bare-object", "run-list", "responses-list", "bare-run-int"],
+)
+def test_verify_names_a_result_entry_that_is_not_an_object(tmp_path, edit, path):
+    proc = _verify_edited(tmp_path, edit)
+    if path is None:
+        assert proc.returncode == 0, proc.stderr
+        return
+    assert proc.returncode == 3, proc.stderr
+    assert path in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [({"x": 1}, "result.x must be an object"), ([1], "result must be an object"),
+     ({"runs": {"r": {"responses": [1]}}}, "runs.r.responses must be an object")],
+    ids=["run-int", "array", "responses-list"],
+)
+def test_report_names_a_field_that_is_not_an_object(tmp_path, doc, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("report", str(bad))
+    assert proc.returncode == 3, proc.stderr
+    assert path in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_no_never_run_flag(tmp_path):
     out = tmp_path / "u.json"
     proc = run_cli("generate", PKG_DATA["firing_squad_2"], "--no-never-run", "-o", str(out))
@@ -218,15 +285,20 @@ def test_cli_output_matches_golden_hashes(tmp_path, name):
 
     The hashes in tests/data/cli_golden.json were recorded from the CLI
     before its hot paths were vectorized (the `oracle` hashes before its
-    optimality sweeps were rewritten); any change to an output byte shows
-    up here, not only a change between two runs of the same code.
+    optimality sweeps were rewritten, the `verify --optimal` ones before the
+    runs became arrays); any change to an output byte shows up here, not
+    only a change between two runs of the same code.  `verify` verbs are fed
+    the scenario's own `solve` output.
     """
     from timelyck.cli import main
 
     scenario = str(timelyck.bundled_scenario_path(name))
+    result = tmp_path / "result.json"
+    main(["solve", scenario, "-o", str(result)])
     for verb in GOLDEN["verbs"]:
         out = tmp_path / (verb.replace(" ", "_") + ".json")
-        code = main([*verb.split(), scenario, "-o", str(out)])
+        argv = [*verb.split(), scenario] + ([str(result)] if verb.startswith("verify") else [])
+        code = main([*argv, "-o", str(out)])
         assert code == GOLDEN["exit"][name][verb], (name, verb)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == GOLDEN["sha256"][name][verb], (name, verb)

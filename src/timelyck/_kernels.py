@@ -1,8 +1,9 @@
 """The two hot enumerations, as vectorized numpy sweeps.
 
 The tuple-lattice sweep behind the fixed-point oracle and the solution-space
-sweep behind the optimality oracle.  The test suite checks the solution sweep
-against the depth-first reference `naive.n_scan_solutions`.
+sweep behind the optimality oracle.  The test suite checks the tuple sweep
+against `fixpoint.gfp_bruteforce_oracle` and the solution sweep against the
+depth-first reference `naive.n_scan_solutions`.
 """
 
 from __future__ import annotations
@@ -11,40 +12,53 @@ import numpy as np
 
 # -- tuple-lattice sweep -------------------------------------------------------
 #
-# Coordinates are P-bit masks packed side by side into one integer; a tuple is
-# below its own image iff every coordinate mask is a sub-mask of the mapped
-# coordinate.  The sweep ORs all such tuples together (their join).
+# A coordinate is a P-bit mask, so the tuples of k coordinates form a grid
+# with one axis of 2^P masks per coordinate.  A tuple is below its own image
+# iff every coordinate mask is a sub-mask of the mapped coordinate; the sweep
+# tests every cell of the grid and ORs the passing tuples together (their
+# join), one coordinate at a time from the cells that pass along its axis.
 
-
-# Tuples per vectorized block.  Blocks of 2^13 keep every int64 temporary at
-# 64 KiB, under glibc's default mmap threshold, so each block reuses freed
-# heap memory instead of mapping and faulting in fresh pages.
-_CHUNK = 1 << 13
+# Grid cells per block: the sweep takes the first coordinate's masks a block
+# of rows at a time, at least one row of 2^(P * (k - 1)) cells.
+_BLOCK = 1 << 16
 
 
 def scan_postfixed_join(P, k, psi, within_tables, pair_index, knows_tables):
-    within_tables = np.ascontiguousarray(within_tables, dtype=np.int64)
-    knows_tables = np.ascontiguousarray(knows_tables, dtype=np.int64)
-    pair_index = np.ascontiguousarray(pair_index, dtype=np.int64)
-    psi = int(psi)
-    total = 1 << (P * k)
-    coord_mask = (1 << P) - 1
+    """Join of every k-tuple x of P-bit masks with, for each i,
+    x_i <= knows_i(psi & AND_{j != i} within_ij(x_j)).
+
+    `within_tables[pair_index[i, j]]` and `knows_tables[i]` map every mask to
+    its image; returns the k joined masks as an int64 array.
+    """
+    n = 1 << P
+    dtype = np.uint8 if P <= 8 else np.uint16 if P <= 16 else np.uint32
+    within_tables = np.asarray(within_tables).astype(dtype)
+    knows_tables = np.asarray(knows_tables).astype(dtype)
+    pair_index = np.asarray(pair_index)
+    psi = dtype(psi)
+    masks = np.arange(n, dtype=dtype)
+    rows = max(1, _BLOCK >> (P * (k - 1)))
+
+    def on_axis(values, j):  # coordinate j's values laid along grid axis j
+        return values.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j))
+
+    others = [tuple(a for a in range(k) if a != j) for j in range(k)]
     join = np.zeros(k, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        u = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        coords = [(u >> (P * j)) & coord_mask for j in range(k)]
-        ok = np.ones(u.shape[0], dtype=bool)
+    for start in range(0, n, rows):
+        coords = [masks[start : start + rows]] + [masks] * (k - 1)
+        ok = None
         for i in range(k):
-            body = np.full(u.shape[0], psi, dtype=np.int64)
+            body = psi
             for j in range(k):
                 if j != i:
-                    body &= within_tables[pair_index[i, j]][coords[j]]
-            f_i = knows_tables[i][body]
-            ok &= (coords[i] & ~f_i) == 0
-        for i in range(k):
-            sel = coords[i][ok]
-            if sel.size:
-                join[i] |= np.bitwise_or.reduce(sel)
+                    body = body & on_axis(within_tables[pair_index[i, j]][coords[j]], j)
+            below = (on_axis(coords[i], i) & ~knows_tables[i][body]) == 0
+            if ok is None:
+                ok = below
+            else:
+                ok &= below
+        for j in range(k):
+            join[j] |= int(np.bitwise_or.reduce(coords[j][ok.any(axis=others[j])]))
     return join
 
 
@@ -56,6 +70,10 @@ def scan_postfixed_join(P, k, psi, within_tables, pair_index, knows_tables):
 # evaluating every candidate value of the new variable against the
 # constraints whose later variable it is, and accumulates: solution count,
 # per-variable minima, and the exact set of attained values per variable.
+# The columns of the prefixes are carried from level to level except at the
+# last level, which no later constraint reads; each level keeps its (parent,
+# pick) pair, and the values each variable takes in some solution are read
+# once at the end, walking the parents back from the full solutions.
 
 
 def scan_solutions(lo, hi, constraints, n_vals, guard):
@@ -78,6 +96,7 @@ def scan_solutions(lo, hi, constraints, n_vals, guard):
             contradicted.add(p)
 
     cols: list = []  # cols[v][r] is variable v's value in surviving prefix r
+    levels = []  # per variable: (its candidate values, parent, pick)
     n_rows = 1
     for v in range(V):
         vals = np.arange(lo[v], hi[v] + 1, dtype=np.int64)
@@ -95,14 +114,25 @@ def scan_solutions(lo, hi, constraints, n_vals, guard):
             upper[:] = lo[v] - 1
         keep = (vals >= lower[:, None]) & (vals <= upper[:, None])
         parent, pick = np.nonzero(keep)
-        cols = [col[parent] for col in cols]
-        cols.append(vals[pick])
+        if v + 1 < V:
+            cols = [col[parent] for col in cols]
+            cols.append(vals[pick])
+        levels.append((vals, parent, pick))
         n_rows = parent.shape[0]
 
     mins = np.full(V, 2**62, dtype=np.int64)
     attained = np.zeros((V, n_vals), dtype=bool)
     if n_rows:
-        for v, col in enumerate(cols):
-            mins[v] = col.min()
-            attained[v] = np.bincount(col, minlength=n_vals) > 0
+        # walk back from the full solutions: the prefixes at each level that
+        # some solution extends, and the values they give that level's variable
+        alive = np.ones(n_rows, dtype=bool)
+        for v in range(V - 1, -1, -1):
+            vals, parent, pick = levels[v]
+            seen = vals[pick[alive]]
+            mins[v] = seen.min()
+            attained[v] = np.bincount(seen, minlength=n_vals) > 0
+            if v:
+                extended = np.zeros(levels[v - 1][1].shape[0], dtype=bool)
+                extended[parent[alive]] = True
+                alive = extended
     return n_rows, mins, attained, False

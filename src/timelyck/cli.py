@@ -127,7 +127,7 @@ def cmd_generate(args) -> int:
 def cmd_gfp(args) -> int:
     instance = _load_instance(args)
     if args.psi:
-        psi = Event.from_json_list(instance.universe, _load_json(args.psi))
+        psi = Event.from_json_list(instance.universe, _load_json(args.psi), "psi")
     else:
         psi = instance.trigger_history()
     info = timely_ck_info(psi, instance.timing)

@@ -121,17 +121,13 @@ def is_epsilon_coordinated(ensemble, eps: int) -> bool:
 # -- local-ensemble enumeration ----------------------------------------------------
 
 
-def local_event_masks(space: PackedSpace, agent: str) -> list[int]:
-    """All i-local events as packed masks: unions of the agent's state classes."""
+def local_event_masks(space: PackedSpace, agent: str) -> np.ndarray:
+    """All i-local events as packed masks: unions of the agent's state classes,
+    the union at index `pick` holding class c iff bit c of `pick` is set."""
     classes = space.class_masks(agent)
-    masks = []
-    for pick in range(1 << len(classes)):
-        m = 0
-        for c, cm in enumerate(classes):
-            if pick >> c & 1:
-                m |= cm
-        masks.append(m)
-    return masks
+    picks = np.arange(1 << classes.size)
+    # classes are disjoint, so summing the picked ones ORs them
+    return ((picks[:, None] >> np.arange(classes.size)) & 1) @ classes
 
 
 def count_local_ensembles(universe: Universe, agents) -> int:
@@ -210,14 +206,17 @@ def verify_greatest_coordinated_ensemble(
       union_preserved        ... and taking timely common knowledge of that
                              union does not change the union
 
-    Enumeration runs in the packed engine; a seeded sample of the enumerated
-    ensembles is re-checked against the event-level engine to tie the two
-    representations together.
+    Enumeration runs in the packed engine over every combination of class
+    unions at once, as an (n_combos, k) array in `itertools.product` order;
+    the timely common knowledge of each distinct union comes from one batched
+    packed descent.  Each counterexample is the first failing (combination,
+    agent) in that order.  A seeded sample of the distinct unions, drawn in
+    first-appearance order, is re-checked against the event-level engine to
+    tie the two representations together.
     """
     u = psi.universe
     xi = candidate if candidate is not None else timely_ck(psi, spec)
     report = CorrespondenceReport()
-    cex = report.counterexamples
 
     report.parts["fixed_point"] = apply_f(psi, spec, xi) == xi
 
@@ -228,7 +227,7 @@ def verify_greatest_coordinated_ensemble(
     space = PackedSpace(u)
     agents = spec.agents
     psi_mask = space.pack(psi)
-    xi_masks = tuple(space.pack(xi[a]) for a in agents)
+    xi_masks = np.array([space.pack(xi[a]) for a in agents], dtype=np.int64)
 
     total = count_local_ensembles(u, agents)
     if total > enum_guard:
@@ -236,81 +235,57 @@ def verify_greatest_coordinated_ensemble(
             f"{total} local ensembles exceed the enumeration guard {enum_guard}"
         )
     per_agent = [local_event_masks(space, a) for a in agents]
-    wtabs = [
-        [space.within_table(spec.delta(i, j)) if i != j else None for j in agents]
-        for i in agents
+    grid = np.meshgrid(*per_agent, indexing="ij")
+    combos = np.stack([g.ravel() for g in grid], axis=1)
+    report.enumerated = combos.shape[0]
+
+    coordinated = np.ones(combos.shape[0], dtype=bool)
+    for a_i, i in enumerate(agents):
+        for a_j, j in enumerate(agents):
+            if a_i != a_j:
+                answered = space.within_table(spec.delta(i, j))[combos[:, a_j]]
+                coordinated &= (combos[:, a_i] & ~answered) == 0
+    combos = combos[coordinated]
+    unions = np.bitwise_or.reduce(combos, axis=1)
+
+    distinct, first, inverse = np.unique(unions, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct unions in first-appearance order
+    cks = space.timely_ck_masks(distinct[order], spec)
+    ck = cks[np.argsort(order)[inverse]]  # each combination's union's fixed point
+    ck_unions = np.bitwise_or.reduce(ck, axis=1)
+
+    implies_psi = ((unions & ~psi_mask) == 0)[:, None]
+    beyond_xi = np.where(implies_psi, combos & ~xi_masks, 0)
+    beyond_ck = combos & ~ck
+    changed = (ck_unions ^ unions)[:, None]
+    # name, failing bits per (combination, agent), agent names; a combination
+    # failing several parts reports them in this order
+    checks = [
+        ("greatest", beyond_xi, agents),
+        ("below_own_ck", beyond_ck, agents),
+        ("union_preserved", changed, ("-",)),
     ]
-
-    greatest_ok = True
-    below_own_ck_ok = True
-    union_preserved_ok = True
-    ck_cache: dict[int, tuple] = {}
-    sampled: list[tuple] = []
-    rng = np.random.default_rng(seed)
-    enumerated = 0
-
-    for combo in product(*per_agent):
-        enumerated += 1
-        coordinated = True
-        for a_i in range(len(agents)):
-            for a_j in range(len(agents)):
-                if a_i == a_j:
-                    continue
-                w = int(wtabs[a_i][a_j][combo[a_j]])
-                if combo[a_i] & ~w:
-                    coordinated = False
-                    break
-            if not coordinated:
-                break
-        if not coordinated:
-            continue
-
-        union_mask = 0
-        for m in combo:
-            union_mask |= m
-
-        if (union_mask & ~psi_mask) == 0:  # union implies psi
-            for a_i, agent in enumerate(agents):
-                if combo[a_i] & ~xi_masks[a_i]:
-                    if greatest_ok:
-                        cex["greatest"] = _first_points(
-                            space, combo[a_i] & ~xi_masks[a_i], agent
-                        )
-                    greatest_ok = False
-
-        ck = ck_cache.get(union_mask)
-        if ck is None:
-            ck = space.timely_ck_masks(union_mask, spec)
-            ck_cache[union_mask] = ck
-            if len(sampled) < engine_samples and rng.random() < 0.5:
-                sampled.append((union_mask, ck))
-        ck_union = 0
-        for m in ck:
-            ck_union |= m
-        for a_i, agent in enumerate(agents):
-            if combo[a_i] & ~ck[a_i]:
-                if below_own_ck_ok:
-                    cex["below_own_ck"] = _first_points(
-                        space, combo[a_i] & ~ck[a_i], agent
-                    )
-                below_own_ck_ok = False
-        if ck_union != union_mask:
-            if union_preserved_ok:
-                cex["union_preserved"] = _first_points(
-                    space, ck_union ^ union_mask, "-"
-                )
-            union_preserved_ok = False
+    found = []
+    for rank, (name, bits, names) in enumerate(checks):
+        rows, cols = np.nonzero(bits)
+        report.parts[name] = rows.size == 0
+        if rows.size:
+            r, c = rows[0], cols[0]
+            found.append((r, rank, name, _first_points(space, int(bits[r, c]), names[c])))
+    report.counterexamples = {name: points for _, _, name, points in sorted(found)}
 
     # tie the packed fixed point back to the event-level engine
-    for union_mask, ck in sampled:
+    sampled = []
+    rng = np.random.default_rng(seed)
+    for union_mask, union_ck in zip(distinct[order], cks):
+        if len(sampled) >= engine_samples:
+            break
+        if rng.random() < 0.5:
+            sampled.append((union_mask, union_ck))
+    for union_mask, union_ck in sampled:
         engine = timely_ck(space.unpack(union_mask), spec)
-        if tuple(space.pack(engine[a]) for a in agents) != ck:
+        if [space.pack(engine[a]) for a in agents] != union_ck.tolist():
             raise InternalConsistencyError(
                 "packed and event-level fixed points disagree"
             )
-
-    report.parts["greatest"] = greatest_ok
-    report.parts["below_own_ck"] = below_own_ck_ok
-    report.parts["union_preserved"] = union_preserved_ok
-    report.enumerated = enumerated
     return report

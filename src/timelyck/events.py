@@ -106,8 +106,23 @@ class Event:
         return sorted([p.run, p.time] for p in self.points())
 
     @classmethod
-    def from_json_list(cls, universe: Universe, doc: Sequence) -> "Event":
-        return cls.from_points(universe, ((run, t) for run, t in doc))
+    def from_json_list(cls, universe: Universe, doc: Sequence, field: str = "event") -> "Event":
+        """An event from a list of [run, time] pairs; a document of another
+        shape is an InvariantViolation naming `field`."""
+        if not isinstance(doc, list):
+            raise InvariantViolation(f"{field} must be a list of [run, time] pairs")
+        for n, point in enumerate(doc):
+            if not (
+                isinstance(point, list)
+                and len(point) == 2
+                and isinstance(point[0], str)
+                and isinstance(point[1], int)
+                and not isinstance(point[1], bool)
+            ):
+                raise InvariantViolation(
+                    f"{field}[{n}] must be a [run, time] pair, got {point!r}"
+                )
+        return cls.from_points(universe, doc)
 
     def __repr__(self) -> str:
         return f"Event({self.size} of {self.universe.n_points} points)"

@@ -211,7 +211,7 @@ class EventTuple:
     def from_json_dict(cls, universe: Universe, doc: Mapping) -> "EventTuple":
         return cls(
             universe,
-            {a: Event.from_json_list(universe, pts) for a, pts in doc.items()},
+            {a: Event.from_json_list(universe, pts, a) for a, pts in doc.items()},
         )
 
     def __repr__(self) -> str:

@@ -1,12 +1,15 @@
 """Packed-bitmask engine for exhaustive sweeps over small universes.
 
 Events become integers with one bit per point (bit = run * n_times + time).
-Operator lookup tables are built from the definition-direct evaluators in
-`naive`, not from the vectorized operators, so results obtained here count as
-an independent route.
+Operator lookup tables cover every mask and are built without the vectorized
+operators, so results obtained here count as an independent route: `within`
+images come from the definition-direct `naive.n_within` on single points,
+`knows` images from the state classes, each packed from the universe's
+state-id array with one scatter of bit weights.
 
 Used by the fixed-point oracle and by the local-ensemble enumeration in the
-coordination checks.
+coordination checks; `timely_ck_masks` descends a whole batch of target masks
+at once.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from .events import Event
 from .universe import DeltaValue, Universe, clamp_delta
 
 MAX_PACKED_POINTS = 20  # full tables are 2^P entries
+
+# Masks per block of the knows-table containment test, which holds a
+# (masks, classes) matrix, with at most MAX_PACKED_POINTS classes.
+_KNOWS_ROWS = 1 << 12
 
 # The bitmask images of within(single point, d) depend only on the geometry
 # and the clamped delta, so every universe of one shape shares them; keyed by
@@ -39,7 +46,7 @@ class PackedSpace:
         self.universe = universe
         self.n_bits = universe.n_points
         self.full_mask = (1 << self.n_bits) - 1
-        self._indices = np.arange(1 << self.n_bits, dtype=np.int64)
+        self._weights = 1 << np.arange(self.n_bits, dtype=np.int64)
         self._within_full: dict[DeltaValue, np.ndarray] = {}
         self._knows_full: dict[str, np.ndarray] = {}
 
@@ -49,16 +56,12 @@ class PackedSpace:
         return run_idx * self.universe.n_times + t
 
     def pack(self, e: Event) -> int:
-        flat = e.table.ravel()
-        return int(sum(1 << b for b in np.flatnonzero(flat)))
+        return int(self._weights[e.table.ravel()].sum())
 
     def unpack(self, mask: int) -> Event:
-        flat = np.zeros(self.n_bits, dtype=bool)
-        for b in range(self.n_bits):
-            if mask >> b & 1:
-                flat[b] = True
         u = self.universe
-        return Event(u, flat.reshape(u.n_runs, u.n_times))
+        flat = (int(mask) >> np.arange(self.n_bits)) & 1
+        return Event(u, flat.astype(bool).reshape(u.n_runs, u.n_times))
 
     def _pack_pointset(self, pts) -> int:
         mask = 0
@@ -89,44 +92,51 @@ class PackedSpace:
         return tab
 
     def knows_table(self, agent: str) -> np.ndarray:
-        """knows(agent, .) for every possible event mask, from state classes."""
+        """knows(agent, .) for every possible event mask: the union of the
+        state classes the mask contains."""
         tab = self._knows_full.get(agent)
         if tab is None:
-            tab = np.zeros(1 << self.n_bits, dtype=np.int64)
-            for cm in self.class_masks(agent):
-                tab[(self._indices & cm) == cm] |= cm
+            cms = self.class_masks(agent)
+            tab = np.empty(1 << self.n_bits, dtype=np.int64)
+            for start in range(0, tab.size, _KNOWS_ROWS):
+                masks = np.arange(start, min(start + _KNOWS_ROWS, tab.size), dtype=np.int64)
+                # classes are disjoint, so summing the contained ones ORs them
+                tab[start : start + masks.size] = ((masks[:, None] & cms) == cms) @ cms
             self._knows_full[agent] = tab
         return tab
 
-    def class_masks(self, agent: str) -> list[int]:
+    def class_masks(self, agent: str) -> np.ndarray:
+        """The bitmask of each of the agent's state classes, by state id."""
         u = self.universe
-        ids = u.state_ids(agent)
-        out = []
-        for sid in range(u.n_state_classes(agent)):
-            pts = [(int(r), int(t)) for r, t in zip(*np.nonzero(ids == sid))]
-            out.append(self._pack_pointset(pts))
-        return out
+        masks = np.zeros(u.n_state_classes(agent), dtype=np.int64)
+        np.bitwise_or.at(masks, u.state_ids(agent).ravel(), self._weights)
+        return masks
 
     # -- packed engine ops -----------------------------------------------------
 
-    def apply_f_masks(self, psi_mask: int, spec, xs: tuple) -> tuple:
-        """Packed analogue of the window-based coordination map."""
+    def apply_f_masks(self, psi_masks: np.ndarray, spec, xs: np.ndarray) -> np.ndarray:
+        """Packed analogue of the window-based coordination map, on a batch:
+        row r of `xs` (coordinates in `spec.agents` order) is mapped under the
+        target mask `psi_masks[r]`."""
         agents = spec.agents
-        out = []
+        out = np.empty_like(xs)
         for ai, i in enumerate(agents):
-            body = psi_mask
+            body = psi_masks
             for aj, j in enumerate(agents):
                 if aj != ai:
-                    body &= int(self.within_table(spec.delta(i, j))[xs[aj]])
-            out.append(int(self.knows_table(i)[body]))
-        return tuple(out)
+                    body = body & self.within_table(spec.delta(i, j))[xs[:, aj]]
+            out[:, ai] = self.knows_table(i)[body]
+        return out
 
-    def timely_ck_masks(self, psi_mask: int, spec) -> tuple:
-        """Descending iteration of the packed map from the all-full tuple."""
-        xs = tuple(self.full_mask for _ in spec.agents)
+    def timely_ck_masks(self, psi_masks, spec) -> np.ndarray:
+        """Descending iteration of the packed map from the all-full tuple, for
+        every target mask of a batch at once; row r is psi_masks[r]'s fixed
+        point."""
+        psi_masks = np.asarray(psi_masks, dtype=np.int64)
+        xs = np.full((psi_masks.size, len(spec.agents)), self.full_mask, dtype=np.int64)
         for _ in range(self.n_bits * len(spec.agents) + 2):
-            nxt = self.apply_f_masks(psi_mask, spec, xs)
-            if nxt == xs:
+            nxt = self.apply_f_masks(psi_masks, spec, xs)
+            if np.array_equal(nxt, xs):
                 return xs
             xs = nxt
         raise SizeGuardExceeded("packed fixed-point iteration failed to stabilize")

@@ -34,6 +34,11 @@ def random_universe(
 
     ``bit_budget`` caps n_runs * n_times * n_agents, the tuple-lattice size the
     brute-force fixed-point oracle has to sweep.
+
+    All (agent, run, time) values come from one draw, which leaves the
+    generator where drawing them one at a time in that order would.  Each
+    state is an integer code, interned per agent in first-appearance order
+    run by run, time by time, and labelled with the state it stands for.
     """
     agents = AGENT_POOL[:n_agents]
     while True:
@@ -41,24 +46,36 @@ def random_universe(
         n_times = int(rng.integers(2, max_times + 1))
         if bit_budget is None or n_runs * n_times * n_agents <= bit_budget:
             break
-    runs = tuple(f"r{k}" for k in range(n_runs))
-
-    states = {}
+    shape = (n_agents, n_runs, n_times)
+    t = np.arange(n_times, dtype=np.int64 if n_times < 63 else object)  # codes reach bit t
     if recall:
-        for agent in agents:
-            for run in runs:
-                obs = rng.integers(0, 2, size=n_times)
-                for t in range(n_times):
-                    states[(agent, run, t)] = (t, tuple(int(x) for x in obs[:t]))
+        # the observations before t, read as bits, behind a leading 1 at bit t
+        obs = rng.integers(0, 2, size=shape) << t
+        codes = (1 << t) | (np.cumsum(obs, axis=2) - obs)
+
+        def label(code):
+            time = code.bit_length() - 1
+            return (time, tuple(code >> s & 1 for s in range(time)))
+
     else:
         n_symbols = int(rng.integers(1, 3))
-        for agent in agents:
-            for run in runs:
-                for t in range(n_times):
-                    sym = int(rng.integers(0, n_symbols + 1))
-                    states[(agent, run, t)] = (t, sym) if synchronous else sym
+        codes = rng.integers(0, n_symbols + 1, size=shape)
+        if synchronous:
+            codes = codes + t * (n_symbols + 1)
 
-    return Universe(agents, runs, n_times - 1, states, synchronous=synchronous)
+        def label(code):
+            return divmod(code, n_symbols + 1) if synchronous else code
+
+    state_ids, labels = [], []
+    for agent_codes in codes.reshape(n_agents, -1).tolist():
+        interned: dict = {}
+        ids = [interned.setdefault(code, len(interned)) for code in agent_codes]
+        state_ids.append(np.array(ids).reshape(n_runs, n_times))
+        labels.append([label(code) for code in interned])
+    runs = tuple(f"r{k}" for k in range(n_runs))
+    return Universe.from_state_ids(
+        agents, runs, n_times - 1, state_ids, labels, synchronous=synchronous
+    )
 
 
 def random_event(rng: np.random.Generator, u: Universe, *, density: float | None = None) -> Event:

@@ -111,8 +111,11 @@ class ScenarioSpec:
     def from_json_dict(cls, doc: dict) -> "ScenarioSpec":
         json_object(doc, "scenario")
         try:
-            agents = tuple(doc["agents"])
-            timing = TimingSpec.from_json_dict(agents, doc["delta"])
+            agents = doc["agents"]
+            if not isinstance(agents, list) or not all(isinstance(a, str) for a in agents):
+                raise InvariantViolation(f"agents must be a list of strings, got {agents!r}")
+            agents = tuple(agents)
+            timing = TimingSpec.from_json_dict(agents, json_object(doc["delta"], "delta"))
             trigger_times = doc["trigger_times"]
             if not isinstance(trigger_times, (list, tuple)):
                 raise InvariantViolation(
@@ -128,6 +131,11 @@ class ScenarioSpec:
                         f"obs_delay.{a} must be a [lo, hi] pair, got {window!r}"
                     )
                 windows[a] = tuple(_json_int(v, f"obs_delay.{a}") for v in window)
+            include_never_run = doc.get("include_never_run", True)
+            if not isinstance(include_never_run, bool):
+                raise InvariantViolation(
+                    f"include_never_run must be true or false, got {include_never_run!r}"
+                )
             horizon = doc.get("horizon")
             return cls(
                 agents=agents,
@@ -136,8 +144,8 @@ class ScenarioSpec:
                 ),
                 obs_delay=windows,
                 timing=timing,
-                actions=dict(doc["actions"]),
-                include_never_run=doc.get("include_never_run", True),
+                actions=dict(json_object(doc["actions"], "actions")),
+                include_never_run=include_never_run,
                 horizon=None if horizon is None else _json_int(horizon, "horizon"),
             )
         except KeyError as exc:

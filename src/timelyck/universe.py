@@ -184,35 +184,42 @@ class Universe:
                     f"state ids of agent {agent!r} have shape {ids.shape}, "
                     f"expected {(self.n_runs, self.n_times)}"
                 )
-            used = np.bincount(ids.ravel()) if ids.min() >= 0 else np.zeros(0)
-            if used.size != len(names) or not used.all():
+            n = len(names)
+            # the range is checked before counting, so a huge id is refused
+            # rather than sizing the count array
+            if not (
+                0 <= ids.min() <= ids.max() < n
+                and np.bincount(ids.ravel(), minlength=n).all()
+            ):
                 raise InvariantViolation(
-                    f"state ids of agent {agent!r} must use exactly 0..{len(names) - 1}"
+                    f"state ids of agent {agent!r} must use exactly 0..{n - 1}"
                 )
-            if len(set(names)) != len(names):
+            if len(set(names)) != n:
                 raise InvariantViolation(f"duplicate state labels for agent {agent!r}")
             ids.setflags(write=False)
             self._state_ids.append(ids)
             self._id_labels.append(names)
-            self._n_classes.append(len(names))
+            self._n_classes.append(n)
         if self.synchronous:
             self._check_time_in_state()
 
     def _check_time_in_state(self) -> None:
-        """Each state id of each agent must occur at exactly one time."""
-        times = np.tile(np.arange(self.n_times), self.n_runs)
+        """Each state id of each agent must occur at exactly one time.
+
+        Scatters each point's time onto its id and reads it back: a point
+        whose time was overwritten has an id that occurs at two times.
+        """
+        times = np.arange(self.n_times)
         for agent, ids, n in zip(self.agents, self._state_ids, self._n_classes):
-            flat = ids.ravel()
-            first = np.full(n, self.n_times, dtype=np.int64)
-            last = np.full(n, -1, dtype=np.int64)
-            np.minimum.at(first, flat, times)
-            np.maximum.at(last, flat, times)
-            bad = np.flatnonzero(first != last)
-            if bad.size:
-                sid = bad[0]
+            when = np.empty(n, dtype=np.int64)
+            when[ids] = times
+            moved = when[ids] != times
+            if moved.any():
+                sid = ids[moved].min()
+                seen = np.broadcast_to(times, ids.shape)[ids == sid]
                 raise InvariantViolation(
                     f"synchronous universe: agent {agent!r} has the same "
-                    f"state at times {first[sid]} and {last[sid]}"
+                    f"state at times {seen.min()} and {seen.max()}"
                 )
 
     # -- basic geometry ----------------------------------------------------

@@ -168,6 +168,49 @@ def test_string_trigger_time_exits_3_naming_the_field(tmp_path):
     assert "trigger_times[0]" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("actions", ["x"]),
+        ("delta", []),
+        ("agents", [["a"]]),
+        ("agents", "ab"),
+        ("include_never_run", "false"),
+    ],
+)
+def test_scenario_field_of_the_wrong_type_exits_3_naming_it(tmp_path, field, value):
+    proc = _solve_edited(tmp_path, lambda doc: doc.update({field: value}))
+    assert proc.returncode == 3, proc.stderr
+    assert f"{field} must be" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "psi, where",
+    [
+        ({"never": 0}, "psi must be"),
+        ([["never", 0, 1]], "psi[0] must be"),
+        ([["never", 0], [0, 0]], "psi[1] must be"),
+        ([["never", "0"]], "psi[0] must be"),
+        (["never"], "psi[0] must be"),
+    ],
+)
+def test_gfp_psi_that_is_not_a_list_of_points_exits_3_naming_it(tmp_path, psi, where):
+    psi_file = tmp_path / "psi.json"
+    psi_file.write_text(json.dumps(psi))
+    proc = run_cli("gfp", PKG_DATA["ordered_2"], "--psi", str(psi_file))
+    assert proc.returncode == 3, proc.stderr
+    assert where in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_gfp_psi_list_of_points_is_read(tmp_path):
+    psi_file = tmp_path / "psi.json"
+    psi_file.write_text(json.dumps([["never", 0], ["never", 1]]))
+    out = tmp_path / "gfp.json"
+    proc = run_cli("gfp", PKG_DATA["ordered_2"], "--psi", str(psi_file), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["psi"] == [["never", 0], ["never", 1]]
+
+
 def test_scenario_array_exits_3_naming_the_document(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")

@@ -1,5 +1,7 @@
 """Every randomized property group must pass at its default volume."""
 
+import hashlib
+
 import pytest
 
 from timelyck import props
@@ -43,3 +45,12 @@ def test_a_raising_group_fails_alone(monkeypatch, tmp_path):
     assert sum(line.startswith("PASS") for line in lines) == len(GROUPS) - 1
     assert f"FAIL  {name}  cases=5" in lines
     assert "      internal inconsistency: two routes disagree" in lines
+
+
+def test_props_output_bytes_are_pinned(tmp_path):
+    # recorded before the oracle layer's sampling, packed tables and ensemble
+    # enumeration became whole-array code: same draws, same verdicts, same bytes
+    out = tmp_path / "props.txt"
+    assert main(["props", "--seed", "3", "--cases", "40", "-o", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "573e2cb24c47da27b5e884c4e4ea24732c58c47b0572dd44f31ce38e4a8d862c"

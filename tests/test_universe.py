@@ -49,6 +49,42 @@ def test_time_ambiguity_names_agent_and_both_times():
     assert u.state_label("b", "r1", 0) == "v"
 
 
+def test_time_check_matches_point_by_point_reference():
+    rng = np.random.default_rng(8)
+    agents = ["a", "b", "c"]
+    refused = 0
+    for case in range(400):
+        n_runs, n_times = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        ids, labels = [], []
+        for _ in agents:
+            # a few ids per time, sometimes shared with a neighbouring time
+            raw = np.arange(n_times) * 2 + rng.integers(0, 2 + (rng.random() < 0.3), (n_runs, n_times))
+            used, agent_ids = np.unique(raw, return_inverse=True)
+            ids.append(agent_ids.reshape(n_runs, n_times))
+            labels.append([f"s{x}" for x in used])
+        # reference: the first agent with an id seen at two times, its lowest such id
+        expected = None
+        for agent, agent_ids in zip(agents, ids):
+            seen = {}
+            for r in range(n_runs):
+                for t in range(n_times):
+                    seen.setdefault(int(agent_ids[r, t]), set()).add(t)
+            clashes = sorted(sid for sid, ts in seen.items() if len(ts) > 1)
+            if clashes:
+                ts = seen[clashes[0]]
+                expected = f"agent '{agent}' has the same state at times {min(ts)} and {max(ts)}"
+                break
+        runs = [f"r{r}" for r in range(n_runs)]
+        if expected is None:
+            Universe.from_state_ids(agents, runs, n_times - 1, ids, labels)
+        else:
+            refused += 1
+            with pytest.raises(InvariantViolation) as err:
+                Universe.from_state_ids(agents, runs, n_times - 1, ids, labels)
+            assert str(err.value) == f"synchronous universe: {expected}", case
+    assert 50 < refused < 350
+
+
 @pytest.mark.parametrize(
     "ids, labels",
     [
@@ -63,6 +99,22 @@ def test_time_ambiguity_names_agent_and_both_times():
 def test_from_state_ids_validates(ids, labels):
     with pytest.raises(InvariantViolation):
         Universe.from_state_ids(["a"], ["r0"], 1, [np.array(ids)], [labels])
+
+
+@pytest.mark.parametrize("synchronous", [True, False])
+@pytest.mark.parametrize(
+    "ids, labels, agent",
+    [
+        ([[[0, 1]], [[0, 2]]], [["x", "y"], ["x", "y", "z"]], "b"),  # b's id 1 unused
+        ([[[0, 1]], [[0, 1]]], [["x"], ["x", "y"]], "a"),  # a's id 1 has no label
+        ([[[0, 1]], [[-1, 0]]], [["x", "y"], ["x"]], "b"),
+        ([[[0, 10**12]], [[0, 1]]], [["x", "y"], ["x", "y"]], "a"),  # refused, not counted
+    ],
+)
+def test_from_state_ids_names_the_agent_with_bad_ids(ids, labels, agent, synchronous):
+    with pytest.raises(InvariantViolation, match=f"state ids of agent '{agent}' must use exactly"):
+        Universe.from_state_ids(["a", "b"], ["r0"], 1, np.array(ids), labels,
+                                synchronous=synchronous)
 
 
 def test_generated_universe_matches_callback_universe():

@@ -34,7 +34,7 @@ def scan_postfixed_join(P, k, psi, within_tables, pair_index, knows_tables):
     dtype = np.uint8 if P <= 8 else np.uint16 if P <= 16 else np.uint32
     within_tables = np.asarray(within_tables).astype(dtype)
     knows_tables = np.asarray(knows_tables).astype(dtype)
-    pair_index = np.asarray(pair_index)
+    pair_index = np.asarray(pair_index).tolist()
     psi = dtype(psi)
     masks = np.arange(n, dtype=dtype)
     rows = max(1, _BLOCK >> (P * (k - 1)))
@@ -45,20 +45,22 @@ def scan_postfixed_join(P, k, psi, within_tables, pair_index, knows_tables):
     others = [tuple(a for a in range(k) if a != j) for j in range(k)]
     join = np.zeros(k, dtype=np.int64)
     for start in range(0, n, rows):
-        coords = [masks[start : start + rows]] + [masks] * (k - 1)
+        # each axis holds a contiguous run of masks, so the tables are sliced
+        # to it: the first axis a block of rows, every other axis all masks
+        span = [slice(start, start + rows)] + [slice(None)] * (k - 1)
         ok = None
         for i in range(k):
             body = psi
             for j in range(k):
                 if j != i:
-                    body = body & on_axis(within_tables[pair_index[i, j]][coords[j]], j)
-            below = (on_axis(coords[i], i) & ~knows_tables[i][body]) == 0
+                    body = body & on_axis(within_tables[pair_index[i][j], span[j]], j)
+            below = (on_axis(masks[span[i]], i) & ~knows_tables[i][body]) == 0
             if ok is None:
                 ok = below
             else:
                 ok &= below
         for j in range(k):
-            join[j] |= int(np.bitwise_or.reduce(coords[j][ok.any(axis=others[j])]))
+            join[j] |= int(np.bitwise_or.reduce(masks[span[j]][ok.any(axis=others[j])]))
     return join
 
 

@@ -36,6 +36,7 @@ from .nested import verify_nested_characterization
 from .optimality import verify_optimal
 from .sampling import random_event, random_spec, random_universe
 from .scenarios import (
+    DEFAULT_RUN_CAP,
     ProtocolResult,
     ScenarioSpec,
     TCRInstance,
@@ -81,11 +82,22 @@ class _ParseError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_instance(args) -> TCRInstance:
     doc = _load_json(args.scenario)
     scenario = ScenarioSpec.from_json_dict(doc)
     if getattr(args, "no_never_run", False):
         scenario.include_never_run = False
+    scenario.run_cap = args.run_cap
     return generate_system(
         scenario, synchronous=not getattr(args, "async_mode", False)
     )
@@ -327,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop the run in which the trigger never fires")
         p.add_argument("--async-mode", action="store_true", dest="async_mode",
                        help="build the universe without the synchronous-clock check")
+        p.add_argument("--run-cap", type=_positive_int, default=DEFAULT_RUN_CAP,
+                       dest="run_cap", help="refuse scenarios that generate more runs "
+                       f"(default {DEFAULT_RUN_CAP}); checked before anything is allocated")
         p.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("generate", help="emit the generated universe")

@@ -14,7 +14,9 @@ instant in run r is at most t + d, so each step takes every coordinate's first
 instants, gives agent i the per-run threshold max_j(first_j[r] - delta(i, j))
 (deltas clamped to the horizon, inf acting like H, an empty run putting the
 threshold past H), ANDs it with psi and applies knows through the state ids.
-Events are built only for the final value; `apply_f` is one such step.
+The operands (psi's table, the negated reach matrix, the clock and the agents'
+state ids shifted into one id range) are built once per call.  Events are
+built only for the final value; `apply_f` is one such step.
 
 `timely_ck_g` is the companion fixed point that uses exact shifts instead of
 within-windows and skips unbounded pairs; it is the one the nested-knowledge
@@ -23,6 +25,9 @@ coordinate at the shifted time, and `apply_g` is one such step.  Both fixed
 points, the generic `gfp` on event tuples and the single-event fixed points
 (`event_gfp`: common, eventual and window common knowledge) run through one
 descent loop (`_descend`) with one descent check, iteration bound and trace.
+Each iteration makes one descent test, `nxt > cur`, and the loop stops when
+the coordinate sizes it records for the trace repeat: every accepted step lies
+inside its predecessor, so equal sizes mean equal iterates.
 
 `gfp_bruteforce_oracle` and `timely_ck_oracle` provide the independent check:
 enumerate every tuple in the (finite) lattice, keep the ones below their own
@@ -255,14 +260,17 @@ def _check_shapes(psi: Event, spec: TimingSpec, x: EventTuple) -> None:
         psi.universe.agent_index(a)
 
 
-def _operands(psi: Event, spec: TimingSpec, matrix: np.ndarray) -> tuple:
-    """The constants of one map: psi's table, the map's per-pair matrix, the
+def _operands(psi: Event, spec: TimingSpec, *constants) -> tuple:
+    """The operands of one map: psi's table, the map's own constants, the
     agents' state ids shifted into one shared id range and stacked to shape
     (k, n_runs, n_times), and the size of that range."""
     u = psi.universe
-    offsets = np.cumsum([0] + [u.n_state_classes(a) for a in spec.agents])
-    ids = np.stack([u.state_ids(a) + off for a, off in zip(spec.agents, offsets)])
-    return psi.table, matrix, ids, int(offsets[-1])
+    ids = np.empty((len(spec.agents), u.n_runs, u.n_times), dtype=np.int64)
+    n_ids = 0
+    for n, a in enumerate(spec.agents):
+        np.add(u.state_ids(a), n_ids, out=ids[n])
+        n_ids += u.n_state_classes(a)
+    return (psi.table, *constants, ids, n_ids)
 
 
 def _knows_all(body: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
@@ -275,26 +283,33 @@ def _knows_all(body: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
 def reach_matrix(spec: TimingSpec, universe: Universe) -> np.ndarray:
     """The (k, k) matrix of deltas clamped to the horizon, inf acting like H;
     the diagonal is so large that an agent's own coordinate never binds."""
-    k, h = len(spec.agents), universe.horizon
-    reach = np.full((k, k), 4 * universe.n_times, dtype=np.int64)
-    for ai, i in enumerate(spec.agents):
-        for aj, j in enumerate(spec.agents):
-            if ai != aj:
-                d = spec.delta(i, j)
-                reach[ai, aj] = h if d == INF else clamp_delta(d, h)
-    return reach
+    h = universe.horizon
+
+    def reach(i, j):
+        if i == j:
+            return 4 * universe.n_times
+        d = spec.delta(i, j)
+        return h if d == INF else clamp_delta(d, h)
+
+    return np.array([[reach(i, j) for j in spec.agents] for i in spec.agents], dtype=np.int64)
 
 
-def _window_step(x: np.ndarray, psi, reach, ids, n_ids) -> np.ndarray:
+def _window_operands(psi: Event, spec: TimingSpec) -> tuple:
+    """The window map's operands: its constants are the negated reach matrix
+    laid out as (k_i, k_j, 1) and the clock 0..H."""
+    u = psi.universe
+    return _operands(psi, spec, -reach_matrix(spec, u)[:, :, None], np.arange(u.n_times))
+
+
+def _window_step(x: np.ndarray, psi, lag, clock, ids, n_ids) -> np.ndarray:
     """The window map on coordinates stacked to shape (k, n_runs, n_times).
 
     within(x_j, d) holds at (r, t) iff t >= first_j[r] - d, so agent i's body
     is psi from the latest of those thresholds over its partners j on; knows
     then keeps the points whose whole state class lies in the body.
     """
-    start = (first_instants(x)[None, :, :] - reach[:, :, None]).max(axis=1)
-    body = psi & (np.arange(x.shape[2]) >= start[:, :, None])
-    return _knows_all(body, ids, n_ids)
+    start = (first_instants(x) + lag).max(axis=1)
+    return _knows_all(psi & (clock >= start[:, :, None]), ids, n_ids)
 
 
 def _shift_columns(spec: TimingSpec, universe: Universe) -> np.ndarray:
@@ -333,7 +348,7 @@ def _as_tuple(universe: Universe, agents: tuple, x: np.ndarray) -> EventTuple:
 def apply_f(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
     """One application of the window-based coordination map."""
     _check_shapes(psi, spec, x)
-    operands = _operands(psi, spec, reach_matrix(spec, psi.universe))
+    operands = _window_operands(psi, spec)
     return _as_tuple(psi.universe, spec.agents, _window_step(x.stacked(), *operands))
 
 
@@ -362,26 +377,31 @@ def _descend(step, start, universe: Universe, agents: tuple) -> GfpResult:
     from the top is the greatest fixed point.  Each strict step must remove at
     least one point from at least one coordinate, which bounds the iteration
     count; exceeding the bound, or any non-descending step, means the supplied
-    map was not monotone and is reported as an internal error.  Events are
-    built only for the final value.
+    map was not monotone and is reported as an internal error.  Since every
+    accepted step lies inside its predecessor, two iterates coincide exactly
+    when their coordinate sizes, recorded for the trace, do.  Events are built
+    only for the final value.
     """
-    bound = universe.n_points * len(agents) + 1
+    k = len(agents)
+    bound = universe.n_points * k + 1
     if start is None:
-        cur = np.ones((len(agents), universe.n_runs, universe.n_times), dtype=bool)
-        trace = [dict.fromkeys(agents, universe.n_points)]
+        cur = np.ones((k, universe.n_runs, universe.n_times), dtype=bool)
+        sizes = [universe.n_points] * k
     else:
         cur = start
-        trace = [dict(zip(agents, start.sum(axis=(1, 2)).tolist()))]
+        sizes = cur.reshape(k, -1).sum(axis=1).tolist()
+    trace = [dict(zip(agents, sizes))]
     for iteration in range(1, bound + 1):
         nxt = step(cur)
-        if (nxt & ~cur).any():
+        if (nxt > cur).any():
             raise InternalConsistencyError(
                 "fixed-point iteration did not descend; the map is not monotone"
             )
-        trace.append(dict(zip(agents, nxt.sum(axis=(1, 2)).tolist())))
-        if np.array_equal(nxt, cur):
+        new_sizes = nxt.reshape(k, -1).sum(axis=1).tolist()
+        trace.append(dict(zip(agents, new_sizes)))
+        if new_sizes == sizes:
             return GfpResult(_as_tuple(universe, agents, nxt), iteration, trace)
-        cur = nxt
+        cur, sizes = nxt, new_sizes
     raise InternalConsistencyError(
         f"fixed-point iteration failed to stabilize within {bound} steps"
     )
@@ -409,7 +429,7 @@ def event_gfp(step: Callable[[Event], Event], universe: Universe, agent: str) ->
 
 def timely_ck_info(psi: Event, spec: TimingSpec) -> GfpResult:
     """The greatest fixed point of the window map, with its iteration trace."""
-    operands = _operands(psi, spec, reach_matrix(spec, psi.universe))
+    operands = _window_operands(psi, spec)
     return _descend(lambda x: _window_step(x, *operands), None, psi.universe, spec.agents)
 
 

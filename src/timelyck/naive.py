@@ -4,7 +4,9 @@ Deliberately slow, loop-based transcriptions of the operator definitions.
 They share nothing with the vectorized implementations in `events` and serve
 as independent oracles in the test suite; the packed brute-force engines also
 build their lookup tables from these.  `n_scan_solutions` is the depth-first
-reference for the vectorized solution sweep in `_kernels`.
+reference for the vectorized solution sweep in `_kernels`, and
+`n_perfect_recall` the point-by-point reference for
+`Universe.exhibits_perfect_recall`.
 
 Events here are plain frozensets of (run_index, time) pairs.
 """
@@ -67,6 +69,20 @@ def n_knows(u: Universe, agent: str, e: PointSet) -> PointSet:
         ):
             out.add((r, t))
     return frozenset(out)
+
+
+def n_perfect_recall(u: Universe) -> bool:
+    """Whether equal state ids of an agent at any two points come with equal
+    sets of strictly earlier state ids along the respective runs."""
+    for agent in u.agents:
+        ids = u.state_ids(agent)
+        history: dict[int, frozenset] = {}
+        for r in range(u.n_runs):
+            for t in range(u.n_times):
+                prior = frozenset(int(s) for s in ids[r, :t])
+                if history.setdefault(int(ids[r, t]), prior) != prior:
+                    return False
+    return True
 
 
 def n_everyone_knows(u: Universe, agents: Iterable[str], e: PointSet) -> PointSet:

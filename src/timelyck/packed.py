@@ -7,9 +7,12 @@ images come from the definition-direct `naive.n_within` on single points,
 `knows` images from the state classes, each packed from the universe's
 state-id array with one scatter of bit weights.
 
-Used by the fixed-point oracle and by the local-ensemble enumeration in the
-coordination checks; `timely_ck_masks` descends a whole batch of target masks
-at once.
+Used by the fixed-point oracle, which builds all its operands in one pass
+(`packed_timely_ck_oracle`), and by the local-ensemble enumeration in the
+coordination checks.  `knows_tables` writes several agents' knows tables into
+one array and `knows_table` is its one-agent case; `tables` unpacks several
+masks with one shift-and-mask and `unpack` is its one-mask case;
+`timely_ck_masks` descends a whole batch of target masks at once.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class PackedSpace:
         self.universe = universe
         self.n_bits = universe.n_points
         self.full_mask = (1 << self.n_bits) - 1
-        self._weights = 1 << np.arange(self.n_bits, dtype=np.int64)
+        self._shifts = np.arange(self.n_bits, dtype=np.int64)
+        self._weights = 1 << self._shifts
         self._within_full: dict[DeltaValue, np.ndarray] = {}
         self._knows_full: dict[str, np.ndarray] = {}
 
@@ -59,9 +63,14 @@ class PackedSpace:
         return int(self._weights[e.table.ravel()].sum())
 
     def unpack(self, mask: int) -> Event:
+        return Event(self.universe, self.tables(mask))
+
+    def tables(self, masks) -> np.ndarray:
+        """The membership tables of packed masks, shape
+        masks.shape + (n_runs, n_times)."""
         u = self.universe
-        flat = (int(mask) >> np.arange(self.n_bits)) & 1
-        return Event(u, flat.astype(bool).reshape(u.n_runs, u.n_times))
+        bits = (np.asarray(masks, dtype=np.int64)[..., None] >> self._shifts) & 1
+        return bits.astype(bool).reshape(bits.shape[:-1] + (u.n_runs, u.n_times))
 
     def _pack_pointset(self, pts) -> int:
         mask = 0
@@ -87,23 +96,29 @@ class PackedSpace:
             # masks with top bit b map to their image without b, plus b's image
             tab = np.zeros(1 << self.n_bits, dtype=np.int64)
             for b, single in enumerate(singles):
-                tab[1 << b : 2 << b] = tab[: 1 << b] | single
+                np.bitwise_or(tab[: 1 << b], single, out=tab[1 << b : 2 << b])
             self._within_full[key] = tab
         return tab
 
     def knows_table(self, agent: str) -> np.ndarray:
-        """knows(agent, .) for every possible event mask: the union of the
-        state classes the mask contains."""
+        """knows(agent, .) for every possible event mask."""
         tab = self._knows_full.get(agent)
         if tab is None:
-            cms = self.class_masks(agent)
-            tab = np.empty(1 << self.n_bits, dtype=np.int64)
-            for start in range(0, tab.size, _KNOWS_ROWS):
-                masks = np.arange(start, min(start + _KNOWS_ROWS, tab.size), dtype=np.int64)
-                # classes are disjoint, so summing the contained ones ORs them
-                tab[start : start + masks.size] = ((masks[:, None] & cms) == cms) @ cms
-            self._knows_full[agent] = tab
+            tab = self._knows_full[agent] = self.knows_tables((agent,))[0]
         return tab
+
+    def knows_tables(self, agents) -> np.ndarray:
+        """knows(a, .) for every possible event mask, one row per agent: the
+        union of the agent's state classes that the mask contains."""
+        n = 1 << self.n_bits
+        classes = [self.class_masks(a) for a in agents]
+        out = np.empty((len(classes), n), dtype=np.int64)
+        for start in range(0, n, _KNOWS_ROWS):
+            masks = np.arange(start, min(start + _KNOWS_ROWS, n), dtype=np.int64)[:, None]
+            for a, cms in enumerate(classes):
+                # classes are disjoint, so summing the contained ones ORs them
+                out[a, start : start + masks.size] = ((masks & cms) == cms) @ cms
+        return out
 
     def class_masks(self, agent: str) -> np.ndarray:
         """The bitmask of each of the agent's state classes, by state id."""
@@ -145,33 +160,31 @@ class PackedSpace:
 def packed_timely_ck_oracle(psi: Event, spec) -> "EventTuple":
     """Tarski sweep: join of every tuple below its packed image.
 
-    The numpy kernel walks all 2^(P * k) packed tuples.
+    Each pair's delta is clamped once and each distinct clamped delta fetches
+    one `within` table; every agent's `knows` table is written into one
+    (k, 2^P) array.  The numpy kernel walks all 2^(P * k) packed tuples, and
+    the k joined masks are unpacked together.
     """
     from .fixpoint import EventTuple
 
-    space = PackedSpace(psi.universe)
+    u = psi.universe
+    space = PackedSpace(u)
     agents = spec.agents
-    k = len(agents)
+    key_of: dict = {}  # clamped delta -> its row of the within tables
 
-    pair_index = np.zeros((k, k), dtype=np.int64)
-    tables = []
-    key_of = {}
-    for ai, i in enumerate(agents):
-        for aj, j in enumerate(agents):
-            if ai == aj:
-                continue
-            d = spec.delta(i, j)
-            key = clamp_delta(d, psi.universe.horizon)
-            if key not in key_of:
-                key_of[key] = len(tables)
-                tables.append(space.within_table(key))
-            pair_index[ai, aj] = key_of[key]
-    within_tables = np.stack(tables) if tables else np.zeros((1, 1 << space.n_bits), np.int64)
-    knows_tables = np.stack([space.knows_table(i) for i in agents])
+    def row(i, j):
+        return key_of.setdefault(clamp_delta(spec.delta(i, j), u.horizon), len(key_of))
 
+    pair_index = np.array(
+        [[0 if i == j else row(i, j) for j in agents] for i in agents], dtype=np.int64
+    )
+    if key_of:
+        within_tables = np.array([space.within_table(key) for key in key_of])
+    else:
+        within_tables = np.zeros((1, 1 << space.n_bits), dtype=np.int64)
     join = scan_postfixed_join(
-        space.n_bits, k, space.pack(psi), within_tables, pair_index, knows_tables
+        space.n_bits, len(agents), space.pack(psi), within_tables, pair_index,
+        space.knows_tables(agents),
     )
-    return EventTuple(
-        psi.universe, {a: space.unpack(int(join[ai])) for ai, a in enumerate(agents)}
-    )
+    x = space.tables(join)
+    return EventTuple(u, {a: Event(u, x[n]) for n, a in enumerate(agents)})

@@ -43,6 +43,9 @@ from .fixpoint import EventTuple, TimingSpec, timely_ck, tuple_union
 from .universe import INF, Universe
 
 
+DEFAULT_RUN_CAP = 2048  # runs a generated scenario may have; `--run-cap` sets it
+
+
 @dataclass
 class ScenarioSpec:
     agents: tuple
@@ -52,7 +55,7 @@ class ScenarioSpec:
     actions: dict  # agent -> action label
     include_never_run: bool = True
     horizon: int | None = None
-    run_cap: int = 2048
+    run_cap: int = DEFAULT_RUN_CAP
 
     def __post_init__(self):
         self.agents = tuple(self.agents)

@@ -144,7 +144,8 @@ class Universe:
     ) -> "Universe":
         """A universe from interned states: per agent, an integer array of shape
         (n_runs, n_times) of ids 0..n-1 (every id used) and the n distinct
-        labels the ids stand for."""
+        labels the ids stand for.  An int64 array is kept without a copy and
+        made read-only."""
         u = cls.__new__(cls)
         u._set_geometry(agents, runs, horizon, synchronous)
         u._set_states(state_ids, labels)
@@ -175,9 +176,10 @@ class Universe:
         self._id_labels = []
         self._n_classes = []
         for agent, ids, names in zip(self.agents, state_ids, labels):
-            if not np.issubdtype(np.asarray(ids).dtype, np.integer):
+            ids = np.asarray(ids)
+            if ids.dtype.kind not in "iu":
                 raise InvariantViolation(f"state ids of agent {agent!r} must be integers")
-            ids = np.array(ids, dtype=np.int64)
+            ids = ids.astype(np.int64, copy=False)
             names = list(names)
             if ids.shape != (self.n_runs, self.n_times):
                 raise InvariantViolation(
@@ -270,19 +272,24 @@ class Universe:
     def exhibits_perfect_recall(self) -> bool:
         """Whether every agent's current state determines its set of past states.
 
-        Checked literally: for each agent, equal state ids at any two points
-        must come with equal sets of strictly earlier state ids along the
-        respective runs.
+        For each agent, equal state ids at any two points must come with equal
+        sets of strictly earlier state ids along the respective runs.  Each
+        point's set is packed into ceil(classes / 64) words, as a running OR
+        along its run, and compared with the set at the first point of its id.
+        `naive.n_perfect_recall` is the point-by-point reference.
         """
-        for ids in self._state_ids:
-            history: dict[int, frozenset] = {}
-            for ri in range(self.n_runs):
-                row = ids[ri]
-                for t in range(self.n_times):
-                    prior = frozenset(int(s) for s in row[:t])
-                    sid = int(row[t])
-                    if history.setdefault(sid, prior) != prior:
-                        return False
+        rows = np.arange(self.n_points)
+        for ids, n in zip(self._state_ids, self._n_classes):
+            flat = ids.ravel()
+            bit = np.zeros((self.n_points, -(-n // 64)), dtype=np.uint64)
+            bit[rows, flat >> 6] = np.left_shift(np.uint64(1), (flat & 63).astype(np.uint64))
+            bit = bit.reshape(self.n_runs, self.n_times, -1)
+            earlier = np.zeros_like(bit)
+            np.bitwise_or.accumulate(bit[:, :-1], axis=1, out=earlier[:, 1:])
+            earlier = earlier.reshape(self.n_points, -1)
+            first = np.unique(flat, return_index=True)[1]
+            if (earlier != earlier[first[flat]]).any():
+                return False
         return True
 
     # -- serialization -------------------------------------------------------

@@ -100,19 +100,24 @@ def _points(space, mask):
 
 
 def test_every_knows_table_entry_matches_the_literal_evaluator():
+    # per agent, and in the joint (k, 2^P) array with the agents reversed
     rng = np.random.default_rng(29)
     seen = {True: 0, False: 0}
     for case in range(40):
         synchronous = case % 2 == 0
-        u = random_universe(rng, n_agents=2, bit_budget=16, max_runs=3, max_times=4,
-                            synchronous=synchronous)
+        u = random_universe(rng, n_agents=2 + case % 3 // 2, bit_budget=16, max_runs=3,
+                            max_times=4, synchronous=synchronous)
         seen[synchronous] += 1
         space = PackedSpace(u)
-        for agent in u.agents:
+        order = u.agents[::-1]
+        joint = space.knows_tables(order)
+        assert joint.shape == (len(order), 1 << space.n_bits)
+        for row, agent in enumerate(order):
             table = space.knows_table(agent)
             for mask in range(1 << space.n_bits):
-                want = naive.n_knows(u, agent, _points(space, mask))
-                assert table[mask] == space._pack_pointset(want), (case, agent, mask)
+                want = space._pack_pointset(naive.n_knows(u, agent, _points(space, mask)))
+                assert table[mask] == want, (case, agent, mask)
+                assert joint[row, mask] == want, (case, agent, mask)
     assert min(seen.values()) >= 20
 
 
@@ -130,10 +135,13 @@ def test_unpack_inverts_pack():
     for _ in range(50):
         u = random_universe(rng, n_agents=2, max_runs=3, max_times=4)
         space = PackedSpace(u)
-        e = random_event(rng, u)
-        mask = space.pack(e)
-        assert mask == sum(1 << (r * u.n_times + t) for r, t in naive.point_set(e))
-        assert space.unpack(mask) == e
+        events = [random_event(rng, u) for _ in range(3)]
+        masks = [space.pack(e) for e in events]
+        for e, mask in zip(events, masks):
+            assert mask == sum(1 << (r * u.n_times + t) for r, t in naive.point_set(e))
+            assert space.unpack(mask) == e
+        # several masks at once, in their order
+        assert np.array_equal(space.tables(np.array(masks)), np.stack([e.table for e in events]))
 
 
 # -- the grid tuple sweep ---------------------------------------------------------

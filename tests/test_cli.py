@@ -293,6 +293,57 @@ def test_async_mode_flag(tmp_path):
     assert json.loads(out.read_text())["universe"]["synchronous"] is False
 
 
+def _rung_2501(tmp_path):
+    """4 agents, trigger times 0..3 and delay window [0, 4]: 4 * 5^4 + 1 runs."""
+    agents = ["a", "b", "c", "d"]
+    doc = {
+        "agents": agents,
+        "trigger_times": [0, 1, 2, 3],
+        "obs_delay": {a: [0, 4] for a in agents},
+        "delta": {f"{i}->{j}": 0 for i in agents for j in agents if i != j},
+        "actions": {a: "respond" for a in agents},
+    }
+    path = tmp_path / "rung.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_run_cap_flag_admits_the_2501_run_rung(tmp_path):
+    out = tmp_path / "result.json"
+    proc = run_cli("solve", _rung_2501(tmp_path), "--run-cap", "4096", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert len(doc["runs"]) == 2501
+    assert doc["verdict"]["solvable"] is True
+
+
+def test_default_run_cap_still_refuses_the_2501_run_rung(tmp_path):
+    proc = run_cli("solve", _rung_2501(tmp_path))
+    assert proc.returncode == 4
+    assert "scenario generates 2501 runs, above the cap 2048" in proc.stderr
+
+
+@pytest.mark.parametrize("verb", ["generate", "gfp", "solve", "verify", "oracle"])
+def test_every_scenario_verb_takes_the_run_cap(tmp_path, verb):
+    # tight_pair generates 4 runs: three delays of b, and the never-run
+    extra = []
+    if verb == "verify":
+        result = tmp_path / "result.json"
+        run_cli("solve", PKG_DATA["tight_pair"], "-o", str(result))
+        extra = [str(result)]
+    proc = run_cli(verb, PKG_DATA["tight_pair"], *extra, "--run-cap", "3")
+    assert proc.returncode == 4
+    assert "scenario generates 4 runs, above the cap 3" in proc.stderr
+    assert run_cli(verb, PKG_DATA["tight_pair"], *extra, "--run-cap", "4").returncode == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "x"])
+def test_run_cap_must_be_a_positive_integer(cap):
+    proc = run_cli("solve", PKG_DATA["tight_pair"], "--run-cap", cap)
+    assert proc.returncode == 2
+    assert "--run-cap" in proc.stderr
+
+
 @pytest.mark.parametrize("backend", ["auto", "0"])
 def test_determinism_across_backends(tmp_path, backend):
     # numpy is the only kernel backend; a leftover TIMELYCK_NUMBA setting

@@ -255,7 +255,8 @@ def _apply_f_by_within(psi, spec, x):
 
 def test_array_descent_matches_within_composed_map():
     # the stacked first-instant descent gives the value, iteration count and
-    # trace of the generic gfp over the map composed from `within`
+    # trace of the generic gfp over the map composed from `within`, and of the
+    # generic gfp over `apply_f`
     rng = np.random.default_rng(41)
     seen = dict(asynchronous=0, inf_pair=0, beyond_horizon=0, huge=0, empty_psi=0,
                 emptied_run=0)
@@ -279,9 +280,11 @@ def test_array_descent_matches_within_composed_map():
         spec = TimingSpec(u.agents, delta)
         psi = Event.empty(u) if rng.random() < 0.1 else random_event(rng, u)
         got = timely_ck_info(psi, spec)
-        want = gfp(lambda x: _apply_f_by_within(psi, spec, x), EventTuple.top(u, u.agents))
-        assert got.value == want.value
-        assert (got.iterations, got.trace) == (want.iterations, want.trace)
+        top = EventTuple.top(u, u.agents)
+        for step in (lambda x: _apply_f_by_within(psi, spec, x), lambda x: apply_f(psi, spec, x)):
+            want = gfp(step, top)
+            assert got.value == want.value
+            assert (got.iterations, got.trace) == (want.iterations, want.trace)
         x = random_tuple(rng, u, u.agents)
         image = apply_f(psi, spec, x)
         assert image == _apply_f_by_within(psi, spec, x)
@@ -303,6 +306,7 @@ def test_array_descent_matches_within_composed_map():
             for r in range(u.n_runs)
         )
     assert all(n >= 10 for n in seen.values()), seen
+    assert all(seen[key] >= 20 for key in ("asynchronous", "inf_pair", "huge", "empty_psi")), seen
 
 
 def test_array_descent_rejects_a_step_that_does_not_descend(toy, monkeypatch):
@@ -312,6 +316,19 @@ def test_array_descent_rejects_a_step_that_does_not_descend(toy, monkeypatch):
     monkeypatch.setattr(fixpoint, "_window_step", lambda x, *operands: ~x)
     with pytest.raises(InternalConsistencyError, match="did not descend"):
         timely_ck_info(Event.full(toy), spec2())
+
+
+def test_descent_rejects_a_step_that_moves_points_but_keeps_sizes(toy):
+    # sizes that repeat end the descent only because every accepted step lies
+    # inside its predecessor; a step that moves each coordinate's points one
+    # time later keeps the sizes and must still be refused
+    start = EventTuple(toy, {a: Event(toy, np.eye(2, 4, dtype=bool)) for a in ("a", "b")})
+
+    def later(x):
+        return EventTuple(toy, {a: Event(toy, np.roll(x[a].table, 1, axis=1)) for a in x.agents})
+
+    with pytest.raises(InternalConsistencyError, match="did not descend"):
+        gfp(later, start)
 
 
 def _apply_g_by_shift(psi, spec, x):

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import timelyck
+from timelyck import naive
 from timelyck.errors import InvariantViolation
-from timelyck.sampling import random_spec
-from timelyck.scenarios import generate_system, make_scenario
+from timelyck.sampling import random_spec, random_universe
+from timelyck.scenarios import ScenarioSpec, generate_system, make_scenario
 from timelyck.universe import INF, Universe, check_delta, clamp_delta
 
 
@@ -160,6 +162,48 @@ def test_perfect_recall(toy, toy_forgetful, single_run):
     assert toy.exhibits_perfect_recall()
     assert single_run.exhibits_perfect_recall()
     assert not toy_forgetful.exhibits_perfect_recall()
+
+
+def _two_runs(horizon: int, diverge_at: int | None) -> Universe:
+    """One agent, two runs of time-stamped states; run r1 sees "y" instead of
+    "x" at time `diverge_at`.  After that time the runs' states are equal but
+    their earlier states differ in one id, the one r1 interns after r0's."""
+    states = {}
+    for run in ("r0", "r1"):
+        for t in range(horizon + 1):
+            states[("a", run, t)] = (t, "y" if run == "r1" and t == diverge_at else "x")
+    return Universe(["a"], ["r0", "r1"], horizon, states)
+
+
+def test_perfect_recall_matches_point_by_point_reference(toy_forgetful):
+    rng = np.random.default_rng(59)
+    seen = {"synchronous": 0, "asynchronous": 0, "recall": 0, "forgets": 0, "words": 0}
+    for case in range(360):
+        kind = ("synchronous", "asynchronous", "recall")[case % 3]
+        u = random_universe(rng, n_agents=1 + case % 4 % 3, max_runs=4,
+                            max_times=70 if kind == "recall" else 6,
+                            recall=kind == "recall", synchronous=kind != "asynchronous")
+        got = u.exhibits_perfect_recall()
+        assert got == naive.n_perfect_recall(u), case
+        seen[kind] += 1
+        seen["forgets"] += not got
+        seen["words"] += max(u.n_state_classes(a) for a in u.agents) > 64
+    assert min(seen.values()) >= 20, seen
+
+    bundled = sorted(timelyck.bundled_scenario_path("car_wash").parent.glob("*.json"))
+    assert len(bundled) == 8
+    for name in bundled:
+        doc = json.loads(name.read_text())
+        u = generate_system(ScenarioSpec.from_json_dict(doc)).universe
+        assert u.exhibits_perfect_recall() == naive.n_perfect_recall(u), name
+    cases = [
+        (toy_forgetful, False),
+        (_two_runs(69, None), True),  # 70 classes, two words
+        (_two_runs(69, 67), False),  # ids 67 and 70, in the second word
+        (_two_runs(36, 5), False),  # ids 5 and 37, 32 bits apart in one word
+    ]
+    for u, want in cases:
+        assert u.exhibits_perfect_recall() == naive.n_perfect_recall(u) == want
 
 
 def test_json_round_trip(toy):

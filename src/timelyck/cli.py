@@ -82,14 +82,17 @@ class _ParseError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _load_instance(args) -> TCRInstance:
@@ -339,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop the run in which the trigger never fires")
         p.add_argument("--async-mode", action="store_true", dest="async_mode",
                        help="build the universe without the synchronous-clock check")
-        p.add_argument("--run-cap", type=_positive_int, default=DEFAULT_RUN_CAP,
+        p.add_argument("--run-cap", type=_int_at_least(1), default=DEFAULT_RUN_CAP,
                        dest="run_cap", help="refuse scenarios that generate more runs "
                        f"(default {DEFAULT_RUN_CAP}); checked before anything is allocated")
         p.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
@@ -374,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=50,
                    help="random universes for the fixed-point sweep")
-    p.add_argument("--oracle-guard", type=int, default=16, dest="oracle_guard",
-                   help="max universe-points times agents for the tuple sweep")
+    # the sweep samples up to 3 agents, and the smallest universe has 1 run of 2 times
+    p.add_argument("--oracle-guard", type=_int_at_least(6), default=16, dest="oracle_guard",
+                   help="max universe-points times agents for the tuple sweep (at least 6)")
     p.add_argument("--guard", type=int, default=10**6,
                    help="candidate guard for the exhaustive solution sweep")
     p.add_argument("--explicit-paths", action="store_true", dest="explicit_paths",

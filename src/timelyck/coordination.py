@@ -19,15 +19,14 @@ event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation, SizeGuardExceeded
-from .events import Event, eventually, first_instants, is_local
+from .events import Event, eventually, first_instants, is_local, window_cover
 from .fixpoint import EventTuple, TimingSpec, apply_f, reach_matrix, timely_ck, tuple_union
 from .packed import PackedSpace
-from .universe import Universe, check_delta
+from .universe import Universe
 
 
 class Ensemble:
@@ -97,25 +96,10 @@ def is_eventually_coordinated(ensemble) -> bool:
 
 
 def is_epsilon_coordinated(ensemble, eps: int) -> bool:
-    """Every occurrence sits in a length-eps window meeting every coordinate."""
-    eps = check_delta(eps, finite_only=True)
-    if eps < 0:
-        raise InvariantViolation("epsilon must be nonnegative")
-    tup = _coords(ensemble)
-    u = tup.universe
-    eps = min(eps, u.horizon)
-    for i in tup.agents:
-        for r, t in zip(*np.nonzero(tup[i].table)):
-            found = False
-            for a in range(max(0, t - eps), min(t, u.horizon - eps) + 1):
-                if all(
-                    tup[j].table[r, a : a + eps + 1].any() for j in tup.agents
-                ):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True
+    """Every occurrence sits in a length-eps window meeting every coordinate;
+    the literal point quantifier is `naive.n_epsilon_coordinated`."""
+    tables = _coords(ensemble).stacked()
+    return not (tables & ~window_cover(tables, eps)).any()
 
 
 # -- local-ensemble enumeration ----------------------------------------------------
@@ -130,27 +114,26 @@ def local_event_masks(space: PackedSpace, agent: str) -> np.ndarray:
     return ((picks[:, None] >> np.arange(classes.size)) & 1) @ classes
 
 
-def count_local_ensembles(universe: Universe, agents) -> int:
-    total = 1
-    for agent in agents:
-        total *= 1 << universe.n_state_classes(agent)
-    return total
+def local_combinations(space: PackedSpace, agents, guard: int) -> np.ndarray:
+    """Every combination of the agents' local events as packed masks, an
+    (n_combos, k) array in `itertools.product` order.  The count, the product
+    of 2^classes over the agents, is checked against `guard` before any mask
+    is built."""
+    total = 1 << sum(space.universe.n_state_classes(a) for a in agents)
+    if total > guard:
+        raise SizeGuardExceeded(
+            f"{total} local ensembles exceed the enumeration guard {guard}"
+        )
+    grid = np.meshgrid(*[local_event_masks(space, a) for a in agents], indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=1)
 
 
 def enumerate_local_ensembles(universe: Universe, agents, *, guard: int = 50_000):
     """Yield every ensemble of local events, one per combination of class unions."""
     agents = tuple(agents)
-    total = count_local_ensembles(universe, agents)
-    if total > guard:
-        raise SizeGuardExceeded(
-            f"{total} local ensembles exceed the enumeration guard {guard}"
-        )
     space = PackedSpace(universe)
-    per_agent = [local_event_masks(space, a) for a in agents]
-    for combo in product(*per_agent):
-        yield EventTuple(
-            universe, {a: space.unpack(m) for a, m in zip(agents, combo)}
-        )
+    for combo in local_combinations(space, agents, guard):
+        yield EventTuple(universe, {a: space.unpack(m) for a, m in zip(agents, combo)})
 
 
 # -- the correspondence report ---------------------------------------------------
@@ -229,28 +212,22 @@ def verify_greatest_coordinated_ensemble(
     psi_mask = space.pack(psi)
     xi_masks = np.array([space.pack(xi[a]) for a in agents], dtype=np.int64)
 
-    total = count_local_ensembles(u, agents)
-    if total > enum_guard:
-        raise SizeGuardExceeded(
-            f"{total} local ensembles exceed the enumeration guard {enum_guard}"
-        )
-    per_agent = [local_event_masks(space, a) for a in agents]
-    grid = np.meshgrid(*per_agent, indexing="ij")
-    combos = np.stack([g.ravel() for g in grid], axis=1)
+    combos = local_combinations(space, agents, enum_guard)
     report.enumerated = combos.shape[0]
 
+    within, pair_index, knows = space.map_tables(spec)
     coordinated = np.ones(combos.shape[0], dtype=bool)
-    for a_i, i in enumerate(agents):
-        for a_j, j in enumerate(agents):
-            if a_i != a_j:
-                answered = space.within_table(spec.delta(i, j))[combos[:, a_j]]
-                coordinated &= (combos[:, a_i] & ~answered) == 0
+    for i in range(len(agents)):
+        for j in range(len(agents)):
+            if i != j:
+                answered = within[pair_index[i, j]][combos[:, j]]
+                coordinated &= (combos[:, i] & ~answered) == 0
     combos = combos[coordinated]
     unions = np.bitwise_or.reduce(combos, axis=1)
 
     distinct, first, inverse = np.unique(unions, return_index=True, return_inverse=True)
     order = np.argsort(first)  # the distinct unions in first-appearance order
-    cks = space.timely_ck_masks(distinct[order], spec)
+    cks = space.timely_ck_masks(distinct[order], within, pair_index, knows)
     ck = cks[np.argsort(order)[inverse]]  # each combination's union's fixed point
     ck_unions = np.bitwise_or.reduce(ck, axis=1)
 

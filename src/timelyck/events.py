@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvariantViolation, UniverseMismatch
 from .universe import INF, DeltaValue, Point, Universe, check_delta, clamp_delta
@@ -158,6 +159,23 @@ def first_instants(table: np.ndarray) -> np.ndarray:
     """
     n_times = table.shape[-1]
     return np.where(table.any(axis=-1), table.argmax(axis=-1), 2 * n_times)
+
+
+def window_cover(tables: np.ndarray, eps: int) -> np.ndarray:
+    """The points of a (n_runs, n_times) grid that lie in some window
+    {a .. a+eps} inside 0..H in which each of the stacked (m, n_runs, n_times)
+    tables holds somewhere; eps is clamped to the horizon.
+
+    The first sliding reduction marks the window starts every table hits, the
+    second, over those marks padded by eps on each side, the points they cover.
+    """
+    eps = check_delta(eps, finite_only=True)
+    if eps < 0:
+        raise InvariantViolation("window width must be nonnegative")
+    eps = min(eps, tables.shape[-1] - 1)
+    hit = sliding_window_view(tables, eps + 1, axis=-1).any(axis=-1).all(axis=0)
+    padded = np.pad(hit, ((0, 0), (eps, eps)))
+    return sliding_window_view(padded, eps + 1, axis=-1).any(axis=-1)
 
 
 def within(e: Event, eps: DeltaValue) -> Event:

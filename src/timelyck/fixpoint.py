@@ -31,9 +31,10 @@ inside its predecessor, so equal sizes mean equal iterates.
 
 `gfp_bruteforce_oracle` and `timely_ck_oracle` provide the independent check:
 enumerate every tuple in the (finite) lattice, keep the ones below their own
-image, and join them.  The packed oracle builds its operator tables from the
-definition-direct evaluators in `naive`, so it shares no operator code with
-the iterative engine.
+image, and join them.  The packed oracle takes its operator tables from
+`PackedSpace.map_tables`, which builds them from the definition-direct
+evaluators in `naive`, so it shares no operator code with the iterative
+engine.
 """
 
 from __future__ import annotations
@@ -43,13 +44,15 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from ._kernels import scan_postfixed_join
 from .errors import (
     InternalConsistencyError,
     InvariantViolation,
     SizeGuardExceeded,
     UniverseMismatch,
 )
-from .events import Event, eventually, first_instants, knows
+from .events import Event, eventually, first_instants, knows, window_cover
+from .packed import PackedSpace
 from .universe import (
     INF,
     DeltaValue,
@@ -101,9 +104,6 @@ class TimingSpec:
 
     def pairs(self):
         return [(i, j) for i in self.agents for j in self.agents if i != j]
-
-    def others(self, i: str):
-        return [j for j in self.agents if j != i]
 
     def normalized(self, horizon: int) -> tuple["TimingSpec", dict]:
         """Clamp finite deltas into the behaviorally distinct range for `horizon`.
@@ -201,9 +201,6 @@ class EventTuple:
         return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None
-
-    def sizes(self) -> dict[str, int]:
-        return {a: self.coords[a].size for a in self.agents}
 
     def stacked(self) -> np.ndarray:
         """The coordinates' tables stacked to shape (k, n_runs, n_times)."""
@@ -486,8 +483,6 @@ def gfp_bruteforce_oracle(
     Independent of the iterative computation: no fixed-point iteration at all,
     just a sweep of the entire tuple lattice.  Exponential, hence guarded.
     """
-    from .packed import PackedSpace
-
     agents = tuple(agents)
     p = universe.n_points
     _oracle_bits(universe, len(agents), guard_bits)
@@ -511,16 +506,18 @@ def timely_ck_oracle(
     *,
     guard_bits: int = DEFAULT_ORACLE_GUARD_BITS,
 ) -> EventTuple:
-    """Packed-bitmask version of the Tarski sweep for the window-based map.
+    """Packed-bitmask version of the Tarski sweep for the window-based map:
+    the join of every tuple below its packed image.
 
-    Operator tables come from the definition-direct evaluators, the sweep runs
-    in a vectorized numpy kernel; nothing is shared with `timely_ck` except
-    the universe itself.
+    The operator tables come from the definition-direct evaluators, and the
+    numpy kernel walks all 2^(P * k) packed tuples; nothing is shared with
+    `timely_ck` except the universe itself.
     """
-    from .packed import packed_timely_ck_oracle
-
-    _oracle_bits(psi.universe, len(spec.agents), guard_bits)
-    return packed_timely_ck_oracle(psi, spec)
+    u, k = psi.universe, len(spec.agents)
+    _oracle_bits(u, k, guard_bits)
+    space = PackedSpace(u)
+    join = scan_postfixed_join(space.n_bits, k, space.pack(psi), *space.map_tables(spec))
+    return _as_tuple(u, spec.agents, space.tables(join))
 
 
 # -- degenerate fixed points ---------------------------------------------------
@@ -542,34 +539,13 @@ def eventual_ck(agents: Iterable[str], psi: Event) -> Event:
 
 
 def window_everyone_knows(agents: Iterable[str], e: Event, eps: int) -> Event:
-    """Points covered by a length-eps time window in which every agent knows `e`.
+    """Points covered by a length-eps time window in which every agent knows `e`
+    somewhere.
 
     A window is a full interval {a .. a+eps} inside 0..H containing the point's
     time; eps is clamped to the horizon, where the single window is 0..H.
     """
-    agents = tuple(agents)
-    eps = check_delta(eps, finite_only=True)
-    if eps < 0:
-        raise InvariantViolation("window width must be nonnegative")
-    u = e.universe
-    eps = min(eps, u.horizon)
-    n_starts = u.n_times - eps
-
-    per_agent_hit = []
-    for i in agents:
-        k = knows(i, e).table
-        hit = np.zeros((u.n_runs, n_starts), dtype=bool)
-        for off in range(eps + 1):
-            hit |= k[:, off : off + n_starts]
-        per_agent_hit.append(hit)
-    window_ok = per_agent_hit[0]
-    for hit in per_agent_hit[1:]:
-        window_ok = window_ok & hit
-
-    out = np.zeros((u.n_runs, u.n_times), dtype=bool)
-    for a in range(n_starts):
-        out[:, a : a + eps + 1] |= window_ok[:, a : a + 1]
-    return Event(u, out)
+    return Event(e.universe, window_cover(np.stack([knows(i, e).table for i in agents]), eps))
 
 
 def epsilon_ck(agents: Iterable[str], psi: Event, eps: int) -> Event:

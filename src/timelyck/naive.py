@@ -4,9 +4,10 @@ Deliberately slow, loop-based transcriptions of the operator definitions.
 They share nothing with the vectorized implementations in `events` and serve
 as independent oracles in the test suite; the packed brute-force engines also
 build their lookup tables from these.  `n_scan_solutions` is the depth-first
-reference for the vectorized solution sweep in `_kernels`, and
+reference for the vectorized solution sweep in `_kernels`,
 `n_perfect_recall` the point-by-point reference for
-`Universe.exhibits_perfect_recall`.
+`Universe.exhibits_perfect_recall`, and `n_epsilon_coordinated` the literal
+window quantifier behind `coordination.is_epsilon_coordinated`.
 
 Events here are plain frozensets of (run_index, time) pairs.
 """
@@ -102,14 +103,6 @@ def n_common_knowledge(u: Universe, agents: Iterable[str], e: PointSet) -> Point
         cur = nxt
 
 
-def n_is_local(u: Universe, agent: str, e: PointSet) -> bool:
-    return n_knows(u, agent, e) == e
-
-
-def n_is_stable(u: Universe, e: PointSet) -> bool:
-    return n_within(u, e, 0) == e
-
-
 def n_delta_coordinated(
     u: Universe, coords: Mapping[str, PointSet], delta: Mapping[tuple, DeltaValue]
 ) -> bool:
@@ -120,6 +113,21 @@ def n_delta_coordinated(
         for i in coords
         for j in coords
         if i != j
+        for r, t in coords[i]
+    )
+
+
+def n_epsilon_coordinated(u: Universe, coords: Mapping[str, PointSet], eps: int) -> bool:
+    """Every point of every coordinate lies in some window {a .. a+eps} inside
+    0..H (eps clamped to the horizon) in which every coordinate has a point of
+    that run."""
+    eps = min(eps, u.horizon)
+    return all(
+        any(
+            all(any((r, t2) in coords[j] for t2 in range(a, a + eps + 1)) for j in coords)
+            for a in range(max(0, t - eps), min(t, u.horizon - eps) + 1)
+        )
+        for i in coords
         for r, t in coords[i]
     )
 

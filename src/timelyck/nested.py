@@ -60,6 +60,12 @@ def finite_successors(spec: TimingSpec, agent: str) -> list[str]:
     return [j for j in spec.agents if j != agent and is_finite_delta(spec.delta(agent, j))]
 
 
+def _extend_paths(spec: TimingSpec, frontier: list) -> list[DeltaPath]:
+    """Each path of the frontier extended by each finite-bound successor of its
+    last agent, in spec agent order."""
+    return [path + (succ,) for path in frontier for succ in finite_successors(spec, path[-1])]
+
+
 def paths_are_finite(spec: TimingSpec) -> bool:
     """Whether the finite-bound graph is acyclic, making the path set finite."""
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -85,16 +91,11 @@ def enumerate_paths(spec: TimingSpec, start: str, max_len: int) -> list[DeltaPat
         raise InvariantViolation(f"start agent {start!r} is not in the timing spec")
     if max_len < 1:
         raise InvariantViolation("max_len must be positive")
-    order = {a: k for k, a in enumerate(spec.agents)}
     out: list[DeltaPath] = []
     frontier = [(start,)]
     for _ in range(max_len):
         out.extend(frontier)
-        nxt = []
-        for path in frontier:
-            for succ in sorted(finite_successors(spec, path[-1]), key=order.get):
-                nxt.append(path + (succ,))
-        frontier = nxt
+        frontier = _extend_paths(spec, frontier)
         if not frontier:
             break
     return out
@@ -122,7 +123,6 @@ def _explicit_evaluation(
     g_prev = EventTuple.top(u, spec.agents)
     running = Event.full(u)
     frontier = [(start,)]
-    order = {a: k for k, a in enumerate(spec.agents)}
     total = 0
     bound = u.n_points * len(spec.agents) + 2
     for depth in range(1, bound + 1):
@@ -145,11 +145,7 @@ def _explicit_evaluation(
                 )
             return running
         g_prev = g_cur
-        nxt = []
-        for path in frontier:
-            for succ in sorted(finite_successors(spec, path[-1]), key=order.get):
-                nxt.append(path + (succ,))
-        frontier = nxt
+        frontier = _extend_paths(spec, frontier)
         if not frontier:  # no extensions: the conjunction is already complete
             if running != g_cur[start]:
                 raise InternalConsistencyError(

@@ -7,12 +7,15 @@ images come from the definition-direct `naive.n_within` on single points,
 `knows` images from the state classes, each packed from the universe's
 state-id array with one scatter of bit weights.
 
-Used by the fixed-point oracle, which builds all its operands in one pass
-(`packed_timely_ck_oracle`), and by the local-ensemble enumeration in the
-coordination checks.  `knows_tables` writes several agents' knows tables into
-one array and `knows_table` is its one-agent case; `tables` unpacks several
-masks with one shift-and-mask and `unpack` is its one-mask case;
-`timely_ck_masks` descends a whole batch of target masks at once.
+`map_tables(spec)` builds the packed window map's operands once per spec: one
+`within` row per distinct clamped delta, all rows filled by one doubling pass,
+the (k, k) index of each ordered pair's row, and every agent's `knows` table.
+Three readers share them: the fixed-point oracle's tuple sweep
+(`fixpoint.timely_ck_oracle`), the batched descent `timely_ck_masks`, and the
+coordination filter of the local-ensemble enumeration in `coordination`.
+`within_table` and `knows_table` are the one-row cases of `within_tables` and
+`knows_tables`; `tables` unpacks several masks with one shift-and-mask and
+`unpack` is its one-mask case.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import naive
-from ._kernels import scan_postfixed_join
 from .errors import SizeGuardExceeded
 from .events import Event
 from .universe import DeltaValue, Universe, clamp_delta
@@ -38,7 +40,7 @@ _WITHIN_SINGLES: dict[tuple, list[int]] = {}
 
 
 class PackedSpace:
-    """Bitmask view of one universe plus lazily built operator tables."""
+    """Bitmask view of one universe plus its operator tables."""
 
     def __init__(self, universe: Universe):
         if universe.n_points > MAX_PACKED_POINTS:
@@ -51,13 +53,8 @@ class PackedSpace:
         self.full_mask = (1 << self.n_bits) - 1
         self._shifts = np.arange(self.n_bits, dtype=np.int64)
         self._weights = 1 << self._shifts
-        self._within_full: dict[DeltaValue, np.ndarray] = {}
-        self._knows_full: dict[str, np.ndarray] = {}
 
     # -- conversions -------------------------------------------------------
-
-    def bit(self, run_idx: int, t: int) -> int:
-        return run_idx * self.universe.n_times + t
 
     def pack(self, e: Event) -> int:
         return int(self._weights[e.table.ravel()].sum())
@@ -73,39 +70,33 @@ class PackedSpace:
         return bits.astype(bool).reshape(bits.shape[:-1] + (u.n_runs, u.n_times))
 
     def _pack_pointset(self, pts) -> int:
-        mask = 0
-        for r, t in pts:
-            mask |= 1 << self.bit(r, t)
-        return mask
+        return sum(1 << (r * self.universe.n_times + t) for r, t in pts)
 
     # -- tables (definition-direct) -----------------------------------------
 
-    def within_table(self, d: DeltaValue) -> np.ndarray:
-        """within(., d) for every possible event mask, via union of singletons."""
+    def within_tables(self, deltas) -> np.ndarray:
+        """within(., d) for every possible event mask, one row per delta, via
+        union of singletons: masks with top bit b map to their image without
+        b plus b's image, so every row gains bit b in the same step."""
         u = self.universe
-        key = clamp_delta(d, u.horizon)
-        tab = self._within_full.get(key)
-        if tab is None:
-            singles = _WITHIN_SINGLES.get((u.n_runs, u.n_times, key))
-            if singles is None:
-                singles = []
-                for b in range(self.n_bits):
-                    pts = frozenset({divmod(b, u.n_times)})
-                    singles.append(self._pack_pointset(naive.n_within(u, pts, key)))
-                _WITHIN_SINGLES[(u.n_runs, u.n_times, key)] = singles
-            # masks with top bit b map to their image without b, plus b's image
-            tab = np.zeros(1 << self.n_bits, dtype=np.int64)
-            for b, single in enumerate(singles):
-                np.bitwise_or(tab[: 1 << b], single, out=tab[1 << b : 2 << b])
-            self._within_full[key] = tab
+        singles = []
+        for d in deltas:
+            key = (u.n_runs, u.n_times, clamp_delta(d, u.horizon))
+            if key not in _WITHIN_SINGLES:
+                points = [frozenset({divmod(b, u.n_times)}) for b in range(self.n_bits)]
+                _WITHIN_SINGLES[key] = [
+                    self._pack_pointset(naive.n_within(u, p, key[2])) for p in points
+                ]
+            singles.append(_WITHIN_SINGLES[key])
+        singles = np.array(singles, dtype=np.int64).reshape(-1, self.n_bits)
+        tab = np.zeros((singles.shape[0], 1 << self.n_bits), dtype=np.int64)
+        for b in range(self.n_bits):
+            np.bitwise_or(tab[:, : 1 << b], singles[:, b, None], out=tab[:, 1 << b : 2 << b])
         return tab
 
-    def knows_table(self, agent: str) -> np.ndarray:
-        """knows(agent, .) for every possible event mask."""
-        tab = self._knows_full.get(agent)
-        if tab is None:
-            tab = self._knows_full[agent] = self.knows_tables((agent,))[0]
-        return tab
+    def within_table(self, d: DeltaValue) -> np.ndarray:
+        """within(., d) for every possible event mask."""
+        return self.within_tables((d,))[0]
 
     def knows_tables(self, agents) -> np.ndarray:
         """knows(a, .) for every possible event mask, one row per agent: the
@@ -120,6 +111,10 @@ class PackedSpace:
                 out[a, start : start + masks.size] = ((masks & cms) == cms) @ cms
         return out
 
+    def knows_table(self, agent: str) -> np.ndarray:
+        """knows(agent, .) for every possible event mask."""
+        return self.knows_tables((agent,))[0]
+
     def class_masks(self, agent: str) -> np.ndarray:
         """The bitmask of each of the agent's state classes, by state id."""
         u = self.universe
@@ -127,64 +122,40 @@ class PackedSpace:
         np.bitwise_or.at(masks, u.state_ids(agent).ravel(), self._weights)
         return masks
 
+    def map_tables(self, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The packed window map's operands for `spec`: the within tables, one
+        row per distinct clamped delta; the (k, k) pair index, entry [i, j]
+        naming pair (i, j)'s row (0 on the never-read diagonal); and the
+        (k, 2^P) knows tables in `spec.agents` order."""
+        k = len(spec.agents)
+        key_of: dict = {}  # clamped delta -> its row of the within tables
+        pair_index = np.zeros((k, k), dtype=np.int64)
+        for ai, i in enumerate(spec.agents):
+            for aj, j in enumerate(spec.agents):
+                if ai != aj:
+                    key = clamp_delta(spec.delta(i, j), self.universe.horizon)
+                    pair_index[ai, aj] = key_of.setdefault(key, len(key_of))
+        return self.within_tables(key_of), pair_index, self.knows_tables(spec.agents)
+
     # -- packed engine ops -----------------------------------------------------
 
-    def apply_f_masks(self, psi_masks: np.ndarray, spec, xs: np.ndarray) -> np.ndarray:
-        """Packed analogue of the window-based coordination map, on a batch:
-        row r of `xs` (coordinates in `spec.agents` order) is mapped under the
-        target mask `psi_masks[r]`."""
-        agents = spec.agents
-        out = np.empty_like(xs)
-        for ai, i in enumerate(agents):
-            body = psi_masks
-            for aj, j in enumerate(agents):
-                if aj != ai:
-                    body = body & self.within_table(spec.delta(i, j))[xs[:, aj]]
-            out[:, ai] = self.knows_table(i)[body]
-        return out
-
-    def timely_ck_masks(self, psi_masks, spec) -> np.ndarray:
-        """Descending iteration of the packed map from the all-full tuple, for
-        every target mask of a batch at once; row r is psi_masks[r]'s fixed
-        point."""
+    def timely_ck_masks(self, psi_masks, within, pair_index, knows) -> np.ndarray:
+        """Descending iteration of the packed window map, on operands from
+        `map_tables`, from the all-full tuple for every target mask of a batch
+        at once; row r is psi_masks[r]'s fixed point, its coordinates in the
+        spec's agent order."""
         psi_masks = np.asarray(psi_masks, dtype=np.int64)
-        xs = np.full((psi_masks.size, len(spec.agents)), self.full_mask, dtype=np.int64)
-        for _ in range(self.n_bits * len(spec.agents) + 2):
-            nxt = self.apply_f_masks(psi_masks, spec, xs)
+        k = len(knows)
+        xs = np.full((psi_masks.size, k), self.full_mask, dtype=np.int64)
+        for _ in range(self.n_bits * k + 2):
+            nxt = np.empty_like(xs)
+            for i in range(k):
+                body = psi_masks
+                for j in range(k):
+                    if j != i:
+                        body = body & within[pair_index[i, j]][xs[:, j]]
+                nxt[:, i] = knows[i][body]
             if np.array_equal(nxt, xs):
                 return xs
             xs = nxt
         raise SizeGuardExceeded("packed fixed-point iteration failed to stabilize")
-
-
-def packed_timely_ck_oracle(psi: Event, spec) -> "EventTuple":
-    """Tarski sweep: join of every tuple below its packed image.
-
-    Each pair's delta is clamped once and each distinct clamped delta fetches
-    one `within` table; every agent's `knows` table is written into one
-    (k, 2^P) array.  The numpy kernel walks all 2^(P * k) packed tuples, and
-    the k joined masks are unpacked together.
-    """
-    from .fixpoint import EventTuple
-
-    u = psi.universe
-    space = PackedSpace(u)
-    agents = spec.agents
-    key_of: dict = {}  # clamped delta -> its row of the within tables
-
-    def row(i, j):
-        return key_of.setdefault(clamp_delta(spec.delta(i, j), u.horizon), len(key_of))
-
-    pair_index = np.array(
-        [[0 if i == j else row(i, j) for j in agents] for i in agents], dtype=np.int64
-    )
-    if key_of:
-        within_tables = np.array([space.within_table(key) for key in key_of])
-    else:
-        within_tables = np.zeros((1, 1 << space.n_bits), dtype=np.int64)
-    join = scan_postfixed_join(
-        space.n_bits, len(agents), space.pack(psi), within_tables, pair_index,
-        space.knows_tables(agents),
-    )
-    x = space.tables(join)
-    return EventTuple(u, {a: Event(u, x[n]) for n, a in enumerate(agents)})

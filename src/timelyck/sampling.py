@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .events import Event, within
 from .fixpoint import EventTuple, TimingSpec
 from .universe import INF, Universe
@@ -33,7 +34,9 @@ def random_universe(
     universe synchronous but typically forgets.
 
     ``bit_budget`` caps n_runs * n_times * n_agents, the tuple-lattice size the
-    brute-force fixed-point oracle has to sweep.
+    brute-force fixed-point oracle has to sweep; a budget below the smallest
+    universe's (1 run, 2 times) is an InvariantViolation, raised before any
+    draw.
 
     All (agent, run, time) values come from one draw, which leaves the
     generator where drawing them one at a time in that order would.  Each
@@ -41,6 +44,11 @@ def random_universe(
     run by run, time by time, and labelled with the state it stands for.
     """
     agents = AGENT_POOL[:n_agents]
+    if bit_budget is not None and bit_budget < 2 * n_agents:
+        raise InvariantViolation(
+            f"bit budget {bit_budget} is below {2 * n_agents}, the size of the "
+            f"smallest universe (1 run, 2 times) of {n_agents} agents"
+        )
     while True:
         n_runs = int(rng.integers(1, max_runs + 1))
         n_times = int(rng.integers(2, max_times + 1))

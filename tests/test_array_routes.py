@@ -7,15 +7,21 @@ sampled universes draw by draw, the packed knows tables against
 ensemble enumeration against its old loop.
 """
 
+import ast
+import json
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timelyck
 from timelyck import _kernels, naive
 from timelyck import coordination as coord
 from timelyck.coordination import is_delta_coordinated, verify_greatest_coordinated_ensemble
-from timelyck.errors import SizeGuardExceeded
+from timelyck.errors import InvariantViolation, SizeGuardExceeded
 from timelyck.events import Event, is_local
 from timelyck.fixpoint import (
     EventTuple,
@@ -28,7 +34,7 @@ from timelyck.fixpoint import (
 )
 from timelyck.packed import PackedSpace
 from timelyck.sampling import AGENT_POOL, random_event, random_spec, random_tuple, random_universe
-from timelyck.universe import INF, Universe
+from timelyck.universe import INF, Universe, clamp_delta
 
 # -- sampled universes ----------------------------------------------------------
 
@@ -69,6 +75,7 @@ SAMPLER_SETTINGS = [
     dict(synchronous=False),
     dict(n_agents=4, synchronous=False, bit_budget=20),
     dict(recall=True, max_runs=2, max_times=80),  # histories longer than an int64
+    dict(n_agents=3, bit_budget=6),  # only the smallest universe fits
 ]
 
 
@@ -91,7 +98,45 @@ def test_one_draw_universe_matches_point_by_point_draws():
         assert u.to_json() == ref.to_json()
 
 
+class _NoDraws:
+    """A generator stand-in that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew rng.{name} before refusing the budget")
+
+
+@pytest.mark.parametrize("n_agents, budget", [(1, 1), (2, 3), (3, 5), (2, 0)])
+def test_a_budget_below_the_smallest_universe_is_refused_before_any_draw(n_agents, budget):
+    # the sampler used to redraw sizes forever here
+    with pytest.raises(InvariantViolation, match="bit budget"):
+        random_universe(_NoDraws(), n_agents=n_agents, bit_budget=budget)
+
+
 # -- packed tables ----------------------------------------------------------------
+
+
+def test_packed_imports_nothing_from_fixpoint():
+    # the package's __init__ imports every module, so the packed module is
+    # imported under a bare package object that runs no __init__
+    code = (
+        "import json, sys, types\n"
+        "pkg = types.ModuleType('timelyck')\n"
+        f"pkg.__path__ = [{str(Path(timelyck.__file__).parent)!r}]\n"
+        "sys.modules['timelyck'] = pkg\n"
+        "import timelyck.packed\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('timelyck.'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "timelyck.packed" in loaded
+    assert "timelyck.fixpoint" not in loaded, loaded
+    # nor inside a function body
+    tree = ast.parse(Path(timelyck.packed.__file__).read_text())
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "fixpoint" not in imported, imported
 
 
 def _points(space, mask):
@@ -172,6 +217,30 @@ def test_tuple_sweep_matches_bruteforce_oracle():
         seen["huge"] += kind == 1
         seen["empty"] += kind == 2
     assert min(seen.values()) >= 20, seen
+
+
+def test_map_tables_rows_are_each_pairs_within_table():
+    rng = np.random.default_rng(61)
+    seen = dict(two=0, three=0, inf=0, huge=0, shared_row=0)
+    for case in range(80):
+        k = 2 if case % 2 else 3
+        u, spec, _, kind = _oracle_case(rng, k, 6 * k)
+        space = PackedSpace(u)
+        within, pair_index, knows = space.map_tables(spec)
+        keys = {clamp_delta(spec.delta(*p), u.horizon) for p in spec.pairs()}
+        assert within.shape == (len(keys), 1 << space.n_bits)
+        assert pair_index.shape == (k, k) and knows.shape == (k, 1 << space.n_bits)
+        for ai, i in enumerate(spec.agents):
+            assert np.array_equal(knows[ai], space.knows_table(i)), (case, i)
+            for aj, j in enumerate(spec.agents):
+                if ai != aj:
+                    want = space.within_table(spec.delta(i, j))
+                    assert np.array_equal(within[pair_index[ai, aj]], want), (case, i, j)
+        seen["two" if k == 2 else "three"] += 1
+        seen["inf"] += any(spec.delta(*p) == INF for p in spec.pairs())
+        seen["huge"] += kind == 1
+        seen["shared_row"] += len(keys) < len(spec.pairs())
+    assert min(seen.values()) >= 10, seen
 
 
 def _sweep_operands(rng, k, P):
@@ -263,7 +332,13 @@ def _literal_class_masks(u, agent):
     ]
 
 
+def _pair_within_tables(space, spec):
+    return {(i, j): space.within_table(spec.delta(i, j)) for i, j in spec.pairs()}
+
+
 def _scalar_descent(space, psi_mask, spec):
+    within = _pair_within_tables(space, spec)
+    knows = {i: space.knows_table(i) for i in spec.agents}
     xs = tuple(space.full_mask for _ in spec.agents)
     for _ in range(space.n_bits * len(spec.agents) + 2):
         nxt = []
@@ -271,8 +346,8 @@ def _scalar_descent(space, psi_mask, spec):
             body = psi_mask
             for aj, j in enumerate(spec.agents):
                 if j != i:
-                    body &= int(space.within_table(spec.delta(i, j))[xs[aj]])
-            nxt.append(int(space.knows_table(i)[body]))
+                    body &= int(within[i, j][xs[aj]])
+            nxt.append(int(knows[i][body]))
         if tuple(nxt) == xs:
             return xs
         xs = tuple(nxt)
@@ -310,10 +385,11 @@ def _report_by_loop(psi, spec, candidate, engine_samples, seed, engine_calls):
     ck_cache, sampled = {}, []
     rng = np.random.default_rng(seed)
     enumerated = 0
+    within = _pair_within_tables(space, spec)
     for combo in product(*per_agent):
         enumerated += 1
         coordinated = all(
-            combo[a_i] & ~int(space.within_table(spec.delta(i, j))[combo[a_j]]) == 0
+            combo[a_i] & ~int(within[i, j][combo[a_j]]) == 0
             for a_i, i in enumerate(agents)
             for a_j, j in enumerate(agents)
             if a_i != a_j
@@ -356,11 +432,11 @@ def _report_by_loop(psi, spec, candidate, engine_samples, seed, engine_calls):
 
 def test_ensemble_report_matches_the_combination_loop(monkeypatch):
     rng = np.random.default_rng(53)
-    real_knows = PackedSpace.knows_table
+    real_knows = PackedSpace.knows_tables
     drop = {}  # agent -> bits a corrupted knows table clears from every image
 
-    def corrupted_knows(self, agent):
-        return real_knows(self, agent) & ~drop.get(agent, 0)
+    def corrupted_knows(self, agents):
+        return real_knows(self, agents) & ~np.array([drop.get(a, 0) for a in agents])[:, None]
 
     calls = []
     real_ck = coord.timely_ck
@@ -369,7 +445,7 @@ def test_ensemble_report_matches_the_combination_loop(monkeypatch):
         calls.append(PackedSpace(psi.universe).pack(psi))
         return real_ck(psi, spec)
 
-    monkeypatch.setattr(PackedSpace, "knows_table", corrupted_knows)
+    monkeypatch.setattr(PackedSpace, "knows_tables", corrupted_knows)
     monkeypatch.setattr(coord, "timely_ck", recording_ck)
     seen = dict(greatest=0, below_own_ck=0, union_preserved=0, ok=0, three_agents=0,
                 greatest_not_first=0)

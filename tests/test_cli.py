@@ -119,6 +119,22 @@ def test_oracle_verb(tmp_path):
     assert doc["ensemble_correspondence"]["failures"] == 0
 
 
+@pytest.mark.parametrize("guard", ["5", "0", "x"])
+def test_oracle_guard_below_the_smallest_sampled_universe_is_refused(guard):
+    # the sweep samples up to 3 agents on at least 1 run of 2 times
+    proc = run_cli("oracle", PKG_DATA["car_wash"], "--cases", "3", "--oracle-guard", guard)
+    assert proc.returncode == 2
+    assert "--oracle-guard" in proc.stderr
+
+
+def test_oracle_guard_at_its_floor_runs(tmp_path):
+    out = tmp_path / "oracle.json"
+    proc = run_cli("oracle", PKG_DATA["tight_pair"], "--cases", "3", "--oracle-guard", "6",
+                   "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["fixed_point_sweep"] == {"cases": 3, "mismatches": 0}
+
+
 def test_props_verb():
     proc = run_cli("props", "--seed", "1", "--cases", "20")
     assert proc.returncode == 0, proc.stderr

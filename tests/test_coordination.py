@@ -20,7 +20,7 @@ from timelyck.fixpoint import (
     timely_ck,
     tuple_union,
 )
-from timelyck.naive import n_delta_coordinated, point_set
+from timelyck.naive import n_delta_coordinated, n_epsilon_coordinated, point_set
 from timelyck.sampling import random_event, random_spec, random_tuple, random_universe
 from timelyck.universe import INF, Universe
 
@@ -132,6 +132,25 @@ def test_epsilon_coordination(toy):
     assert is_epsilon_coordinated(empty, 0)
     with pytest.raises(InvariantViolation):
         is_epsilon_coordinated(empty, -1)
+
+
+def test_epsilon_coordination_matches_literal_quantifier(rng):
+    seen = dict(asynchronous=0, three_agents=0, wide=0, yes=0, no=0)
+    for _ in range(400):
+        synchronous = rng.random() < 0.7
+        u = random_universe(rng, n_agents=int(rng.integers(1, 4)), max_runs=3, max_times=5,
+                            synchronous=synchronous)
+        ens = random_tuple(rng, u)
+        eps = int(rng.integers(0, 8))
+        verdict = is_epsilon_coordinated(ens, eps)
+        assert verdict == n_epsilon_coordinated(
+            u, {a: point_set(ens[a]) for a in u.agents}, eps
+        )
+        seen["asynchronous"] += not synchronous
+        seen["three_agents"] += len(u.agents) == 3
+        seen["wide"] += eps >= u.horizon
+        seen["yes" if verdict else "no"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_weakening_chain(toy, rng):

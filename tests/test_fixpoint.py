@@ -247,7 +247,9 @@ def _apply_f_by_within(psi, spec, x):
     coords = {}
     for i in spec.agents:
         body = psi
-        for j in spec.others(i):
+        for j in spec.agents:
+            if j == i:
+                continue
             body = body & within(x[j], spec.delta(i, j))
         coords[i] = knows(i, body)
     return EventTuple(psi.universe, coords)
@@ -290,7 +292,9 @@ def test_array_descent_matches_within_composed_map():
         assert image == _apply_f_by_within(psi, spec, x)
         for i in u.agents:  # and with the definition-direct evaluators
             body = naive.point_set(psi)
-            for j in spec.others(i):
+            for j in spec.agents:
+                if j == i:
+                    continue
                 body &= naive.n_within(u, naive.point_set(x[j]), spec.delta(i, j))
             assert naive.point_set(image[i]) == naive.n_knows(u, i, body)
 
@@ -336,7 +340,9 @@ def _apply_g_by_shift(psi, spec, x):
     coords = {}
     for i in spec.agents:
         body = psi
-        for j in spec.others(i):
+        for j in spec.agents:
+            if j == i:
+                continue
             d = spec.delta(i, j)
             if d != INF:
                 body = body & shift_exact(x[j], d)
@@ -377,7 +383,9 @@ def test_shift_descent_matches_shift_composed_map():
         assert image == _apply_g_by_shift(psi, spec, x)
         for i in u.agents:  # and with the definition-direct evaluators
             body = naive.point_set(psi)
-            for j in spec.others(i):
+            for j in spec.agents:
+                if j == i:
+                    continue
                 if spec.delta(i, j) != INF:
                     body &= naive.n_shift_exact(u, naive.point_set(x[j]), spec.delta(i, j))
             assert naive.point_set(image[i]) == naive.n_knows(u, i, body)
@@ -460,6 +468,47 @@ def _event_tarski_gfp(u, step):
         if mask & ~to_mask(step(from_mask(mask))) == 0:
             join |= mask
     return from_mask(join)
+
+
+def _window_everyone_knows_by_loops(agents, e, eps):
+    """Window starts where every agent knows `e` somewhere in the window, then
+    the points those windows cover, offset by offset and start by start."""
+    u = e.universe
+    eps = min(eps, u.horizon)
+    n_starts = u.n_times - eps
+    window_ok = np.ones((u.n_runs, n_starts), dtype=bool)
+    for i in agents:
+        k = knows(i, e).table
+        hit = np.zeros((u.n_runs, n_starts), dtype=bool)
+        for off in range(eps + 1):
+            hit |= k[:, off : off + n_starts]
+        window_ok &= hit
+    out = np.zeros((u.n_runs, u.n_times), dtype=bool)
+    for a in range(n_starts):
+        out[:, a : a + eps + 1] |= window_ok[:, a : a + 1]
+    return Event(u, out)
+
+
+def test_window_everyone_knows_matches_the_window_loops():
+    from timelyck.fixpoint import window_everyone_knows
+
+    rng = np.random.default_rng(59)
+    seen = dict(asynchronous=0, three_agents=0, wide=0)
+    for _ in range(300):
+        synchronous = rng.random() < 0.7
+        u = random_universe(rng, n_agents=int(rng.integers(1, 4)), max_runs=3, max_times=5,
+                            synchronous=synchronous)
+        e, eps = random_event(rng, u), int(rng.integers(0, 8))
+        want = _window_everyone_knows_by_loops(u.agents, e, eps)
+        assert window_everyone_knows(u.agents, e, eps) == want
+        seen["asynchronous"] += not synchronous
+        seen["three_agents"] += len(u.agents) == 3
+        seen["wide"] += eps >= u.horizon
+    assert min(seen.values()) >= 20, seen
+    with pytest.raises(InvariantViolation):
+        window_everyone_knows(u.agents, e, -1)
+    with pytest.raises(InvariantViolation):
+        window_everyone_knows(u.agents, e, INF)
 
 
 def test_variant_fixed_points_match_tarski_sweep():

@@ -18,7 +18,6 @@ from .errors import (
 )
 from .events import (
     Event,
-    common_knowledge,
     eventually,
     everyone_knows,
     exhibits_perfect_recall,
@@ -34,6 +33,7 @@ from .fixpoint import (
     apply_f,
     apply_g,
     check_induction_rule,
+    common_knowledge,
     epsilon_ck,
     eventual_ck,
     gfp,
@@ -41,9 +41,6 @@ from .fixpoint import (
     timely_ck,
     timely_ck_g,
     timely_ck_oracle,
-    tuple_join,
-    tuple_leq,
-    tuple_meet,
     tuple_union,
 )
 from .coordination import (

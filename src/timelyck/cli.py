@@ -23,6 +23,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import (
     InternalConsistencyError,
     InvariantViolation,
@@ -34,6 +36,7 @@ from .fixpoint import timely_ck_info, timely_ck, timely_ck_oracle
 from .coordination import verify_greatest_coordinated_ensemble
 from .nested import verify_nested_characterization
 from .optimality import verify_optimal
+from .props import run_all
 from .sampling import random_event, random_spec, random_universe
 from .scenarios import (
     DEFAULT_RUN_CAP,
@@ -198,8 +201,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    import numpy as np
-
     instance = _load_instance(args)
     doc: dict = {}
     ok = True
@@ -260,8 +261,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_props(args) -> int:
-    from .props import run_all
-
     results = run_all(args.seed, cases=args.cases)
     if args.format == "json":
         _emit([r.to_json_dict() for r in results], args.output)
@@ -368,28 +367,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("result", help="result JSON file (from solve)")
     p.add_argument("--optimal", action="store_true",
                    help="also run the optimality and necessity sweeps")
-    p.add_argument("--guard", type=int, default=10**6,
+    p.add_argument("--guard", type=_int_at_least(1), default=10**6,
                    help="candidate guard for the exhaustive solution sweep")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="run the brute-force cross-checks")
     scenario_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50,
+    p.add_argument("--cases", type=_int_at_least(1), default=50,
                    help="random universes for the fixed-point sweep")
     # the sweep samples up to 3 agents, and the smallest universe has 1 run of 2 times
     p.add_argument("--oracle-guard", type=_int_at_least(6), default=16, dest="oracle_guard",
                    help="max universe-points times agents for the tuple sweep (at least 6)")
-    p.add_argument("--guard", type=int, default=10**6,
+    p.add_argument("--guard", type=_int_at_least(1), default=10**6,
                    help="candidate guard for the exhaustive solution sweep")
     p.add_argument("--explicit-paths", action="store_true", dest="explicit_paths",
                    help="also evaluate every nested path separately")
-    p.add_argument("--max-paths", type=int, default=50_000, dest="max_paths")
+    p.add_argument("--max-paths", type=_int_at_least(1), default=50_000, dest="max_paths")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("props", help="run the randomized property suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=120)
+    p.add_argument("--cases", type=_int_at_least(1), default=120)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_props)

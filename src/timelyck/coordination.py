@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation, SizeGuardExceeded
-from .events import Event, eventually, first_instants, is_local, window_cover
+from .events import Event, first_instants, is_local, window_cover
 from .fixpoint import EventTuple, TimingSpec, apply_f, reach_matrix, timely_ck, tuple_union
 from .packed import PackedSpace
 from .universe import Universe
@@ -67,7 +67,7 @@ def uncoordinated_pairs(ensemble, spec: TimingSpec) -> list[tuple]:
     if tup.agents != spec.agents:
         raise InvariantViolation("ensemble agents do not match the timing spec")
     u = tup.universe
-    first = first_instants(tup.stacked())
+    first = first_instants(tup.table)
     reach = reach_matrix(spec, u)
     late = first[None, :, :] > first[:, None, :] + reach[:, :, None]
     bad = (late & (first < u.n_times)[:, None, :]).any(axis=2)
@@ -80,25 +80,20 @@ def is_delta_coordinated(ensemble, spec: TimingSpec) -> bool:
 
 
 def is_perfectly_coordinated(ensemble) -> bool:
-    tup = _coords(ensemble)
-    first = tup[tup.agents[0]]
-    return all(tup[a] == first for a in tup.agents[1:])
+    table = _coords(ensemble).table
+    return bool((table == table[0]).all())
 
 
 def is_eventually_coordinated(ensemble) -> bool:
-    tup = _coords(ensemble)
-    return all(
-        tup[i] <= eventually(tup[j])
-        for i in tup.agents
-        for j in tup.agents
-        if i != j
-    )
+    """In every run, either every coordinate holds somewhere or none does."""
+    hit = _coords(ensemble).table.any(axis=2)  # (agent, run)
+    return bool((hit.all(axis=0) | ~hit.any(axis=0)).all())
 
 
 def is_epsilon_coordinated(ensemble, eps: int) -> bool:
     """Every occurrence sits in a length-eps window meeting every coordinate;
     the literal point quantifier is `naive.n_epsilon_coordinated`."""
-    tables = _coords(ensemble).stacked()
+    tables = _coords(ensemble).table
     return not (tables & ~window_cover(tables, eps)).any()
 
 
@@ -133,7 +128,7 @@ def enumerate_local_ensembles(universe: Universe, agents, *, guard: int = 50_000
     agents = tuple(agents)
     space = PackedSpace(universe)
     for combo in local_combinations(space, agents, guard):
-        yield EventTuple(universe, {a: space.unpack(m) for a, m in zip(agents, combo)})
+        yield EventTuple.of(universe, agents, space.tables(combo))
 
 
 # -- the correspondence report ---------------------------------------------------

@@ -220,21 +220,6 @@ def everyone_knows(agents: Iterable[str], e: Event) -> Event:
     return out
 
 
-def common_knowledge(agents: Iterable[str], e: Event) -> Event:
-    """Common knowledge of `e`: the greatest fixed point of
-    x -> everyone_knows(e & x), descended from the full event.
-
-    It equals the stabilized intersection of iterated everyone-knows, which
-    `naive.n_common_knowledge` computes as the independent reference.
-    """
-    from .fixpoint import event_gfp
-
-    agents = tuple(agents)
-    if not agents:
-        raise InvariantViolation("common_knowledge requires a nonempty agent set")
-    return event_gfp(lambda x: everyone_knows(agents, e & x), e.universe, agents[0])
-
-
 def is_local(agent: str, e: Event) -> bool:
     """True iff the event's truth is determined by the agent's local state."""
     return e == knows(agent, e)

@@ -7,15 +7,16 @@ vectorial map whose coordinate for agent i is
     knows(i, psi & AND_j within(x_j, delta(i, j)))     (j ranging over the
                                                         other agents)
 
-computed by descending iteration from the all-full tuple.  The descent runs
-on the coordinates stacked into one (k, n_runs, n_times) boolean array and
-works on first instants: within(x_j, d) holds at (r, t) iff x_j's first
-instant in run r is at most t + d, so each step takes every coordinate's first
-instants, gives agent i the per-run threshold max_j(first_j[r] - delta(i, j))
-(deltas clamped to the horizon, inf acting like H, an empty run putting the
-threshold past H), ANDs it with psi and applies knows through the state ids.
+computed by descending iteration from the all-full tuple.  An `EventTuple`
+holds its coordinates as one (k, n_runs, n_times) boolean table, and the
+descent runs on that table and works on first instants: within(x_j, d) holds
+at (r, t) iff x_j's first instant in run r is at most t + d, so each step
+takes every coordinate's first instants, gives agent i the per-run threshold
+max_j(first_j[r] - delta(i, j)) (deltas clamped to the horizon, inf acting
+like H, an empty run putting the threshold past H), ANDs it with psi and
+applies knows through the state ids.
 The operands (psi's table, the negated reach matrix, the clock and the agents'
-state ids shifted into one id range) are built once per call.  Events are
+state ids shifted into one id range) are built once per call.  The tuple is
 built only for the final value; `apply_f` is one such step.
 
 `timely_ck_g` is the companion fixed point that uses exact shifts instead of
@@ -51,7 +52,7 @@ from .errors import (
     SizeGuardExceeded,
     UniverseMismatch,
 )
-from .events import Event, eventually, first_instants, knows, window_cover
+from .events import Event, eventually, everyone_knows, first_instants, knows, window_cover
 from .packed import PackedSpace
 from .universe import (
     INF,
@@ -154,31 +155,54 @@ class TimingSpec:
 
 
 class EventTuple:
-    """An agent-indexed tuple of events over one universe."""
+    """An agent-indexed tuple of events over one universe, held as one read-only
+    boolean table of shape (k, n_runs, n_times) whose row n is the coordinate of
+    ``agents[n]``; indexing by an agent gives an `Event` over a view of its row.
+    ``<=``, ``|`` and ``&`` act coordinatewise, like `Event`'s."""
 
-    __slots__ = ("universe", "agents", "coords")
+    __slots__ = ("universe", "agents", "table")
 
     def __init__(self, universe: Universe, coords: Mapping[str, Event]):
-        self.universe = universe
-        self.agents = tuple(coords)
-        if not self.agents:
-            raise InvariantViolation("an event tuple needs at least one coordinate")
         for agent, e in coords.items():
-            universe.agent_index(agent)
             if e.universe is not universe:
                 raise UniverseMismatch(f"coordinate {agent!r} lives in another universe")
-        self.coords = dict(coords)
+        self._set(universe, tuple(coords), np.array([e.table for e in coords.values()]))
+
+    @classmethod
+    def of(cls, universe: Universe, agents: Iterable[str], table: np.ndarray) -> "EventTuple":
+        """The tuple whose coordinate for ``agents[n]`` is ``table[n]``."""
+        out = cls.__new__(cls)
+        out._set(universe, tuple(agents), table)
+        return out
+
+    def _set(self, universe: Universe, agents: tuple, table: np.ndarray) -> None:
+        if not agents:
+            raise InvariantViolation("an event tuple needs at least one coordinate")
+        for agent in agents:
+            universe.agent_index(agent)
+        shape = (len(agents), universe.n_runs, universe.n_times)
+        if table.shape != shape:
+            raise InvariantViolation(f"event tuple table shape {table.shape} is not {shape}")
+        table = np.ascontiguousarray(table, dtype=bool)
+        table.setflags(write=False)
+        self.universe, self.agents, self.table = universe, agents, table
 
     @classmethod
     def bottom(cls, universe: Universe, agents: Iterable[str]) -> "EventTuple":
-        return cls(universe, {a: Event.empty(universe) for a in agents})
+        agents = tuple(agents)
+        shape = (len(agents), universe.n_runs, universe.n_times)
+        return cls.of(universe, agents, np.zeros(shape, dtype=bool))
 
     @classmethod
     def top(cls, universe: Universe, agents: Iterable[str]) -> "EventTuple":
-        return cls(universe, {a: Event.full(universe) for a in agents})
+        agents = tuple(agents)
+        shape = (len(agents), universe.n_runs, universe.n_times)
+        return cls.of(universe, agents, np.ones(shape, dtype=bool))
 
     def __getitem__(self, agent: str) -> Event:
-        return self.coords[agent]
+        if agent not in self.agents:
+            raise KeyError(agent)
+        return Event(self.universe, self.table[self.agents.index(agent)])
 
     def _same(self, other: "EventTuple") -> None:
         if not isinstance(other, EventTuple):
@@ -190,24 +214,28 @@ class EventTuple:
                 f"agent sets differ: {self.agents} vs {other.agents}"
             )
 
+    def __le__(self, other: "EventTuple") -> bool:
+        self._same(other)
+        return bool((self.table <= other.table).all())
+
+    def __or__(self, other: "EventTuple") -> "EventTuple":
+        self._same(other)
+        return EventTuple.of(self.universe, self.agents, self.table | other.table)
+
+    def __and__(self, other: "EventTuple") -> "EventTuple":
+        self._same(other)
+        return EventTuple.of(self.universe, self.agents, self.table & other.table)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventTuple):
             return NotImplemented
         self._same(other)
-        return all(self.coords[a] == other.coords[a] for a in self.agents)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        return bool(np.array_equal(self.table, other.table))
 
     __hash__ = None
 
-    def stacked(self) -> np.ndarray:
-        """The coordinates' tables stacked to shape (k, n_runs, n_times)."""
-        return np.stack([self.coords[a].table for a in self.agents])
-
     def to_json_dict(self) -> dict:
-        return {a: self.coords[a].to_json_list() for a in self.agents}
+        return {a: self[a].to_json_list() for a in self.agents}
 
     @classmethod
     def from_json_dict(cls, universe: Universe, doc: Mapping) -> "EventTuple":
@@ -217,30 +245,13 @@ class EventTuple:
         )
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{a}:{e.size}" for a, e in self.coords.items())
+        sizes = self.table.reshape(len(self.agents), -1).sum(axis=1).tolist()
+        inner = ", ".join(f"{a}:{n}" for a, n in zip(self.agents, sizes))
         return f"EventTuple({inner})"
 
 
-def tuple_leq(x: EventTuple, y: EventTuple) -> bool:
-    x._same(y)
-    return all(x[a] <= y[a] for a in x.agents)
-
-
-def tuple_join(x: EventTuple, y: EventTuple) -> EventTuple:
-    x._same(y)
-    return EventTuple(x.universe, {a: x[a] | y[a] for a in x.agents})
-
-
-def tuple_meet(x: EventTuple, y: EventTuple) -> EventTuple:
-    x._same(y)
-    return EventTuple(x.universe, {a: x[a] & y[a] for a in x.agents})
-
-
 def tuple_union(x: EventTuple) -> Event:
-    out = Event.empty(x.universe)
-    for a in x.agents:
-        out = out | x[a]
-    return out
+    return Event(x.universe, x.table.any(axis=0))
 
 
 # -- the vectorial maps ------------------------------------------------------
@@ -253,8 +264,6 @@ def _check_shapes(psi: Event, spec: TimingSpec, x: EventTuple) -> None:
         raise InvariantViolation(
             f"tuple agents {x.agents} do not match spec agents {spec.agents}"
         )
-    for a in spec.agents:
-        psi.universe.agent_index(a)
 
 
 def _operands(psi: Event, spec: TimingSpec, *constants) -> tuple:
@@ -299,7 +308,7 @@ def _window_operands(psi: Event, spec: TimingSpec) -> tuple:
 
 
 def _window_step(x: np.ndarray, psi, lag, clock, ids, n_ids) -> np.ndarray:
-    """The window map on coordinates stacked to shape (k, n_runs, n_times).
+    """The window map on a tuple table of shape (k, n_runs, n_times).
 
     within(x_j, d) holds at (r, t) iff t >= first_j[r] - d, so agent i's body
     is psi from the latest of those thresholds over its partners j on; knows
@@ -328,7 +337,7 @@ def _shift_columns(spec: TimingSpec, universe: Universe) -> np.ndarray:
 
 
 def _shift_step(x: np.ndarray, psi, cols, ids, n_ids) -> np.ndarray:
-    """The exact-shift map on coordinates stacked to shape (k, n_runs, n_times):
+    """The exact-shift map on a tuple table of shape (k, n_runs, n_times):
     agent i's body is psi and every x_j read at the columns cols[i, j]."""
     k, n_runs, _ = x.shape
     pad = np.zeros((k, n_runs, 2), dtype=bool)
@@ -338,22 +347,18 @@ def _shift_step(x: np.ndarray, psi, cols, ids, n_ids) -> np.ndarray:
     return _knows_all(psi & read.all(axis=1).transpose(0, 2, 1), ids, n_ids)
 
 
-def _as_tuple(universe: Universe, agents: tuple, x: np.ndarray) -> EventTuple:
-    return EventTuple(universe, {a: Event(universe, x[n]) for n, a in enumerate(agents)})
-
-
 def apply_f(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
     """One application of the window-based coordination map."""
     _check_shapes(psi, spec, x)
     operands = _window_operands(psi, spec)
-    return _as_tuple(psi.universe, spec.agents, _window_step(x.stacked(), *operands))
+    return EventTuple.of(psi.universe, spec.agents, _window_step(x.table, *operands))
 
 
 def apply_g(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
     """One application of the exact-shift map; unbounded pairs impose nothing."""
     _check_shapes(psi, spec, x)
     operands = _operands(psi, spec, _shift_columns(spec, psi.universe))
-    return _as_tuple(psi.universe, spec.agents, _shift_step(x.stacked(), *operands))
+    return EventTuple.of(psi.universe, spec.agents, _shift_step(x.table, *operands))
 
 
 # -- greatest fixed points ---------------------------------------------------
@@ -367,8 +372,8 @@ class GfpResult:
 
 
 def _descend(step, start, universe: Universe, agents: tuple) -> GfpResult:
-    """Iterate a monotone map on stacked (k, n_runs, n_times) coordinates
-    until two iterates coincide; `start` None means the all-full tuple.
+    """Iterate a monotone map on (k, n_runs, n_times) tuple tables until two
+    iterates coincide; `start` None means the all-full table.
 
     On a finite lattice the stabilized value of a descending Kleene iteration
     from the top is the greatest fixed point.  Each strict step must remove at
@@ -376,8 +381,8 @@ def _descend(step, start, universe: Universe, agents: tuple) -> GfpResult:
     count; exceeding the bound, or any non-descending step, means the supplied
     map was not monotone and is reported as an internal error.  Since every
     accepted step lies inside its predecessor, two iterates coincide exactly
-    when their coordinate sizes, recorded for the trace, do.  Events are built
-    only for the final value.
+    when their coordinate sizes, recorded for the trace, do.  The tuple is
+    built only for the final value.
     """
     k = len(agents)
     bound = universe.n_points * k + 1
@@ -397,7 +402,7 @@ def _descend(step, start, universe: Universe, agents: tuple) -> GfpResult:
         new_sizes = nxt.reshape(k, -1).sum(axis=1).tolist()
         trace.append(dict(zip(agents, new_sizes)))
         if new_sizes == sizes:
-            return GfpResult(_as_tuple(universe, agents, nxt), iteration, trace)
+            return GfpResult(EventTuple.of(universe, agents, nxt), iteration, trace)
         cur, sizes = nxt, new_sizes
     raise InternalConsistencyError(
         f"fixed-point iteration failed to stabilize within {bound} steps"
@@ -408,12 +413,12 @@ def gfp(step: Callable[[EventTuple], EventTuple], start: EventTuple) -> GfpResul
     """Iterate a monotone tuple map from `start` until two iterates coincide."""
     u, agents = start.universe, start.agents
 
-    def stacked_step(x: np.ndarray) -> np.ndarray:
-        image = step(_as_tuple(u, agents, x))
+    def table_step(x: np.ndarray) -> np.ndarray:
+        image = step(EventTuple.of(u, agents, x))
         start._same(image)
-        return image.stacked()
+        return image.table
 
-    return _descend(stacked_step, start.stacked(), u, agents)
+    return _descend(table_step, start.table, u, agents)
 
 
 def event_gfp(step: Callable[[Event], Event], universe: Universe, agent: str) -> Event:
@@ -451,8 +456,8 @@ def check_induction_rule(psi: Event, spec: TimingSpec, xi: EventTuple) -> bool:
     `timely_ck(psi, spec)`, the greatest-fixed-point computation is broken and
     an internal error is raised.
     """
-    pre_fixed = tuple_leq(xi, apply_f(psi, spec, xi))
-    if pre_fixed and not tuple_leq(xi, timely_ck(psi, spec)):
+    pre_fixed = xi <= apply_f(psi, spec, xi)
+    if pre_fixed and not xi <= timely_ck(psi, spec):
         raise InternalConsistencyError(
             "a tuple below its own image escaped the greatest fixed point"
         )
@@ -490,13 +495,10 @@ def gfp_bruteforce_oracle(
 
     join = EventTuple.bottom(universe, agents)
     for packed in range(1 << (p * len(agents))):
-        coords = {
-            a: space.unpack((packed >> (p * k)) & ((1 << p) - 1))
-            for k, a in enumerate(agents)
-        }
-        x = EventTuple(universe, coords)
-        if tuple_leq(x, step(x)):
-            join = tuple_join(join, x)
+        masks = [(packed >> (p * n)) & ((1 << p) - 1) for n in range(len(agents))]
+        x = EventTuple.of(universe, agents, space.tables(masks))
+        if x <= step(x):
+            join = join | x
     return join
 
 
@@ -517,10 +519,23 @@ def timely_ck_oracle(
     _oracle_bits(u, k, guard_bits)
     space = PackedSpace(u)
     join = scan_postfixed_join(space.n_bits, k, space.pack(psi), *space.map_tables(spec))
-    return _as_tuple(u, spec.agents, space.tables(join))
+    return EventTuple.of(u, spec.agents, space.tables(join))
 
 
 # -- degenerate fixed points ---------------------------------------------------
+
+
+def common_knowledge(agents: Iterable[str], e: Event) -> Event:
+    """Common knowledge of `e`: the greatest fixed point of
+    x -> everyone_knows(e & x), descended from the full event.
+
+    It equals the stabilized intersection of iterated everyone-knows, which
+    `naive.n_common_knowledge` computes as the independent reference.
+    """
+    agents = tuple(agents)
+    if not agents:
+        raise InvariantViolation("common_knowledge requires a nonempty agent set")
+    return event_gfp(lambda x: everyone_knows(agents, e & x), e.universe, agents[0])
 
 
 def eventual_ck(agents: Iterable[str], psi: Event) -> Event:

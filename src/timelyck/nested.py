@@ -32,7 +32,6 @@ from .fixpoint import (
     timely_ck,
     timely_ck_g,
     timely_ck_g_info,
-    tuple_leq,
 )
 from .universe import is_finite_delta
 
@@ -231,7 +230,7 @@ def verify_nested_characterization(
                     "explicit path conjunction disagrees with the exact-shift fixed point"
                 )
 
-    g_below_f = tuple_leq(g_fix, f_fix)
+    g_below_f = g_fix <= f_fix
     if spec.all_finite() and not g_below_f:
         raise InternalConsistencyError(
             "with finite bounds the exact-shift fixed point must sit below "

@@ -35,7 +35,7 @@ projection of a result and the necessity check are array operations on it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 import numpy as np
@@ -51,7 +51,7 @@ from .scenarios import (
     ProtocolResult,
     SolutionReport,
     TCRInstance,
-    response_knowledge,
+    knowledge_for,
     verify_solution,
 )
 from .universe import is_finite_delta
@@ -124,17 +124,14 @@ def least_solution(model: StrategyModel):
 
 
 def greatest_solution(model: StrategyModel):
-    t = model.hi.copy()
-    changed = True
-    while changed:
-        changed = False
-        for p, q, c in model.constraints:
-            if t[q] > t[p] + c:
-                t[q] = t[p] + c
-                if t[q] < model.lo[q]:
-                    return None
-                changed = True
-    return t
+    """Pointwise greatest valid assignment, or None when none exists: the
+    negated least solution of the mirrored model u = -t, whose bounds are
+    [-hi, -lo] and in which t[q] <= t[p] + c reads u[p] <= u[q] + c."""
+    mirrored = replace(
+        model, lo=-model.hi, hi=-model.lo, constraints=[(q, p, c) for p, q, c in model.constraints]
+    )
+    u = least_solution(mirrored)
+    return None if u is None else -u
 
 
 def is_valid_assignment(model: StrategyModel, t) -> bool:
@@ -191,7 +188,7 @@ def box_space(model: StrategyModel) -> int:
     return total
 
 
-def box_sweep(model: StrategyModel, *, cap: int = BOX_SWEEP_CAP):
+def box_sweep(model: StrategyModel):
     """Sweep per-agent (min, max) response-range boxes.
 
     For product-structured instances every pairwise bound only constrains the
@@ -204,9 +201,9 @@ def box_sweep(model: StrategyModel, *, cap: int = BOX_SWEEP_CAP):
     """
     if not is_product_structured(model):
         raise InvariantViolation("signature boxes require a product-structured instance")
-    if box_space(model) > cap:
+    if box_space(model) > BOX_SWEEP_CAP:
         raise SizeGuardExceeded(
-            f"{box_space(model)} box combinations exceed the sweep cap {cap}"
+            f"{box_space(model)} box combinations exceed the sweep cap {BOX_SWEEP_CAP}"
         )
     return _sweep_boxes(model)
 
@@ -399,11 +396,10 @@ def verify_optimal(
 
     # necessity: every attainable response point sits inside the corresponding
     # coordinate of timely common knowledge, in every run of its class
-    xi = knowledge if knowledge is not None else response_knowledge(instance)
+    xi = knowledge_for(instance, knowledge)
     agents = instance.timing.agents
     fired = np.flatnonzero(instance.trigger_time >= 0)
-    holds = np.stack([xi[a].table[fired] for a in agents], axis=1)  # (run, agent, time)
-    r, a, t = np.nonzero(expected[model.var_of] & ~holds)
+    a, r, t = np.nonzero(expected[model.var_of.T] & ~xi.table[:, fired])
     first = np.lexsort((r, t, model.var_of[r, a]))[:5]  # by variable, time, run
     violations["necessity"] = [
         {"agent": agents[a[n]], "run": instance.universe.runs[fired[r[n]]], "time": int(t[n])}

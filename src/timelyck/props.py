@@ -40,7 +40,6 @@ from .fixpoint import (
     timely_ck,
     timely_ck_g,
     timely_ck_oracle,
-    tuple_leq,
 )
 from .naive import n_delta_coordinated, point_set
 from .nested import nested_conjunction, verify_nested_characterization
@@ -51,6 +50,7 @@ from .sampling import (
     random_tuple,
     random_universe,
 )
+from .scenarios import generate_system, make_scenario, solvability
 from .universe import INF
 
 
@@ -235,7 +235,7 @@ def check_fixed_point_laws(rng, cases: int) -> PropResult:
             if not is_local(agent, xi[agent]):
                 failures.append(f"case {case}: coordinate not local to {agent}")
         phi = psi | random_event(rng, u)
-        if not tuple_leq(xi, timely_ck(phi, spec)):
+        if not xi <= timely_ck(phi, spec):
             failures.append(f"case {case}: not monotone in the target event")
         sub = psi & random_event(rng, u)
         if not check_induction_rule(psi, spec, timely_ck(sub, spec)):
@@ -331,8 +331,6 @@ def check_nested_agreement(rng, cases: int) -> PropResult:
 
 
 def check_scenario_properties(rng, cases: int) -> PropResult:
-    from .scenarios import generate_system, make_scenario, solvability
-
     failures = []
     for case in range(cases):
         k = int(rng.integers(2, 4))

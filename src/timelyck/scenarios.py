@@ -31,19 +31,13 @@ from .errors import (
     SizeGuardExceeded,
     Unsolvable,
 )
-from .events import (
-    Event,
-    common_knowledge,
-    eventually,
-    is_local,
-    knows,
-    within,
-)
+from .events import Event, eventually, is_local, within
 from .fixpoint import EventTuple, TimingSpec, timely_ck, tuple_union
 from .universe import INF, Universe
 
 
 DEFAULT_RUN_CAP = 2048  # runs a generated scenario may have; `--run-cap` sets it
+POINTS_PER_CAPPED_RUN = 2**11  # the cap also bounds runs * times * agents by cap * this
 
 
 @dataclass
@@ -216,7 +210,8 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
     """One run per trigger time and per in-window observation-delay vector, in
     `itertools.product` order, then the never-run.
 
-    The run count is checked against the cap before anything is allocated.
+    The run count is checked against the cap, and runs * times * agents against
+    the cap times `POINTS_PER_CAPPED_RUN`, before anything is allocated.
     Generated local states carry the current time, so dropping the synchronous
     flag changes no indistinguishability class; it only skips the clock check.
     """
@@ -230,6 +225,12 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
     if n_runs > scenario.run_cap:
         raise SizeGuardExceeded(
             f"scenario generates {n_runs} runs, above the cap {scenario.run_cap}"
+        )
+    points = n_runs * (int(horizon) + 1) * len(agents)
+    if points > scenario.run_cap * POINTS_PER_CAPPED_RUN:
+        raise SizeGuardExceeded(
+            f"scenario generates {n_runs} runs of {int(horizon) + 1} times for {len(agents)} "
+            f"agents, {points} points, above the bound {scenario.run_cap * POINTS_PER_CAPPED_RUN}"
         )
 
     delays = np.indices(sizes).reshape(len(agents), -1).T + lo  # product order
@@ -285,10 +286,22 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     return timely_ck(instance.trigger_history(), instance.timing)
 
 
+def knowledge_for(instance: TCRInstance, knowledge: EventTuple | None) -> EventTuple:
+    """A supplied knowledge tuple, whose table rows must be the instance's
+    agents in timing order, or else the instance's response knowledge."""
+    if knowledge is None:
+        return response_knowledge(instance)
+    if knowledge.agents != instance.timing.agents:
+        raise InvariantViolation(
+            f"knowledge agents {knowledge.agents} are not {instance.timing.agents}"
+        )
+    return knowledge
+
+
 def solvability(instance: TCRInstance, *, knowledge: EventTuple | None = None) -> bool:
     """Whether the trigger guarantees every agent eventually reaches its
     coordinate; per-agent verdicts must coincide, and are cross-checked."""
-    xi = knowledge if knowledge is not None else response_knowledge(instance)
+    xi = knowledge_for(instance, knowledge)
     verdicts = [
         instance.trigger <= eventually(xi[agent]) for agent in instance.timing.agents
     ]
@@ -369,21 +382,19 @@ class ProtocolResult:
 def _response_events(instance: TCRInstance, times: np.ndarray) -> EventTuple:
     """Agent a's event holds at (r, times[r, a]); -1 matches no time."""
     u = instance.universe
-    at = times[:, :, None] == np.arange(u.n_times)  # (run, agent, time)
-    return EventTuple(u, {a: Event(u, at[:, c]) for c, a in enumerate(instance.timing.agents)})
+    return EventTuple.of(u, instance.timing.agents, times.T[:, :, None] == np.arange(u.n_times))
 
 
 def synthesize_optimal(
     instance: TCRInstance, *, knowledge: EventTuple | None = None
 ) -> ProtocolResult:
     """Respond at the first instant the agent's knowledge coordinate holds."""
-    xi = knowledge if knowledge is not None else response_knowledge(instance)
+    xi = knowledge_for(instance, knowledge)
     if not solvability(instance, knowledge=xi):
         raise Unsolvable("instance admits no coordinated response protocol")
     u = instance.universe
     agents = instance.timing.agents
-    tables = np.stack([xi[agent].table for agent in agents])  # (agent, run, time)
-    holds = tables.any(axis=2)
+    holds = xi.table.any(axis=2)
     fired = instance.trigger.table.any(axis=1)
     if (holds & ~fired).any():
         raise InternalConsistencyError(
@@ -393,7 +404,7 @@ def synthesize_optimal(
         raise InternalConsistencyError(
             "solvable instance left an agent without a response time"
         )
-    first = np.where(holds, tables.argmax(axis=2), -1).T.tolist()  # (run, agent)
+    first = np.where(holds, xi.table.argmax(axis=2), -1).T.tolist()  # (run, agent)
     responses = {
         run: {agent: (t if t >= 0 else None) for agent, t in zip(agents, row)}
         for run, row in zip(u.runs, first)
@@ -531,40 +542,3 @@ def make_scenario(
         include_never_run=include_never_run,
         horizon=horizon,
     )
-
-
-# -- reduction identities ---------------------------------------------------------
-
-
-def verify_ordered_reduction(instance: TCRInstance) -> dict:
-    """Coordinate m must equal the knowledge chain down the response order."""
-    psi = instance.trigger_history()
-    xi = response_knowledge(instance)
-    agents = instance.timing.agents
-    out = {}
-    chain = psi
-    for agent in agents:
-        chain = knows(agent, chain)
-        out[agent] = xi[agent] == chain
-    return out
-
-
-def verify_simultaneous_reduction(instance: TCRInstance) -> dict:
-    """Every coordinate must equal plain common knowledge of the history."""
-    psi = instance.trigger_history()
-    xi = response_knowledge(instance)
-    ck = common_knowledge(instance.timing.agents, psi)
-    return {agent: xi[agent] == ck for agent in instance.timing.agents}
-
-
-def verify_joint_reduction(instance: TCRInstance, partition) -> dict:
-    """Block m's coordinates must equal the nested block-wise common knowledge."""
-    psi = instance.trigger_history()
-    xi = response_knowledge(instance)
-    out = {}
-    value = psi
-    for block in [tuple(b) for b in partition]:
-        value = common_knowledge(block, value)
-        for agent in block:
-            out[agent] = xi[agent] == value
-    return out

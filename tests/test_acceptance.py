@@ -13,9 +13,10 @@ import numpy as np
 
 import timelyck
 from timelyck.coordination import verify_greatest_coordinated_ensemble
-from timelyck.events import common_knowledge, knows
+from timelyck.events import knows
 from timelyck.fixpoint import (
     TimingSpec,
+    common_knowledge,
     eventual_ck,
     timely_ck,
     timely_ck_g,
@@ -38,12 +39,15 @@ from timelyck.scenarios import (
     response_knowledge,
     solvability,
     synthesize_optimal,
-    verify_joint_reduction,
-    verify_ordered_reduction,
-    verify_simultaneous_reduction,
     verify_solution,
 )
 from timelyck.universe import INF
+
+from reductions import (
+    verify_joint_reduction,
+    verify_ordered_reduction,
+    verify_simultaneous_reduction,
+)
 
 
 def _pass(n, label):

@@ -360,6 +360,41 @@ def test_run_cap_must_be_a_positive_integer(cap):
     assert "--run-cap" in proc.stderr
 
 
+@pytest.mark.parametrize("extra", [
+    {"horizon": 5_000_000_000},
+    {"delta": {"a->b": 10**12, "b->a": 0}},
+])
+def test_points_bound_refuses_a_huge_horizon(tmp_path, extra):
+    # 5 runs, far below the run cap, but too many points to allocate
+    doc = {
+        "agents": ["a", "b"],
+        "trigger_times": [0, 1],
+        "obs_delay": {"a": [0, 0], "b": [0, 1]},
+        "delta": {"a->b": 0, "b->a": 0},
+        "actions": {"a": "respond", "b": "respond"},
+        **extra,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("solve", str(path))
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "scenario generates 5 runs of" in proc.stderr and "above the bound" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", PKG_DATA["ordered_2"], "--cases", "-1"),
+    ("oracle", PKG_DATA["ordered_2"], "--guard", "0"),
+    ("oracle", PKG_DATA["ordered_2"], "--max-paths", "-1"),
+    ("verify", PKG_DATA["ordered_2"], "result.json", "--optimal", "--guard", "-5"),
+    ("props", "--cases", "-3"),
+])
+def test_counts_and_guards_must_be_positive_integers(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert f"{argv[-2]}: must be at least 1, got {argv[-1]}" in proc.stderr
+
+
 @pytest.mark.parametrize("backend", ["auto", "0"])
 def test_determinism_across_backends(tmp_path, backend):
     # numpy is the only kernel backend; a leftover TIMELYCK_NUMBA setting

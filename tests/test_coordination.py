@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from timelyck.errors import InvariantViolation, SizeGuardExceeded
-from timelyck.events import Event, common_knowledge, knows, within
+from timelyck.events import Event, knows, within
 from timelyck.coordination import (
     Ensemble,
     enumerate_local_ensembles,
@@ -15,6 +15,7 @@ from timelyck.coordination import (
 from timelyck.fixpoint import (
     EventTuple,
     TimingSpec,
+    common_knowledge,
     eventual_ck,
     epsilon_ck,
     timely_ck,

@@ -9,7 +9,6 @@ from timelyck import naive
 from timelyck.errors import InvariantViolation, UniverseMismatch
 from timelyck.events import (
     Event,
-    common_knowledge,
     eventually,
     everyone_knows,
     is_local,
@@ -18,6 +17,7 @@ from timelyck.events import (
     shift_exact,
     within,
 )
+from timelyck.fixpoint import common_knowledge
 from timelyck.sampling import random_event, random_universe
 from timelyck.universe import INF
 

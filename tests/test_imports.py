@@ -1,0 +1,45 @@
+"""The package's import graph: every import sits at a module's top, and the
+event layer loads nothing of the fixed-point layer."""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import timelyck
+
+PACKAGE = Path(timelyck.__file__).parent
+
+
+def test_no_function_body_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno} in {fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not found, found
+
+
+def test_events_loads_nothing_from_fixpoint():
+    # the package's __init__ imports every module, so the events module is
+    # imported under a bare package object that runs no __init__
+    code = (
+        "import json, sys, types\n"
+        "pkg = types.ModuleType('timelyck')\n"
+        f"pkg.__path__ = [{str(PACKAGE)!r}]\n"
+        "sys.modules['timelyck'] = pkg\n"
+        "import timelyck.events\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('timelyck.'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "timelyck.events" in loaded
+    assert "timelyck.fixpoint" not in loaded, loaded

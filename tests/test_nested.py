@@ -1,8 +1,8 @@
 import pytest
 
 from timelyck.errors import InvariantViolation, SizeGuardExceeded
-from timelyck.events import Event, common_knowledge, knows, within
-from timelyck.fixpoint import TimingSpec, timely_ck_g
+from timelyck.events import Event, knows, within
+from timelyck.fixpoint import TimingSpec, common_knowledge, timely_ck_g
 from timelyck.nested import (
     enumerate_paths,
     nested_conjunction,

@@ -15,6 +15,7 @@ from timelyck.optimality import (
     enumerate_all_solutions,
     greatest_solution,
     is_product_structured,
+    StrategyModel,
     least_solution,
     result_assignment,
     verify_optimal,
@@ -357,3 +358,31 @@ def test_random_instances_cross_check(rng):
         rep = verify_optimal(inst, synthesize_optimal(inst), guard=3 * 10**5)
         assert rep.ok(), rep.to_json_dict()
         checked += 1
+
+
+def test_propagation_extremes_match_brute_force(rng):
+    # least and greatest valid assignments of random difference-bound models,
+    # about half of them infeasible, against every assignment in the box
+    infeasible = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        lo = rng.integers(0, 3, size=n)
+        hi = lo + rng.integers(0, 3, size=n)
+        constraints = sorted({
+            (int(p), int(q), int(rng.integers(-2, 3)))
+            for p, q in rng.integers(0, n, size=(int(rng.integers(0, 5)), 2))
+            if p != q
+        })
+        model = StrategyModel(None, [("x", v) for v in range(n)], lo, hi, constraints, None)
+        valid = [
+            t for t in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if all(t[q] <= t[p] + c for p, q, c in constraints)
+        ]
+        if not valid:
+            infeasible += 1
+            assert least_solution(model) is None and greatest_solution(model) is None
+        else:
+            assert least_solution(model).tolist() == np.min(valid, axis=0).tolist()
+            assert greatest_solution(model).tolist() == np.max(valid, axis=0).tolist()
+    assert 30 < infeasible < 270, infeasible
+

@@ -240,3 +240,20 @@ def test_run_cap_is_checked_before_any_run_is_built(hi, n_runs):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("horizon, delta", [(5_000_000_000, 0), (None, 10**12), (None, 10**30)])
+def test_points_bound_is_checked_before_any_run_is_built(horizon, delta):
+    # 5 runs of 2 agents, within the run cap, whose horizon (given, or grown
+    # by the largest finite delta) makes runs * times * agents unallocatable
+    timing = TimingSpec(("a", "b"), {("a", "b"): delta, ("b", "a"): 0})
+    scenario = make_scenario(("a", "b"), timing, obs_delay={"a": (0, 0), "b": (0, 1)},
+                             trigger_times=(0, 1), horizon=horizon)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardExceeded, match="generates 5 runs of .* above the bound"):
+            generate_system(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak

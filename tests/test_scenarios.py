@@ -1,5 +1,6 @@
 """Run generation, solvability, synthesis and the reduction identities."""
 
+import numpy as np
 import pytest
 
 from timelyck.errors import (
@@ -7,8 +8,9 @@ from timelyck.errors import (
     SizeGuardExceeded,
     Unsolvable,
 )
-from timelyck.events import common_knowledge, knows
-from timelyck.fixpoint import TimingSpec
+from timelyck.events import knows
+from timelyck.fixpoint import EventTuple, TimingSpec, common_knowledge
+from timelyck.optimality import verify_optimal
 from timelyck.scenarios import (
     ProtocolResult,
     ScenarioSpec,
@@ -20,12 +22,15 @@ from timelyck.scenarios import (
     simultaneous_delta,
     solvability,
     synthesize_optimal,
-    verify_joint_reduction,
-    verify_ordered_reduction,
-    verify_simultaneous_reduction,
     verify_solution,
 )
 from timelyck.universe import INF
+
+from reductions import (
+    verify_joint_reduction,
+    verify_ordered_reduction,
+    verify_simultaneous_reduction,
+)
 
 
 def carwash_timing():
@@ -191,6 +196,20 @@ def test_carwash_synthesis_pinned():
     assert verify_solution(inst, res).ok()
 
 
+def test_knowledge_in_another_agent_order_is_refused():
+    # synthesis and the necessity check read the knowledge table's rows in
+    # timing order, so a tuple indexed otherwise must not be read as if it were
+    inst = carwash_instance()
+    xi = response_knowledge(inst)
+    swapped = EventTuple(inst.universe, {a: xi[a] for a in reversed(xi.agents)})
+    res = synthesize_optimal(inst, knowledge=xi)
+    for call in (synthesize_optimal, solvability):
+        with pytest.raises(InvariantViolation, match="knowledge agents"):
+            call(inst, knowledge=swapped)
+    with pytest.raises(InvariantViolation, match="knowledge agents"):
+        verify_optimal(inst, res, knowledge=swapped)
+
+
 def test_ordered_synthesis_pinned():
     inst = generate_system(
         make_scenario(("a", "b"), ordered_delta(("a", "b")), obs_delay=(0, 1))
@@ -312,6 +331,33 @@ def test_joint_reduction_holds():
         make_scenario(("a", "b", "c"), joint_delta(part), obs_delay=(0, 1))
     )
     assert all(verify_joint_reduction(inst, part).values())
+
+
+def test_reductions_hold_on_random_instances():
+    # 2 to 4 agents in a random order, random observation windows and trigger
+    # times, with and without the never-run; the joint partition cuts that
+    # order into random consecutive blocks
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        k = int(rng.integers(2, 5))
+        agents = tuple(rng.permutation(list("abcd"[:k])).tolist())
+        windows = {}
+        for a in agents:
+            lo = int(rng.integers(0, 2))
+            windows[a] = (lo, lo + int(rng.integers(0, 3 if k < 4 else 2)))
+        triggers = rng.integers(0, 3, size=int(rng.integers(1, 3))).tolist()
+        cuts = sorted(rng.choice(np.arange(1, k), size=int(rng.integers(0, k)), replace=False))
+        part = [tuple(b) for b in np.split(np.array(agents), cuts)]
+
+        def instance(timing):
+            return generate_system(make_scenario(
+                agents, timing, obs_delay=windows, trigger_times=triggers,
+                include_never_run=bool(rng.random() < 0.8),
+            ))
+
+        assert all(verify_ordered_reduction(instance(ordered_delta(agents))).values())
+        assert all(verify_simultaneous_reduction(instance(simultaneous_delta(agents))).values())
+        assert all(verify_joint_reduction(instance(joint_delta(part)), part).values())
 
 
 # -- knowledge contrasts ----------------------------------------------------------

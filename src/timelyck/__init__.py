@@ -20,7 +20,6 @@ from .events import (
     Event,
     eventually,
     everyone_knows,
-    exhibits_perfect_recall,
     is_local,
     is_stable,
     knows,
@@ -36,15 +35,12 @@ from .fixpoint import (
     common_knowledge,
     epsilon_ck,
     eventual_ck,
-    gfp,
-    gfp_bruteforce_oracle,
     timely_ck,
     timely_ck_g,
     timely_ck_oracle,
     tuple_union,
 )
 from .coordination import (
-    Ensemble,
     enumerate_local_ensembles,
     is_delta_coordinated,
     is_epsilon_coordinated,

@@ -2,7 +2,7 @@
 
 The tuple-lattice sweep behind the fixed-point oracle and the solution-space
 sweep behind the optimality oracle.  The test suite checks the tuple sweep
-against `fixpoint.gfp_bruteforce_oracle` and the solution sweep against the
+against a tuple-by-tuple brute-force join and the solution sweep against the
 depth-first reference `naive.n_scan_solutions`.
 """
 

@@ -64,8 +64,7 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc, path: str | None) -> None:
-    text = _dump(doc)
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -138,7 +137,7 @@ def cmd_generate(args) -> int:
         "horizon": instance.universe.horizon,
         "delta_normalized": _normalization_block(instance),
     }
-    _emit(doc, args.output)
+    _write(_dump(doc), args.output)
     return EXIT_OK
 
 
@@ -160,7 +159,7 @@ def cmd_gfp(args) -> int:
             "iterations": info.iterations,
             "coordinate_sizes_per_iteration": info.trace,
         }
-    _emit(doc, args.output)
+    _write(_dump(doc), args.output)
     return EXIT_OK
 
 
@@ -175,14 +174,14 @@ def cmd_solve(args) -> int:
     }
     if not solvable:
         doc["runs"] = _runs_block(instance, None)
-        _emit(doc, args.output)
+        _write(_dump(doc), args.output)
         sys.stderr.write("unsolvable: no coordinated response protocol exists\n")
         return EXIT_UNSOLVABLE
     result = synthesize_optimal(instance, knowledge=xi)
     report = verify_solution(instance, result)
     doc["runs"] = _runs_block(instance, result)
     doc["verdict"]["solution_checks"] = report.to_json_dict()
-    _emit(doc, args.output)
+    _write(_dump(doc), args.output)
     return EXIT_OK if report.ok() else EXIT_VERIFY
 
 
@@ -196,7 +195,7 @@ def cmd_verify(args) -> int:
         opt = verify_optimal(instance, result, report=report, guard=args.guard)
         doc["optimality"] = opt.to_json_dict()
         ok = ok and opt.ok()
-    _emit(doc, args.output)
+    _write(_dump(doc), args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -256,14 +255,14 @@ def cmd_oracle(args) -> int:
     doc["ensemble_correspondence"] = {"cases": corr_cases, "failures": corr_failures}
     ok = ok and corr_failures == 0
 
-    _emit(doc, args.output)
+    _write(_dump(doc), args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_props(args) -> int:
     results = run_all(args.seed, cases=args.cases)
     if args.format == "json":
-        _emit([r.to_json_dict() for r in results], args.output)
+        _write(_dump([r.to_json_dict() for r in results]), args.output)
     else:
         lines = []
         for r in results:
@@ -272,12 +271,7 @@ def cmd_props(args) -> int:
             lines.append(f"{status}  {r.name}  cases={r.cases}{extra}")
             for f in ([r.error] if r.error else []) + r.failures[:3]:
                 lines.append(f"      {f}")
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.output)
     if any(r.error for r in results):
         return EXIT_INTERNAL
     return EXIT_OK if all(r.ok() for r in results) else EXIT_VERIFY
@@ -288,7 +282,7 @@ def cmd_report(args) -> int:
     where = "runs" if "runs" in doc else "result"
     runs = json_object(doc.get("runs", doc), where)
     if args.format == "json":
-        _emit(doc, args.output)
+        _write(_dump(doc), args.output)
         return EXIT_OK
     table = {}
     for name, entry in runs.items():
@@ -312,12 +306,7 @@ def cmd_report(args) -> int:
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in rows
     ]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run the brute-force cross-checks")
     scenario_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--cases", type=_int_at_least(1), default=50,
                    help="random universes for the fixed-point sweep")
     # the sweep samples up to 3 agents, and the smallest universe has 1 run of 2 times
@@ -387,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("props", help="run the randomized property suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--cases", type=_int_at_least(1), default=120)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("-o", "--output", default=None)

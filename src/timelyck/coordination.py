@@ -3,7 +3,8 @@ correspondence check between timely common knowledge and coordinated
 ensembles.
 
 An ensemble is an event tuple whose coordinate for agent i is i-local (the
-agent can always tell whether its coordinate holds).  Timing coordination of
+agent can always tell whether its coordinate holds, which `is_local`
+decides); the predicates take a plain `EventTuple`.  Timing coordination of
 an ensemble says: whenever agent i's coordinate holds, agent j's coordinate
 holds somewhere in the run no later than delta(i, j) steps away.  It is
 decided on first instants; the literal point quantifier is
@@ -29,33 +30,7 @@ from .packed import PackedSpace
 from .universe import Universe
 
 
-class Ensemble:
-    """An event tuple with verified per-coordinate locality."""
-
-    __slots__ = ("tuple", "locality_verified")
-
-    def __init__(self, tup: EventTuple):
-        for agent in tup.agents:
-            if not is_local(agent, tup[agent]):
-                raise InvariantViolation(
-                    f"coordinate for agent {agent!r} is not determined by its local state"
-                )
-        self.tuple = tup
-        self.locality_verified = True
-
-    def __getitem__(self, agent: str) -> Event:
-        return self.tuple[agent]
-
-    @property
-    def agents(self):
-        return self.tuple.agents
-
-
-def _coords(e) -> EventTuple:
-    return e.tuple if isinstance(e, Ensemble) else e
-
-
-def uncoordinated_pairs(ensemble, spec: TimingSpec) -> list[tuple]:
+def uncoordinated_pairs(ensemble: EventTuple, spec: TimingSpec) -> list[tuple]:
     """The pairs (i, j), in `spec.pairs()` order, where some occurrence of e_i
     is not answered by e_j within delta(i, j).
 
@@ -63,37 +38,36 @@ def uncoordinated_pairs(ensemble, spec: TimingSpec) -> list[tuple]:
     its first instant at most e_i's first instant plus delta(i, j) (deltas
     clamped to the horizon, inf acting like H).
     """
-    tup = _coords(ensemble)
-    if tup.agents != spec.agents:
+    if ensemble.agents != spec.agents:
         raise InvariantViolation("ensemble agents do not match the timing spec")
-    u = tup.universe
-    first = first_instants(tup.table)
+    u = ensemble.universe
+    first = first_instants(ensemble.table)
     reach = reach_matrix(spec, u)
     late = first[None, :, :] > first[:, None, :] + reach[:, :, None]
     bad = (late & (first < u.n_times)[:, None, :]).any(axis=2)
     return [(spec.agents[i], spec.agents[j]) for i, j in zip(*np.nonzero(bad))]
 
 
-def is_delta_coordinated(ensemble, spec: TimingSpec) -> bool:
+def is_delta_coordinated(ensemble: EventTuple, spec: TimingSpec) -> bool:
     """Whether every occurrence of e_i is answered by e_j within delta(i, j)."""
     return not uncoordinated_pairs(ensemble, spec)
 
 
-def is_perfectly_coordinated(ensemble) -> bool:
-    table = _coords(ensemble).table
+def is_perfectly_coordinated(ensemble: EventTuple) -> bool:
+    table = ensemble.table
     return bool((table == table[0]).all())
 
 
-def is_eventually_coordinated(ensemble) -> bool:
+def is_eventually_coordinated(ensemble: EventTuple) -> bool:
     """In every run, either every coordinate holds somewhere or none does."""
-    hit = _coords(ensemble).table.any(axis=2)  # (agent, run)
+    hit = ensemble.table.any(axis=2)  # (agent, run)
     return bool((hit.all(axis=0) | ~hit.any(axis=0)).all())
 
 
-def is_epsilon_coordinated(ensemble, eps: int) -> bool:
+def is_epsilon_coordinated(ensemble: EventTuple, eps: int) -> bool:
     """Every occurrence sits in a length-eps window meeting every coordinate;
     the literal point quantifier is `naive.n_epsilon_coordinated`."""
-    tables = _coords(ensemble).table
+    tables = ensemble.table
     return not (tables & ~window_cover(tables, eps)).any()
 
 
@@ -152,14 +126,9 @@ class CorrespondenceReport:
 
 
 def _first_points(space: PackedSpace, mask: int, agent: str, cap: int = 4):
-    u = space.universe
-    out = []
-    for b in range(space.n_bits):
-        if mask >> b & 1:
-            out.append({"agent": agent, "run": u.runs[b // u.n_times], "time": b % u.n_times})
-            if len(out) >= cap:
-                break
-    return out
+    return [
+        {"agent": agent, "run": p.run, "time": p.time} for p in space.unpack(mask).points()[:cap]
+    ]
 
 
 def verify_greatest_coordinated_ensemble(

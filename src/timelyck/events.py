@@ -82,10 +82,6 @@ class Event:
         self._same(other)
         return bool(np.array_equal(self.table, other.table))
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None  # mutable-free but identity hashing would invite mistakes
 
     def is_empty(self) -> bool:
@@ -223,7 +219,3 @@ def everyone_knows(agents: Iterable[str], e: Event) -> Event:
 def is_local(agent: str, e: Event) -> bool:
     """True iff the event's truth is determined by the agent's local state."""
     return e == knows(agent, e)
-
-
-def exhibits_perfect_recall(universe: Universe) -> bool:
-    return universe.exhibits_perfect_recall()

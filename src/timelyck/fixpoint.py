@@ -23,19 +23,18 @@ built only for the final value; `apply_f` is one such step.
 within-windows and skips unbounded pairs; it is the one the nested-knowledge
 characterisation reconstructs path by path.  Its step gathers every partner's
 coordinate at the shifted time, and `apply_g` is one such step.  Both fixed
-points, the generic `gfp` on event tuples and the single-event fixed points
-(`event_gfp`: common, eventual and window common knowledge) run through one
-descent loop (`_descend`) with one descent check, iteration bound and trace.
+points and the single-event fixed points (`event_gfp`: common, eventual and
+window common knowledge) run through one descent loop (`_descend`) with one
+descent check, iteration bound and trace.
 Each iteration makes one descent test, `nxt > cur`, and the loop stops when
 the coordinate sizes it records for the trace repeat: every accepted step lies
 inside its predecessor, so equal sizes mean equal iterates.
 
-`gfp_bruteforce_oracle` and `timely_ck_oracle` provide the independent check:
-enumerate every tuple in the (finite) lattice, keep the ones below their own
-image, and join them.  The packed oracle takes its operator tables from
-`PackedSpace.map_tables`, which builds them from the definition-direct
-evaluators in `naive`, so it shares no operator code with the iterative
-engine.
+`timely_ck_oracle` provides the independent check: enumerate every tuple in
+the (finite) lattice, keep the ones below their own image, and join them.  It
+takes its operator tables from `PackedSpace.map_tables`, which builds them
+from the definition-direct evaluators in `naive`, so it shares no operator
+code with the iterative engine.
 """
 
 from __future__ import annotations
@@ -120,13 +119,10 @@ class TimingSpec:
                 changed[pair] = (v, nv)
         return TimingSpec(self.agents, new), changed
 
-    def max_positive_finite(self, agent: str | None = None) -> int:
-        vals = [
-            v
-            for (i, _), v in self._delta.items()
-            if is_finite_delta(v) and (agent is None or i == agent)
-        ]
-        return max([int(v) for v in vals if v > 0], default=0)
+    def max_positive_finite(self) -> int:
+        return max(
+            (int(v) for v in self._delta.values() if is_finite_delta(v) and v > 0), default=0
+        )
 
     def all_finite(self) -> bool:
         return all(is_finite_delta(v) for v in self._delta.values())
@@ -236,13 +232,6 @@ class EventTuple:
 
     def to_json_dict(self) -> dict:
         return {a: self[a].to_json_list() for a in self.agents}
-
-    @classmethod
-    def from_json_dict(cls, universe: Universe, doc: Mapping) -> "EventTuple":
-        return cls(
-            universe,
-            {a: Event.from_json_list(universe, pts, a) for a, pts in doc.items()},
-        )
 
     def __repr__(self) -> str:
         sizes = self.table.reshape(len(self.agents), -1).sum(axis=1).tolist()
@@ -409,18 +398,6 @@ def _descend(step, start, universe: Universe, agents: tuple) -> GfpResult:
     )
 
 
-def gfp(step: Callable[[EventTuple], EventTuple], start: EventTuple) -> GfpResult:
-    """Iterate a monotone tuple map from `start` until two iterates coincide."""
-    u, agents = start.universe, start.agents
-
-    def table_step(x: np.ndarray) -> np.ndarray:
-        image = step(EventTuple.of(u, agents, x))
-        start._same(image)
-        return image.table
-
-    return _descend(table_step, start.table, u, agents)
-
-
 def event_gfp(step: Callable[[Event], Event], universe: Universe, agent: str) -> Event:
     """The greatest fixed point of a monotone map on single events, descended
     from the full event as a one-coordinate tuple labelled `agent`."""
@@ -464,7 +441,7 @@ def check_induction_rule(psi: Event, spec: TimingSpec, xi: EventTuple) -> bool:
     return pre_fixed
 
 
-# -- brute-force oracles --------------------------------------------------------
+# -- the brute-force oracle ------------------------------------------------------
 
 
 def _oracle_bits(universe: Universe, n_agents: int, guard_bits: int) -> int:
@@ -474,32 +451,6 @@ def _oracle_bits(universe: Universe, n_agents: int, guard_bits: int) -> int:
             f"oracle would sweep 2^{bits} tuples; guard is 2^{guard_bits}"
         )
     return bits
-
-
-def gfp_bruteforce_oracle(
-    step: Callable[[EventTuple], EventTuple],
-    universe: Universe,
-    agents: Iterable[str],
-    *,
-    guard_bits: int = DEFAULT_ORACLE_GUARD_BITS,
-) -> EventTuple:
-    """Join of all tuples below their own image, by explicit enumeration.
-
-    Independent of the iterative computation: no fixed-point iteration at all,
-    just a sweep of the entire tuple lattice.  Exponential, hence guarded.
-    """
-    agents = tuple(agents)
-    p = universe.n_points
-    _oracle_bits(universe, len(agents), guard_bits)
-    space = PackedSpace(universe)
-
-    join = EventTuple.bottom(universe, agents)
-    for packed in range(1 << (p * len(agents))):
-        masks = [(packed >> (p * n)) & ((1 << p) - 1) for n in range(len(agents))]
-        x = EventTuple.of(universe, agents, space.tables(masks))
-        if x <= step(x):
-            join = join | x
-    return join
 
 
 def timely_ck_oracle(

@@ -312,32 +312,6 @@ class Universe:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Universe":
-        try:
-            agents = doc["agents"]
-            runs = doc["runs"]
-            horizon = doc["horizon"]
-            states = doc["states"]
-        except KeyError as exc:
-            raise InvariantViolation(f"universe document missing field {exc}") from None
-
-        def lookup(agent, run, t):
-            try:
-                return states[agent][run][t]
-            except (KeyError, IndexError):
-                raise InvariantViolation(
-                    f"universe document: no state for ({agent!r}, {run!r}, {t})"
-                ) from None
-
-        return cls(
-            agents,
-            runs,
-            horizon,
-            lookup,
-            synchronous=doc.get("synchronous", True),
-        )
-
     def __repr__(self) -> str:
         mode = "sync" if self.synchronous else "async"
         return (

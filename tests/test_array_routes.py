@@ -27,7 +27,6 @@ from timelyck.fixpoint import (
     EventTuple,
     TimingSpec,
     apply_f,
-    gfp_bruteforce_oracle,
     timely_ck,
     timely_ck_oracle,
     tuple_union,
@@ -35,6 +34,8 @@ from timelyck.fixpoint import (
 from timelyck.packed import PackedSpace
 from timelyck.sampling import AGENT_POOL, random_event, random_spec, random_tuple, random_universe
 from timelyck.universe import INF, Universe, clamp_delta
+
+from generic_gfp import gfp_bruteforce_oracle
 
 # -- sampled universes ----------------------------------------------------------
 
@@ -354,6 +355,16 @@ def _scalar_descent(space, psi_mask, spec):
     raise SizeGuardExceeded("packed fixed-point iteration failed to stabilize")
 
 
+def _first_points_by_bits(space, mask, agent, cap=4):
+    """A counterexample's first `cap` points, decoded from the mask bit by bit."""
+    u = space.universe
+    out = []
+    for b in range(space.n_bits):
+        if mask >> b & 1 and len(out) < cap:
+            out.append({"agent": agent, "run": u.runs[b // u.n_times], "time": b % u.n_times})
+    return out
+
+
 def _report_by_loop(psi, spec, candidate, engine_samples, seed, engine_calls):
     """The per-combination loop; returns (parts, counterexamples, enumerated)
     and appends each union re-checked against the engine to `engine_calls`."""
@@ -404,7 +415,7 @@ def _report_by_loop(psi, spec, candidate, engine_samples, seed, engine_calls):
                 if combo[a_i] & ~xi_masks[a_i]:
                     if greatest_ok:
                         extra = combo[a_i] & ~xi_masks[a_i]
-                        cex["greatest"] = coord._first_points(space, extra, agent)
+                        cex["greatest"] = _first_points_by_bits(space, extra, agent)
                     greatest_ok = False
         ck = ck_cache.get(union_mask)
         if ck is None:
@@ -417,11 +428,13 @@ def _report_by_loop(psi, spec, candidate, engine_samples, seed, engine_calls):
         for a_i, agent in enumerate(agents):
             if combo[a_i] & ~ck[a_i]:
                 if below_own_ck_ok:
-                    cex["below_own_ck"] = coord._first_points(space, combo[a_i] & ~ck[a_i], agent)
+                    cex["below_own_ck"] = _first_points_by_bits(
+                        space, combo[a_i] & ~ck[a_i], agent
+                    )
                 below_own_ck_ok = False
         if ck_union != union_mask:
             if union_preserved_ok:
-                cex["union_preserved"] = coord._first_points(space, ck_union ^ union_mask, "-")
+                cex["union_preserved"] = _first_points_by_bits(space, ck_union ^ union_mask, "-")
             union_preserved_ok = False
     engine_calls.extend(sampled)
     parts["greatest"] = greatest_ok

@@ -1,15 +1,17 @@
-"""CLI verbs, exit codes and output determinism, via subprocess."""
+"""CLI verbs, exit codes and output determinism, run in-process through
+`timelyck.cli.main`; `test_acceptance` keeps a `python -m timelyck.cli` run."""
 
 import hashlib
+import io
 import json
-import os
-import subprocess
-import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import timelyck
+from timelyck.cli import main
 
 PKG_DATA = {
     name: str(timelyck.bundled_scenario_path(name))
@@ -24,18 +26,16 @@ PKG_DATA = {
 }
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("TIMELYCK_NUMBA", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "timelyck.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=600,
-    )
+def run_cli(*argv):
+    """Run the CLI on `argv` as a process would: the exit code, stdout and
+    stderr; an exception escaping `main` fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def test_generate_car_wash(tmp_path):
@@ -395,19 +395,31 @@ def test_counts_and_guards_must_be_positive_integers(argv):
     assert f"{argv[-2]}: must be at least 1, got {argv[-1]}" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("props", "--seed", "-1", "--cases", "1"),
+    ("oracle", PKG_DATA["ordered_2"], "--seed", "-1", "--cases", "1"),
+], ids=["props", "oracle"])
+def test_seed_must_be_a_nonnegative_integer(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "--seed: must be at least 0, got -1" in proc.stderr
+
+
 @pytest.mark.parametrize("backend", ["auto", "0"])
-def test_determinism_across_backends(tmp_path, backend):
+def test_determinism_across_backends(tmp_path, monkeypatch, backend):
     # numpy is the only kernel backend; a leftover TIMELYCK_NUMBA setting
     # from the retired numba switch must leave the output byte-identical.
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    for path, env in ((a, {"TIMELYCK_NUMBA": backend}), (b, None)):
+    def oracle(path):
         proc = run_cli(
-            "oracle", PKG_DATA["firing_squad_2"], "--seed", "7", "--cases", "6",
-            "-o", str(path), env_extra=env,
+            "oracle", PKG_DATA["firing_squad_2"], "--seed", "7", "--cases", "6", "-o", str(path)
         )
         assert proc.returncode == 0, proc.stderr
-    assert a.read_bytes() == b.read_bytes()
+        return path.read_bytes()
+
+    monkeypatch.setenv("TIMELYCK_NUMBA", backend)
+    with_setting = oracle(tmp_path / "a.json")
+    monkeypatch.delenv("TIMELYCK_NUMBA")
+    assert oracle(tmp_path / "b.json") == with_setting
 
 
 def test_solve_outputs_byte_identical(tmp_path):
@@ -435,8 +447,6 @@ def test_cli_output_matches_golden_hashes(tmp_path, name):
     only a change between two runs of the same code.  `verify` verbs are fed
     the scenario's own `solve` output.
     """
-    from timelyck.cli import main
-
     scenario = str(timelyck.bundled_scenario_path(name))
     result = tmp_path / "result.json"
     main(["solve", scenario, "-o", str(result)])

@@ -4,7 +4,6 @@ import pytest
 from timelyck.errors import InvariantViolation, SizeGuardExceeded
 from timelyck.events import Event, knows, within
 from timelyck.coordination import (
-    Ensemble,
     enumerate_local_ensembles,
     is_delta_coordinated,
     is_epsilon_coordinated,
@@ -32,13 +31,6 @@ def spec2(dab, dba):
 
 def tup(u, ea, eb):
     return EventTuple(u, {"a": ea, "b": eb})
-
-
-def test_ensemble_requires_locality(toy):
-    with pytest.raises(InvariantViolation):
-        Ensemble(tup(toy, Event.from_points(toy, [("r1", 0)]), Event.empty(toy)))
-    ens = Ensemble(tup(toy, knows("a", Event.full(toy)), Event.empty(toy)))
-    assert ens.locality_verified
 
 
 def test_delta_coordination_examples(toy):

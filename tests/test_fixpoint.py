@@ -17,8 +17,6 @@ from timelyck.fixpoint import (
     common_knowledge,
     epsilon_ck,
     eventual_ck,
-    gfp,
-    gfp_bruteforce_oracle,
     timely_ck,
     timely_ck_g,
     timely_ck_g_info,
@@ -28,6 +26,8 @@ from timelyck.fixpoint import (
 )
 from timelyck.sampling import random_event, random_spec, random_universe
 from timelyck.universe import INF
+
+from generic_gfp import gfp, gfp_bruteforce_oracle
 
 
 def spec2(dab=1, dba=1):

@@ -206,18 +206,6 @@ def test_perfect_recall_matches_point_by_point_reference(toy_forgetful):
         assert u.exhibits_perfect_recall() == naive.n_perfect_recall(u) == want
 
 
-def test_json_round_trip(toy):
-    doc = json.loads(toy.to_json())
-    again = Universe.from_json_dict(doc)
-    assert again.agents == toy.agents
-    assert again.runs == toy.runs
-    assert again.horizon == toy.horizon
-    # labels are stringified but the indistinguishability structure is kept
-    for agent in toy.agents:
-        assert (again.state_ids(agent) == toy.state_ids(agent)).all()
-    assert toy.to_json() == again.to_json()
-
-
 def test_delta_validation():
     assert check_delta(3) == 3
     assert check_delta(INF) == INF

@@ -5,8 +5,10 @@ Verbs
     gfp        emit the timely-common-knowledge tuple for a scenario
     solve      check solvability, synthesize the earliest protocol, verify it
     verify     re-check a previously produced protocol result
-    oracle     run the brute-force cross-checks (fixed-point sweep, optimality
-               sweep, nested-path characterisation, ensemble correspondence)
+    oracle     run the brute-force cross-checks: the `props` groups
+               oracle_agreement (fixed-point sweep) and ensemble_correspondence
+               on one seeded generator, plus the scenario's optimality sweep and
+               nested-path characterisation
     props      run the randomized property suite
     report     render a result file as a table
 
@@ -20,6 +22,7 @@ seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -32,12 +35,10 @@ from .errors import (
     Unsolvable,
 )
 from .events import Event
-from .fixpoint import timely_ck_info, timely_ck, timely_ck_oracle
-from .coordination import verify_greatest_coordinated_ensemble
+from .fixpoint import timely_ck_info
 from .nested import verify_nested_characterization
 from .optimality import verify_optimal
-from .props import run_all
-from .sampling import random_event, random_spec, random_universe
+from .props import check_ensemble_correspondence, check_oracle_agreement, run_all
 from .scenarios import (
     DEFAULT_RUN_CAP,
     ProtocolResult,
@@ -98,14 +99,14 @@ def _int_at_least(low: int):
 
 
 def _load_instance(args) -> TCRInstance:
-    doc = _load_json(args.scenario)
-    scenario = ScenarioSpec.from_json_dict(doc)
-    if getattr(args, "no_never_run", False):
-        scenario.include_never_run = False
-    scenario.run_cap = args.run_cap
-    return generate_system(
-        scenario, synchronous=not getattr(args, "async_mode", False)
+    scenario = ScenarioSpec.from_json_dict(_load_json(args.scenario))
+    # replace() reruns the scenario's validation on the flag-adjusted fields
+    scenario = dataclasses.replace(
+        scenario,
+        include_never_run=scenario.include_never_run and not args.no_never_run,
+        run_cap=args.run_cap,
     )
+    return generate_system(scenario, synchronous=not args.async_mode)
 
 
 def _runs_block(instance: TCRInstance, result: ProtocolResult | None) -> dict:
@@ -202,27 +203,10 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     instance = _load_instance(args)
     doc: dict = {}
-    ok = True
-
     rng = np.random.default_rng(args.seed)
-    sweep_cases = args.cases
-    mismatches = 0
-    for _ in range(sweep_cases):
-        u = random_universe(
-            rng,
-            n_agents=int(rng.integers(2, 4)),
-            bit_budget=min(args.oracle_guard, 16),
-            max_runs=3,
-            max_times=4,
-        )
-        spec = random_spec(rng, u.agents)
-        psi = random_event(rng, u)
-        if timely_ck(psi, spec) != timely_ck_oracle(
-            psi, spec, guard_bits=args.oracle_guard
-        ):
-            mismatches += 1
-    doc["fixed_point_sweep"] = {"cases": sweep_cases, "mismatches": mismatches}
-    ok = ok and mismatches == 0
+    sweep = check_oracle_agreement(rng, args.cases, guard_bits=args.oracle_guard)
+    doc["fixed_point_sweep"] = {"cases": sweep.cases, "mismatches": len(sweep.failures)}
+    ok = sweep.ok()
 
     xi = response_knowledge(instance)
     if solvability(instance, knowledge=xi):
@@ -241,19 +225,9 @@ def cmd_oracle(args) -> int:
     )
     doc["nested_characterisation"] = nested.to_json_dict()
 
-    corr_cases = max(1, sweep_cases // 10)
-    corr_failures = 0
-    for _ in range(corr_cases):
-        u = random_universe(rng, n_agents=2, max_runs=2, max_times=3)
-        psi = random_event(rng, u)
-        spec = random_spec(rng, u.agents)
-        report = verify_greatest_coordinated_ensemble(
-            psi, spec, enum_guard=1 << 14, seed=int(rng.integers(0, 2**31))
-        )
-        if not report.ok():
-            corr_failures += 1
-    doc["ensemble_correspondence"] = {"cases": corr_cases, "failures": corr_failures}
-    ok = ok and corr_failures == 0
+    corr = check_ensemble_correspondence(rng, max(1, args.cases // 10))
+    doc["ensemble_correspondence"] = {"cases": corr.cases, "failures": len(corr.failures)}
+    ok = ok and corr.ok()
 
     _write(_dump(doc), args.output)
     return EXIT_OK if ok else EXIT_VERIFY

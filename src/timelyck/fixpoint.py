@@ -106,7 +106,8 @@ class TimingSpec:
         return [(i, j) for i in self.agents for j in self.agents if i != j]
 
     def normalized(self, horizon: int) -> tuple["TimingSpec", dict]:
-        """Clamp finite deltas into the behaviorally distinct range for `horizon`.
+        """Clamp finite deltas into -(H+1)..H+1 for horizon H (`clamp_delta`),
+        which changes neither the window nor the exact-shift map.
 
         Returns the canonical spec and a map of the changed pairs.
         """
@@ -312,7 +313,8 @@ def _shift_columns(spec: TimingSpec, universe: Universe) -> np.ndarray:
     padded with a False column (n_times) and a True column (n_times + 1).
 
     It is t + delta(i, j) when that lies in 0..H, the False column when the
-    shift leaves 0..H, and the True column for an unbounded pair or i == j.
+    shift leaves 0..H, and the True column for an unbounded pair or i == j;
+    `clamp_delta` keeps the shifts in range without changing a column.
     """
     k, n = len(spec.agents), universe.n_times
     cols = np.full((k, k, n), n + 1, dtype=np.int64)
@@ -320,7 +322,7 @@ def _shift_columns(spec: TimingSpec, universe: Universe) -> np.ndarray:
         for aj, j in enumerate(spec.agents):
             d = spec.delta(i, j) if ai != aj else INF
             if is_finite_delta(d):
-                s = np.arange(n) + max(-n, min(n, d))
+                s = np.arange(n) + clamp_delta(d, universe.horizon)
                 cols[ai, aj] = np.where((s >= 0) & (s < n), s, n)
     return cols
 

@@ -11,10 +11,11 @@ the exact-shift fixed point `timely_ck_g`.
 
 Folding shared path suffixes makes the depth-n conjunction of the whole path
 family exactly the n-th descending iterate of the exact-shift map, so the
-default evaluation is `timely_ck_g` itself.  The explicit mode evaluates every path
-separately with the event operators and asserts that its running conjunction
-stays between consecutive iterates and lands on the fixed point; it is the
-independent check this module provides on the fixed-point engine.
+production route to that coordinate is `timely_ck_g` itself.
+`nested_conjunction` evaluates every path separately with the event operators
+and asserts that its running conjunction stays between consecutive iterates and
+lands on the fixed point; it is the independent check this module provides on
+the fixed-point engine.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .fixpoint import (
     TimingSpec,
     apply_g,
     timely_ck,
-    timely_ck_g,
     timely_ck_g_info,
 )
 from .universe import is_finite_delta
@@ -109,15 +109,18 @@ def nested_formula(path, psi: Event, spec: TimingSpec) -> Event:
     return value
 
 
-def _explicit_evaluation(
-    start: str, psi: Event, spec: TimingSpec, max_paths: int
+def nested_conjunction(
+    start: str, psi: Event, spec: TimingSpec, *, max_paths: int = 50_000
 ) -> Event:
-    """Literal per-path evaluation of the running conjunction from `start`.
+    """Intersection of all nested path formulae rooted at `start`, evaluated
+    path by path with the event operators.
 
     The running value after depth n is wedged between consecutive exact-shift
     iterates, and must land exactly on the fixed point one depth after the
     iterates stabilize; both facts are asserted.
     """
+    if start not in spec.agents:
+        raise InvariantViolation(f"start agent {start!r} is not in the timing spec")
     u = psi.universe
     g_prev = EventTuple.top(u, spec.agents)
     running = Event.full(u)
@@ -154,22 +157,6 @@ def _explicit_evaluation(
     raise InternalConsistencyError("explicit path evaluation failed to stabilize")
 
 
-def nested_conjunction(
-    start: str,
-    psi: Event,
-    spec: TimingSpec,
-    *,
-    explicit_paths: bool = False,
-    max_paths: int = 50_000,
-) -> Event:
-    """Intersection of all nested path formulae rooted at `start`."""
-    if start not in spec.agents:
-        raise InvariantViolation(f"start agent {start!r} is not in the timing spec")
-    if explicit_paths:
-        return _explicit_evaluation(start, psi, spec, max_paths)
-    return timely_ck_g(psi, spec)[start]
-
-
 # -- the characterisation report ------------------------------------------------
 
 
@@ -204,7 +191,7 @@ def verify_nested_characterization(
 
     The depth-n conjunction is the n-th exact-shift iterate, so `depths` and
     `per_depth_sizes` are the iteration count and trace of `timely_ck_g`.
-    With `explicit_paths` every agent's path conjunction is also evaluated
+    With `explicit_paths` every agent's `nested_conjunction` is also evaluated
     path by path and asserted equal to the exact-shift fixed point.
 
     The relation between the two fixed points depends on the bounds.  With all
@@ -224,8 +211,7 @@ def verify_nested_characterization(
 
     if explicit_paths:
         for agent in spec.agents:
-            ex = _explicit_evaluation(agent, psi, spec, max_paths)
-            if ex != g_fix[agent]:
+            if nested_conjunction(agent, psi, spec, max_paths=max_paths) != g_fix[agent]:
                 raise InternalConsistencyError(
                     "explicit path conjunction disagrees with the exact-shift fixed point"
                 )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import naive
-from .errors import SizeGuardExceeded
+from .errors import InternalConsistencyError, SizeGuardExceeded
 from .events import Event
 from .universe import DeltaValue, Universe, clamp_delta
 
@@ -143,11 +143,15 @@ class PackedSpace:
         """Descending iteration of the packed window map, on operands from
         `map_tables`, from the all-full tuple for every target mask of a batch
         at once; row r is psi_masks[r]'s fixed point, its coordinates in the
-        spec's agent order."""
+        spec's agent order.
+
+        Every step must stay inside its predecessor, so the iteration stops
+        within n_bits * k + 1 steps; a step that adds a point means the tables
+        do not describe a monotone map and is an internal error."""
         psi_masks = np.asarray(psi_masks, dtype=np.int64)
         k = len(knows)
         xs = np.full((psi_masks.size, k), self.full_mask, dtype=np.int64)
-        for _ in range(self.n_bits * k + 2):
+        while True:
             nxt = np.empty_like(xs)
             for i in range(k):
                 body = psi_masks
@@ -155,7 +159,10 @@ class PackedSpace:
                     if j != i:
                         body = body & within[pair_index[i, j]][xs[:, j]]
                 nxt[:, i] = knows[i][body]
+            if (nxt & ~xs).any():
+                raise InternalConsistencyError(
+                    "packed fixed-point iteration did not descend; the map is not monotone"
+                )
             if np.array_equal(nxt, xs):
                 return xs
             xs = nxt
-        raise SizeGuardExceeded("packed fixed-point iteration failed to stabilize")

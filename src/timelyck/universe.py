@@ -48,15 +48,17 @@ def check_delta(value, *, finite_only: bool = False) -> DeltaValue:
 
 
 def clamp_delta(value: DeltaValue, horizon: int) -> DeltaValue:
-    """Canonicalize a delta against a horizon.
+    """Canonicalize a delta against a horizon H: a finite value is clamped
+    into -(H+1)..H+1, and inf is kept.
 
-    Any finite value above H behaves exactly like H (the window already covers
-    every time), and any value below -(H+1) behaves exactly like -(H+1) (the
-    window is empty at every point).  Values in between are kept as-is.
+    The clamp is exact for windows and exact shifts alike: a shift of H+1 or
+    more in either direction leaves 0..H from every time, a window of reach
+    -(H+1) or less is empty everywhere, and one of reach H or more covers
+    every time.
     """
     if value == INF:
         return INF
-    return max(-(horizon + 1), min(int(value), horizon))
+    return max(-(horizon + 1), min(int(value), horizon + 1))
 
 
 def delta_to_json(value: DeltaValue):

@@ -11,7 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 import timelyck
+from timelyck import props
 from timelyck.cli import main
+from timelyck.fixpoint import EventTuple
+from timelyck.nested import verify_nested_characterization
+from timelyck.scenarios import ScenarioSpec, generate_system
 
 PKG_DATA = {
     name: str(timelyck.bundled_scenario_path(name))
@@ -117,6 +121,65 @@ def test_oracle_verb(tmp_path):
     assert doc["fixed_point_sweep"] == {"cases": 10, "mismatches": 0}
     assert doc["optimality_sweep"]["optimal"] is True
     assert doc["ensemble_correspondence"]["failures"] == 0
+
+
+def _flip_first_point(x):
+    table = x.table.copy()
+    table.flat[0] = not table.flat[0]
+    return EventTuple.of(x.universe, x.agents, table)
+
+
+def test_oracle_verb_reports_every_fixed_point_mismatch(tmp_path, monkeypatch):
+    real = props.timely_ck_oracle
+    monkeypatch.setattr(
+        props, "timely_ck_oracle", lambda *a, **kw: _flip_first_point(real(*a, **kw))
+    )
+    out = tmp_path / "oracle.json"
+    proc = run_cli("oracle", PKG_DATA["tight_pair"], "--cases", "10", "-o", str(out))
+    assert proc.returncode == 6
+    doc = json.loads(out.read_text())
+    assert doc["fixed_point_sweep"] == {"cases": 10, "mismatches": 10}
+    assert doc["ensemble_correspondence"] == {"cases": 1, "failures": 0}
+
+
+def test_oracle_verb_reports_every_correspondence_failure(tmp_path, monkeypatch):
+    real = props.verify_greatest_coordinated_ensemble
+
+    def failing(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.parts["fixed_point"] = False
+        return report
+
+    monkeypatch.setattr(props, "verify_greatest_coordinated_ensemble", failing)
+    out = tmp_path / "oracle.json"
+    proc = run_cli("oracle", PKG_DATA["tight_pair"], "--cases", "30", "-o", str(out))
+    assert proc.returncode == 6
+    doc = json.loads(out.read_text())
+    assert doc["fixed_point_sweep"] == {"cases": 30, "mismatches": 0}
+    assert doc["ensemble_correspondence"] == {"cases": 3, "failures": 3}
+
+
+@pytest.mark.parametrize("a_to_b", [2, 5])
+def test_oracle_nested_report_is_the_raw_specs(tmp_path, a_to_b):
+    # horizon 1: a shift of 2 from t = 0 leaves 0..1, a shift of 1 lands on 1,
+    # so clamping a->b to the horizon would change the exact-shift map
+    doc = {
+        "agents": ["a", "b"],
+        "trigger_times": [0, 1],
+        "obs_delay": {"a": [0, 0], "b": [0, 0]},
+        "delta": {"a->b": a_to_b, "b->a": "inf"},
+        "actions": {"a": "respond", "b": "respond"},
+        "horizon": 1,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "oracle.json"
+    proc = run_cli("oracle", str(path), "--cases", "1", "--explicit-paths", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    scenario = ScenarioSpec.from_json_dict(doc)
+    instance = generate_system(scenario)
+    want = verify_nested_characterization(instance.trigger_history(), scenario.timing)
+    assert json.loads(out.read_text())["nested_characterisation"] == want.to_json_dict()
 
 
 @pytest.mark.parametrize("guard", ["5", "0", "x"])
@@ -302,6 +365,17 @@ def test_no_never_run_flag(tmp_path):
     assert "never" not in doc["universe"]["runs"]
 
 
+def test_no_never_run_without_trigger_times_is_refused_by_the_scenario_check(tmp_path):
+    doc = json.loads(open(PKG_DATA["firing_squad_2"]).read())
+    doc["trigger_times"] = []
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("generate", str(path)).returncode == 0
+    proc = run_cli("generate", str(path), "--no-never-run")
+    assert proc.returncode == 3
+    assert "scenario generates no runs at all" in proc.stderr
+
+
 def test_async_mode_flag(tmp_path):
     out = tmp_path / "u.json"
     proc = run_cli("generate", PKG_DATA["firing_squad_2"], "--async-mode", "-o", str(out))
@@ -405,30 +479,17 @@ def test_seed_must_be_a_nonnegative_integer(argv):
     assert "--seed: must be at least 0, got -1" in proc.stderr
 
 
-@pytest.mark.parametrize("backend", ["auto", "0"])
-def test_determinism_across_backends(tmp_path, monkeypatch, backend):
-    # numpy is the only kernel backend; a leftover TIMELYCK_NUMBA setting
-    # from the retired numba switch must leave the output byte-identical.
-    def oracle(path):
-        proc = run_cli(
-            "oracle", PKG_DATA["firing_squad_2"], "--seed", "7", "--cases", "6", "-o", str(path)
-        )
-        assert proc.returncode == 0, proc.stderr
-        return path.read_bytes()
-
-    monkeypatch.setenv("TIMELYCK_NUMBA", backend)
-    with_setting = oracle(tmp_path / "a.json")
-    monkeypatch.delenv("TIMELYCK_NUMBA")
-    assert oracle(tmp_path / "b.json") == with_setting
-
-
 def test_solve_outputs_byte_identical(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    for path in (a, b):
-        proc = run_cli("solve", PKG_DATA["car_wash"], "-o", str(path))
-        assert proc.returncode == 0
-    assert a.read_bytes() == b.read_bytes()
+    for argv in (
+        ("solve", PKG_DATA["car_wash"]),
+        ("oracle", PKG_DATA["firing_squad_2"], "--seed", "7", "--cases", "6"),
+    ):
+        outputs = []
+        for path in (tmp_path / "a.json", tmp_path / "b.json"):
+            proc = run_cli(*argv, "-o", str(path))
+            assert proc.returncode == 0, (argv[0], proc.stderr)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1], argv[0]
 
 
 GOLDEN = json.loads(

@@ -24,7 +24,7 @@ from timelyck.fixpoint import (
     timely_ck_oracle,
     tuple_union,
 )
-from timelyck.sampling import random_event, random_spec, random_universe
+from timelyck.sampling import random_event, random_spec, random_stable_event, random_universe
 from timelyck.universe import INF
 
 from generic_gfp import gfp, gfp_bruteforce_oracle
@@ -55,11 +55,28 @@ def test_spec_validation():
 def test_spec_normalization():
     s = spec2(100, -100)
     norm, changed = s.normalized(3)
-    assert norm.delta("a", "b") == 3
+    assert norm.delta("a", "b") == 4
     assert norm.delta("b", "a") == -4
-    assert changed == {("a", "b"): (100, 3), ("b", "a"): (-100, -4)}
+    assert changed == {("a", "b"): (100, 4), ("b", "a"): (-100, -4)}
     norm2, changed2 = norm.normalized(3)
     assert norm2 == norm and changed2 == {}
+
+
+def test_normalizing_a_spec_changes_neither_fixed_point():
+    # bounds drawn past -(H+1)..H+1 on small universes, where a shift of H
+    # and one of H+1 from the same time tell apart most often
+    rng = np.random.default_rng(41)
+    clamped = 0
+    for _ in range(400):
+        u = random_universe(rng, n_agents=2, max_runs=2, max_times=3)
+        h = u.horizon
+        spec = random_spec(rng, u.agents, lo=-(h + 2), hi=h + 2, p_inf=0.2)
+        norm, changed = spec.normalized(h)
+        clamped += bool(changed)
+        psi = random_stable_event(rng, u)
+        assert timely_ck(psi, norm) == timely_ck(psi, spec)
+        assert timely_ck_g(psi, norm) == timely_ck_g(psi, spec)
+    assert clamped >= 100
 
 
 def test_spec_json_round_trip():

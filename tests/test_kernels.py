@@ -1,8 +1,10 @@
 """The vectorized sweeps must agree with their definition-direct references."""
 
 import numpy as np
+import pytest
 
 from timelyck import _kernels
+from timelyck.errors import InternalConsistencyError
 from timelyck.events import within
 from timelyck.fixpoint import TimingSpec, timely_ck
 from timelyck.naive import n_scan_solutions
@@ -36,6 +38,18 @@ def test_within_tables_match_within_on_every_mask():
             table = space.within_table(d)
             for mask in range(1 << space.n_bits):
                 assert table[mask] == space.pack(within(space.unpack(mask), d))
+
+
+def test_packed_descent_refuses_a_map_that_climbs(toy):
+    # knows maps the full mask to 0 and every other mask to full, so the
+    # descent from the top drops to 0 and then climbs back
+    space = PackedSpace(toy)
+    spec = TimingSpec(("a", "b"), {("a", "b"): 1, ("b", "a"): 1})
+    within_rows, pair_index, _ = space.map_tables(spec)
+    knows = np.full((2, 1 << space.n_bits), space.full_mask, dtype=np.int64)
+    knows[:, space.full_mask] = 0
+    with pytest.raises(InternalConsistencyError, match="did not descend"):
+        space.timely_ck_masks([space.full_mask], within_rows, pair_index, knows)
 
 
 def _assert_scans_agree(lo, hi, constraints, n_vals, guard):

@@ -88,22 +88,12 @@ def test_conjunction_matches_g_fixed_point(toy, rng):
         s = random_spec(rng, ("a", "b"))
         fix = timely_ck_g(psi, s)
         for agent in ("a", "b"):
-            assert nested_conjunction(agent, psi, s, explicit_paths=True) == fix[agent]
-
-
-def test_explicit_mode_agrees(toy, rng):
-    for _ in range(10):
-        psi = random_event(rng, toy)
-        s = random_spec(rng, ("a", "b"))
-        for agent in ("a", "b"):
-            assert nested_conjunction(
-                agent, psi, s, explicit_paths=True
-            ) == nested_conjunction(agent, psi, s)
+            assert nested_conjunction(agent, psi, s) == fix[agent]
 
 
 def test_explicit_mode_guard(toy):
     with pytest.raises(SizeGuardExceeded):
-        nested_conjunction("a", Event.full(toy), spec2(1, 1), explicit_paths=True, max_paths=1)
+        nested_conjunction("a", Event.full(toy), spec2(1, 1), max_paths=1)
 
 
 def test_characterization_report_gates(toy, toy_forgetful, rng):
@@ -169,7 +159,7 @@ def test_ordered_instance_conjunction_is_knowledge_chain():
     chain = psi
     for agent in ("a", "b", "c"):
         chain = knows(agent, chain)
-    assert nested_conjunction("c", psi, inst.timing, explicit_paths=True) == chain
+    assert nested_conjunction("c", psi, inst.timing) == chain
 
 
 def test_mixed_bounds_can_make_fixed_points_incomparable(toy):

@@ -218,7 +218,7 @@ def test_delta_validation():
 
 
 def test_delta_clamping():
-    assert clamp_delta(100, 3) == 3
+    assert clamp_delta(100, 3) == 4
     assert clamp_delta(-100, 3) == -4
     assert clamp_delta(2, 3) == 2
     assert clamp_delta(INF, 3) == INF

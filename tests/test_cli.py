@@ -479,17 +479,30 @@ def test_seed_must_be_a_nonnegative_integer(argv):
     assert "--seed: must be at least 0, got -1" in proc.stderr
 
 
+@pytest.mark.parametrize("backend", ["auto", "0"])
+def test_determinism_across_backends(tmp_path, monkeypatch, backend):
+    # numpy is the only kernel backend; a leftover TIMELYCK_NUMBA setting
+    # from the retired numba switch must leave the output byte-identical.
+    def oracle(path):
+        proc = run_cli(
+            "oracle", PKG_DATA["firing_squad_2"], "--seed", "7", "--cases", "6", "-o", str(path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        return path.read_bytes()
+
+    monkeypatch.setenv("TIMELYCK_NUMBA", backend)
+    with_setting = oracle(tmp_path / "a.json")
+    monkeypatch.delenv("TIMELYCK_NUMBA")
+    assert oracle(tmp_path / "b.json") == with_setting
+
+
 def test_solve_outputs_byte_identical(tmp_path):
-    for argv in (
-        ("solve", PKG_DATA["car_wash"]),
-        ("oracle", PKG_DATA["firing_squad_2"], "--seed", "7", "--cases", "6"),
-    ):
-        outputs = []
-        for path in (tmp_path / "a.json", tmp_path / "b.json"):
-            proc = run_cli(*argv, "-o", str(path))
-            assert proc.returncode == 0, (argv[0], proc.stderr)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1], argv[0]
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    for path in (a, b):
+        proc = run_cli("solve", PKG_DATA["car_wash"], "-o", str(path))
+        assert proc.returncode == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 GOLDEN = json.loads(

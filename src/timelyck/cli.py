@@ -35,9 +35,9 @@ from .errors import (
     Unsolvable,
 )
 from .events import Event
-from .fixpoint import timely_ck_info
-from .nested import verify_nested_characterization
-from .optimality import verify_optimal
+from .fixpoint import DEFAULT_ORACLE_GUARD_BITS, timely_ck_info
+from .nested import DEFAULT_MAX_PATHS, verify_nested_characterization
+from .optimality import DEFAULT_ENUM_GUARD, verify_optimal
 from .props import check_ensemble_correspondence, check_oracle_agreement, run_all
 from .scenarios import (
     DEFAULT_RUN_CAP,
@@ -45,12 +45,12 @@ from .scenarios import (
     ScenarioSpec,
     TCRInstance,
     generate_system,
-    json_object,
     response_knowledge,
     solvability,
     synthesize_optimal,
     verify_solution,
 )
+from .universe import json_object
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -209,13 +209,15 @@ def cmd_oracle(args) -> int:
     ok = sweep.ok()
 
     xi = response_knowledge(instance)
-    if solvability(instance, knowledge=xi):
+    if not solvability(instance, knowledge=xi):
+        doc["optimality_sweep"] = {"skipped": "instance unsolvable"}
+    elif not instance.scenario.include_never_run:
+        doc["optimality_sweep"] = {"skipped": "instance has no never-run"}
+    else:
         result = synthesize_optimal(instance, knowledge=xi)
         opt = verify_optimal(instance, result, knowledge=xi, guard=args.guard)
         doc["optimality_sweep"] = opt.to_json_dict()
         ok = ok and opt.ok()
-    else:
-        doc["optimality_sweep"] = {"skipped": "instance unsolvable"}
 
     nested = verify_nested_characterization(
         instance.trigger_history(),
@@ -261,6 +263,8 @@ def cmd_report(args) -> int:
     table = {}
     for name, entry in runs.items():
         entry = json_object(entry, f"{where}.{name}")
+        if where == "result" and "responses" not in entry:
+            entry = {"responses": entry}  # a bare run -> agent -> time map
         table[name] = [entry.get("trigger_time")] + [
             json_object(entry.get(key, {}), f"{where}.{name}.{key}")
             for key in ("observations", "responses")
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("result", help="result JSON file (from solve)")
     p.add_argument("--optimal", action="store_true",
                    help="also run the optimality and necessity sweeps")
-    p.add_argument("--guard", type=_int_at_least(1), default=10**6,
+    p.add_argument("--guard", type=_int_at_least(1), default=DEFAULT_ENUM_GUARD,
                    help="candidate guard for the exhaustive solution sweep")
     p.set_defaults(fn=cmd_verify)
 
@@ -340,13 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=_int_at_least(1), default=50,
                    help="random universes for the fixed-point sweep")
     # the sweep samples up to 3 agents, and the smallest universe has 1 run of 2 times
-    p.add_argument("--oracle-guard", type=_int_at_least(6), default=16, dest="oracle_guard",
+    p.add_argument("--oracle-guard", type=_int_at_least(6), default=DEFAULT_ORACLE_GUARD_BITS,
+                   dest="oracle_guard",
                    help="max universe-points times agents for the tuple sweep (at least 6)")
-    p.add_argument("--guard", type=_int_at_least(1), default=10**6,
+    p.add_argument("--guard", type=_int_at_least(1), default=DEFAULT_ENUM_GUARD,
                    help="candidate guard for the exhaustive solution sweep")
     p.add_argument("--explicit-paths", action="store_true", dest="explicit_paths",
                    help="also evaluate every nested path separately")
-    p.add_argument("--max-paths", type=_int_at_least(1), default=50_000, dest="max_paths")
+    p.add_argument("--max-paths", type=_int_at_least(1), default=DEFAULT_MAX_PATHS,
+                   dest="max_paths")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("props", help="run the randomized property suite")

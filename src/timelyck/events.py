@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvariantViolation, UniverseMismatch
-from .universe import INF, DeltaValue, Point, Universe, check_delta, clamp_delta
+from .universe import DeltaValue, Point, Universe, check_delta, json_int, window_reach
 
 
 class Event:
@@ -105,21 +105,22 @@ class Event:
     @classmethod
     def from_json_list(cls, universe: Universe, doc: Sequence, field: str = "event") -> "Event":
         """An event from a list of [run, time] pairs; a document of another
-        shape is an InvariantViolation naming `field`."""
+        shape, or a pair that is no point of the universe, is an
+        InvariantViolation naming `field` or the pair."""
         if not isinstance(doc, list):
             raise InvariantViolation(f"{field} must be a list of [run, time] pairs")
+        table = np.zeros((universe.n_runs, universe.n_times), dtype=bool)
         for n, point in enumerate(doc):
-            if not (
-                isinstance(point, list)
-                and len(point) == 2
-                and isinstance(point[0], str)
-                and isinstance(point[1], int)
-                and not isinstance(point[1], bool)
-            ):
+            if not (isinstance(point, list) and len(point) == 2 and isinstance(point[0], str)):
                 raise InvariantViolation(
                     f"{field}[{n}] must be a [run, time] pair, got {point!r}"
                 )
-        return cls.from_points(universe, doc)
+            try:
+                r = universe.run_index(point[0])
+                table[r, universe.check_time(json_int(point[1], "its time"))] = True
+            except InvariantViolation as exc:
+                raise InvariantViolation(f"{field}[{n}] must be a point: {exc}") from None
+        return cls(universe, table)
 
     def __repr__(self) -> str:
         return f"Event({self.size} of {self.universe.n_points} points)"
@@ -179,12 +180,11 @@ def within(e: Event, eps: DeltaValue) -> Event:
 
     The witness time ranges over the whole horizon 0..H, so for eps = inf this
     is exactly `eventually`, and for eps = 0 it means "now or previously".
-    It holds at (r, t) iff t >= first[r] - eps, where first[r] is the event's
-    first instant in run r; eps is clamped to the horizon, and inf acts like H.
+    It holds at (r, t) iff t >= first[r] - window_reach(eps), where first[r]
+    is the event's first instant in run r.
     """
-    eps = check_delta(eps)
     u = e.universe
-    d = u.horizon if eps == INF else clamp_delta(eps, u.horizon)
+    d = window_reach(check_delta(eps), u.horizon)
     out = np.arange(u.n_times) >= (first_instants(e.table) - d)[:, None]
     return Event(u, out)
 

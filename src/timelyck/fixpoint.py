@@ -12,9 +12,8 @@ holds its coordinates as one (k, n_runs, n_times) boolean table, and the
 descent runs on that table and works on first instants: within(x_j, d) holds
 at (r, t) iff x_j's first instant in run r is at most t + d, so each step
 takes every coordinate's first instants, gives agent i the per-run threshold
-max_j(first_j[r] - delta(i, j)) (deltas clamped to the horizon, inf acting
-like H, an empty run putting the threshold past H), ANDs it with psi and
-applies knows through the state ids.
+max_j(first_j[r] - window_reach(delta(i, j))) (an empty run putting the
+threshold past H), ANDs it with psi and applies knows through the state ids.
 The operands (psi's table, the negated reach matrix, the clock and the agents'
 state ids shifted into one id range) are built once per call.  The tuple is
 built only for the final value; `apply_f` is one such step.
@@ -54,7 +53,6 @@ from .errors import (
 from .events import Event, eventually, everyone_knows, first_instants, knows, window_cover
 from .packed import PackedSpace
 from .universe import (
-    INF,
     DeltaValue,
     Universe,
     check_delta,
@@ -62,6 +60,7 @@ from .universe import (
     delta_from_json,
     delta_to_json,
     is_finite_delta,
+    window_reach,
 )
 
 DEFAULT_ORACLE_GUARD_BITS = 16
@@ -105,6 +104,13 @@ class TimingSpec:
     def pairs(self):
         return [(i, j) for i in self.agents for j in self.agents if i != j]
 
+    def bounded_pairs(self) -> list[tuple[int, int, int]]:
+        """(index of i, index of j, delta(i, j)) for every finitely bounded
+        pair, in `pairs()` order: the edges of the bound graph."""
+        at = {a: n for n, a in enumerate(self.agents)}
+        bounded = [(i, j) for i, j in self.pairs() if is_finite_delta(self._delta[i, j])]
+        return [(at[i], at[j], int(self._delta[i, j])) for i, j in bounded]
+
     def normalized(self, horizon: int) -> tuple["TimingSpec", dict]:
         """Clamp finite deltas into -(H+1)..H+1 for horizon H (`clamp_delta`),
         which changes neither the window nor the exact-shift map.
@@ -121,9 +127,7 @@ class TimingSpec:
         return TimingSpec(self.agents, new), changed
 
     def max_positive_finite(self) -> int:
-        return max(
-            (int(v) for v in self._delta.values() if is_finite_delta(v) and v > 0), default=0
-        )
+        return max((d for _, _, d in self.bounded_pairs() if d > 0), default=0)
 
     def all_finite(self) -> bool:
         return all(is_finite_delta(v) for v in self._delta.values())
@@ -144,7 +148,7 @@ class TimingSpec:
                 i, j = key.split("->")
             except ValueError:
                 raise InvariantViolation(f"bad delta key {key!r}, expected 'i->j'") from None
-            delta[(i, j)] = delta_from_json(raw)
+            delta[(i, j)] = delta_from_json(raw, f"delta.{key}")
         return cls(agents, delta)
 
     def __repr__(self) -> str:
@@ -277,15 +281,13 @@ def _knows_all(body: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
 
 
 def reach_matrix(spec: TimingSpec, universe: Universe) -> np.ndarray:
-    """The (k, k) matrix of deltas clamped to the horizon, inf acting like H;
-    the diagonal is so large that an agent's own coordinate never binds."""
-    h = universe.horizon
+    """The (k, k) matrix of each pair's `window_reach`; the diagonal is so
+    large that an agent's own coordinate never binds."""
 
     def reach(i, j):
         if i == j:
             return 4 * universe.n_times
-        d = spec.delta(i, j)
-        return h if d == INF else clamp_delta(d, h)
+        return window_reach(spec.delta(i, j), universe.horizon)
 
     return np.array([[reach(i, j) for j in spec.agents] for i in spec.agents], dtype=np.int64)
 
@@ -318,12 +320,9 @@ def _shift_columns(spec: TimingSpec, universe: Universe) -> np.ndarray:
     """
     k, n = len(spec.agents), universe.n_times
     cols = np.full((k, k, n), n + 1, dtype=np.int64)
-    for ai, i in enumerate(spec.agents):
-        for aj, j in enumerate(spec.agents):
-            d = spec.delta(i, j) if ai != aj else INF
-            if is_finite_delta(d):
-                s = np.arange(n) + clamp_delta(d, universe.horizon)
-                cols[ai, aj] = np.where((s >= 0) & (s < n), s, n)
+    for ai, aj, d in spec.bounded_pairs():
+        s = np.arange(n) + clamp_delta(d, universe.horizon)
+        cols[ai, aj] = np.where((s >= 0) & (s < n), s, n)
     return cols
 
 

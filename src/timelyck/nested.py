@@ -37,6 +37,8 @@ from .universe import is_finite_delta
 
 DeltaPath = tuple  # of agent ids
 
+DEFAULT_MAX_PATHS = 50_000  # paths `nested_conjunction` may evaluate; `--max-paths` sets it
+
 
 def validate_path(spec: TimingSpec, path) -> DeltaPath:
     path = tuple(path)
@@ -66,21 +68,15 @@ def _extend_paths(spec: TimingSpec, frontier: list) -> list[DeltaPath]:
 
 
 def paths_are_finite(spec: TimingSpec) -> bool:
-    """Whether the finite-bound graph is acyclic, making the path set finite."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {a: WHITE for a in spec.agents}
-
-    def visit(node) -> bool:  # True iff a cycle is reachable
-        color[node] = GRAY
-        for nxt in finite_successors(spec, node):
-            if color[nxt] == GRAY:
-                return True
-            if color[nxt] == WHITE and visit(nxt):
-                return True
-        color[node] = BLACK
-        return False
-
-    return not any(visit(a) for a in spec.agents if color[a] == WHITE)
+    """Whether the bound graph (an edge i -> j per finitely bounded pair) is
+    acyclic, making the path set finite.  A graph on k agents is acyclic iff
+    it has no walk of k steps: the k-th boolean power of its adjacency matrix
+    is empty."""
+    k = len(spec.agents)
+    adjacent = np.zeros((k, k), dtype=bool)
+    for i, j, _ in spec.bounded_pairs():
+        adjacent[i, j] = True
+    return not np.linalg.matrix_power(adjacent, k).any()
 
 
 def enumerate_paths(spec: TimingSpec, start: str, max_len: int) -> list[DeltaPath]:
@@ -110,7 +106,7 @@ def nested_formula(path, psi: Event, spec: TimingSpec) -> Event:
 
 
 def nested_conjunction(
-    start: str, psi: Event, spec: TimingSpec, *, max_paths: int = 50_000
+    start: str, psi: Event, spec: TimingSpec, *, max_paths: int = DEFAULT_MAX_PATHS
 ) -> Event:
     """Intersection of all nested path formulae rooted at `start`, evaluated
     path by path with the event operators.
@@ -185,7 +181,7 @@ def verify_nested_characterization(
     spec: TimingSpec,
     *,
     explicit_paths: bool = False,
-    max_paths: int = 50_000,
+    max_paths: int = DEFAULT_MAX_PATHS,
 ) -> NestedReport:
     """Compare the nested-path conjunction with both fixed points.
 

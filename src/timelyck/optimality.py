@@ -34,9 +34,7 @@ projection of a result and the necessity check are array operations on it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import permutations
 
 import numpy as np
 
@@ -54,7 +52,6 @@ from .scenarios import (
     knowledge_for,
     verify_solution,
 )
-from .universe import is_finite_delta
 
 DEFAULT_ENUM_GUARD = 10**6
 
@@ -96,11 +93,10 @@ def build_strategy_model(instance: TCRInstance) -> StrategyModel:
     hi = np.full(len(variables), instance.universe.horizon, dtype=np.int64)
 
     n, constraints = len(variables), []
-    for ai, aj in permutations(range(len(agents)), 2):
-        d = instance.timing.delta(agents[ai], agents[aj])
-        if is_finite_delta(d):  # one code p * n + q per realized variable pair
-            p, q = np.divmod(np.unique(var_of[:, ai] * n + var_of[:, aj]), max(n, 1))
-            constraints += zip(p.tolist(), q.tolist(), [int(d)] * p.size)
+    for ai, aj, d in instance.timing.bounded_pairs():
+        # one code p * n + q per realized variable pair
+        p, q = np.divmod(np.unique(var_of[:, ai] * n + var_of[:, aj]), max(n, 1))
+        constraints += zip(p.tolist(), q.tolist(), [d] * p.size)
     constraints.sort()
     return StrategyModel(instance, variables, lo, hi, constraints, var_of)
 
@@ -170,9 +166,9 @@ def is_product_structured(model: StrategyModel) -> bool:
 
     A bounded pair (i, j) has one constraint per realized pair of observation
     times, at most n_i * n_j, so counting the constraints decides it."""
-    timing, n = model.instance.timing, Counter(a for a, _ in model.variables)
-    bounded = [p for p in permutations(timing.agents, 2) if is_finite_delta(timing.delta(*p))]
-    return len(model.constraints) == sum(n[i] * n[j] for i, j in bounded)
+    timing = model.instance.timing
+    n = [sum(a == b for b, _ in model.variables) for a in timing.agents]
+    return len(model.constraints) == sum(n[i] * n[j] for i, j, _ in timing.bounded_pairs())
 
 
 BOX_SWEEP_CAP = 3 * 10**7
@@ -229,10 +225,8 @@ def _sweep_boxes(model: StrategyModel):
     # a bound max_j <= min_i + delta(i, j) reads only the boxes of i and j, so
     # each pair contributes an n_i x n_j table, broadcast over the other axes
     feasible = np.ones([len(m) for m in box_min], dtype=bool)
-    for ai, aj in permutations(range(k), 2):
-        d = model.instance.timing.delta(agents[ai], agents[aj])
-        if is_finite_delta(d):
-            feasible &= along(box_max[aj], aj) <= along(box_min[ai], ai) + int(d)
+    for ai, aj, d in model.instance.timing.bounded_pairs():
+        feasible &= along(box_max[aj], aj) <= along(box_min[ai], ai) + d
 
     if not feasible.any():
         return False, None, None

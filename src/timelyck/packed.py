@@ -8,8 +8,9 @@ images come from the definition-direct `naive.n_within` on single points,
 state-id array with one scatter of bit weights.
 
 `map_tables(spec)` builds the packed window map's operands once per spec: one
-`within` row per distinct clamped delta, all rows filled by one doubling pass,
-the (k, k) index of each ordered pair's row, and every agent's `knows` table.
+`within` row per distinct window reach (`window_reach`: bounds of H, H+1 and
+inf share a row), all rows filled by one doubling pass, the (k, k) index of
+each ordered pair's row, and every agent's `knows` table.
 Three readers share them: the fixed-point oracle's tuple sweep
 (`fixpoint.timely_ck_oracle`), the batched descent `timely_ck_masks`, and the
 coordination filter of the local-ensemble enumeration in `coordination`.
@@ -25,7 +26,7 @@ import numpy as np
 from . import naive
 from .errors import InternalConsistencyError, SizeGuardExceeded
 from .events import Event
-from .universe import DeltaValue, Universe, clamp_delta
+from .universe import DeltaValue, Universe, window_reach
 
 MAX_PACKED_POINTS = 20  # full tables are 2^P entries
 
@@ -34,8 +35,8 @@ MAX_PACKED_POINTS = 20  # full tables are 2^P entries
 _KNOWS_ROWS = 1 << 12
 
 # The bitmask images of within(single point, d) depend only on the geometry
-# and the clamped delta, so every universe of one shape shares them; keyed by
-# (n_runs, n_times, d), and MAX_PACKED_POINTS bounds the keys.
+# and the window reach of d, so every universe of one shape shares them; keyed
+# by (n_runs, n_times, reach), and MAX_PACKED_POINTS bounds the keys.
 _WITHIN_SINGLES: dict[tuple, list[int]] = {}
 
 
@@ -81,7 +82,7 @@ class PackedSpace:
         u = self.universe
         singles = []
         for d in deltas:
-            key = (u.n_runs, u.n_times, clamp_delta(d, u.horizon))
+            key = (u.n_runs, u.n_times, window_reach(d, u.horizon))
             if key not in _WITHIN_SINGLES:
                 points = [frozenset({divmod(b, u.n_times)}) for b in range(self.n_bits)]
                 _WITHIN_SINGLES[key] = [
@@ -124,16 +125,16 @@ class PackedSpace:
 
     def map_tables(self, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The packed window map's operands for `spec`: the within tables, one
-        row per distinct clamped delta; the (k, k) pair index, entry [i, j]
+        row per distinct window reach; the (k, k) pair index, entry [i, j]
         naming pair (i, j)'s row (0 on the never-read diagonal); and the
         (k, 2^P) knows tables in `spec.agents` order."""
         k = len(spec.agents)
-        key_of: dict = {}  # clamped delta -> its row of the within tables
+        key_of: dict = {}  # window reach -> its row of the within tables
         pair_index = np.zeros((k, k), dtype=np.int64)
         for ai, i in enumerate(spec.agents):
             for aj, j in enumerate(spec.agents):
                 if ai != aj:
-                    key = clamp_delta(spec.delta(i, j), self.universe.horizon)
+                    key = window_reach(spec.delta(i, j), self.universe.horizon)
                     pair_index[ai, aj] = key_of.setdefault(key, len(key_of))
         return self.within_tables(key_of), pair_index, self.knows_tables(spec.agents)
 

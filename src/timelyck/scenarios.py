@@ -33,7 +33,7 @@ from .errors import (
 )
 from .events import Event, eventually, is_local, within
 from .fixpoint import EventTuple, TimingSpec, timely_ck, tuple_union
-from .universe import INF, Universe
+from .universe import INF, Universe, json_int, json_object
 
 
 DEFAULT_RUN_CAP = 2048  # runs a generated scenario may have; `--run-cap` sets it
@@ -127,7 +127,7 @@ class ScenarioSpec:
                     raise InvariantViolation(
                         f"obs_delay.{a} must be a [lo, hi] pair, got {window!r}"
                     )
-                windows[a] = tuple(_json_int(v, f"obs_delay.{a}") for v in window)
+                windows[a] = tuple(json_int(v, f"obs_delay.{a}") for v in window)
             include_never_run = doc.get("include_never_run", True)
             if not isinstance(include_never_run, bool):
                 raise InvariantViolation(
@@ -137,30 +137,16 @@ class ScenarioSpec:
             return cls(
                 agents=agents,
                 trigger_times=tuple(
-                    _json_int(t, f"trigger_times[{n}]") for n, t in enumerate(trigger_times)
+                    json_int(t, f"trigger_times[{n}]") for n, t in enumerate(trigger_times)
                 ),
                 obs_delay=windows,
                 timing=timing,
                 actions=dict(json_object(doc["actions"], "actions")),
                 include_never_run=include_never_run,
-                horizon=None if horizon is None else _json_int(horizon, "horizon"),
+                horizon=None if horizon is None else json_int(horizon, "horizon"),
             )
         except KeyError as exc:
             raise InvariantViolation(f"scenario document missing field {exc}") from None
-
-
-def _json_int(value, field: str) -> int:
-    """A JSON integer, or an InvariantViolation naming the field it came from."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvariantViolation(f"{field} must be an integer, got {value!r}")
-    return int(value)
-
-
-def json_object(value, field: str) -> dict:
-    """A JSON object, or an InvariantViolation naming the field it came from."""
-    if not isinstance(value, dict):
-        raise InvariantViolation(f"{field} must be an object, got {type(value).__name__}")
-    return value
 
 
 NEVER_RUN = "never"
@@ -484,20 +470,12 @@ def verify_solution(instance: TCRInstance, result: ProtocolResult) -> SolutionRe
 
 def ordered_delta(agents) -> TimingSpec:
     """Each agent may act only once its predecessor in the list has."""
-    agents = tuple(agents)
-    delta = {}
-    for ki, i in enumerate(agents):
-        for kj, j in enumerate(agents):
-            if i != j:
-                delta[(i, j)] = 0 if ki == kj + 1 else INF
-    return TimingSpec(agents, delta)
+    return joint_delta([(a,) for a in agents])
 
 
 def simultaneous_delta(agents) -> TimingSpec:
-    agents = tuple(agents)
-    return TimingSpec(
-        agents, {(i, j): 0 for i in agents for j in agents if i != j}
-    )
+    """Every agent acts together with every other."""
+    return joint_delta([tuple(agents)])
 
 
 def joint_delta(partition) -> TimingSpec:
@@ -507,14 +485,10 @@ def joint_delta(partition) -> TimingSpec:
     if len(set(agents)) != len(agents):
         raise InvariantViolation("partition blocks must be disjoint")
     block_of = {a: k for k, block in enumerate(partition) for a in block}
-    delta = {}
-    for i in agents:
-        for j in agents:
-            if i == j:
-                continue
-            same = block_of[i] == block_of[j]
-            succ = block_of[i] == block_of[j] + 1
-            delta[(i, j)] = 0 if same or succ else INF
+    delta = {
+        (i, j): 0 if block_of[i] - block_of[j] in (0, 1) else INF
+        for i in agents for j in agents if i != j
+    }
     return TimingSpec(agents, delta)
 
 

@@ -36,39 +36,58 @@ def is_finite_delta(value: DeltaValue) -> bool:
     return value != INF
 
 
-def check_delta(value, *, finite_only: bool = False) -> DeltaValue:
-    """Validate a time-difference value: an int, or +inf."""
+def json_int(value, field: str) -> int:
+    """A JSON integer (not a bool), or an InvariantViolation naming its field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvariantViolation(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_object(value, field: str) -> dict:
+    """A JSON object, or an InvariantViolation naming the field it came from."""
+    if not isinstance(value, dict):
+        raise InvariantViolation(f"{field} must be an object, got {type(value).__name__}")
+    return value
+
+
+def check_delta(value, field: str = "time difference", *, finite_only: bool = False) -> DeltaValue:
+    """Validate a time difference: an int, or +inf; a bad value is an
+    InvariantViolation naming `field`."""
     if value == INF:
         if finite_only:
             raise InvariantViolation("a finite time difference is required here")
         return INF
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvariantViolation(f"time difference must be an integer or inf, got {value!r}")
-    return int(value)
+    return json_int(value, f'{field}, if not "inf",')
 
 
 def clamp_delta(value: DeltaValue, horizon: int) -> DeltaValue:
-    """Canonicalize a delta against a horizon H: a finite value is clamped
-    into -(H+1)..H+1, and inf is kept.
-
-    The clamp is exact for windows and exact shifts alike: a shift of H+1 or
-    more in either direction leaves 0..H from every time, a window of reach
-    -(H+1) or less is empty everywhere, and one of reach H or more covers
-    every time.
-    """
+    """Canonicalize a bound as an exact shift against a horizon H: a finite
+    value is clamped into -(H+1)..H+1, inf is kept.  A shift of H+1 or more
+    leaves 0..H from every time while one of H from time 0 lands on H, so the
+    clamp changes no shift; windows read a bound through `window_reach`."""
     if value == INF:
         return INF
     return max(-(horizon + 1), min(int(value), horizon + 1))
+
+
+def window_reach(value: DeltaValue, horizon: int) -> int:
+    """How far a window of bound `value` reaches inside 0..H: within(x, d)
+    holds at t iff x holds at some time up to t + d, so on 0..H every bound of
+    H or more, inf too, acts like H and every bound of -(H+1) or less like
+    -(H+1).  Plain ints, no numpy: it runs per pair on every fixed-point call."""
+    if value == INF:
+        return horizon
+    return max(-(horizon + 1), min(int(value), horizon))
 
 
 def delta_to_json(value: DeltaValue):
     return "inf" if value == INF else int(value)
 
 
-def delta_from_json(raw) -> DeltaValue:
-    if raw == "inf" or raw == INF:
-        return INF
-    return check_delta(raw)
+def delta_from_json(raw, field: str) -> DeltaValue:
+    """A bound as JSON writes it, an integer or "inf"; a bad value is an
+    InvariantViolation naming `field`."""
+    return INF if raw == "inf" else check_delta(raw, field)
 
 
 StateMap = Union[

@@ -33,7 +33,7 @@ from timelyck.fixpoint import (
 )
 from timelyck.packed import PackedSpace
 from timelyck.sampling import AGENT_POOL, random_event, random_spec, random_tuple, random_universe
-from timelyck.universe import INF, Universe, clamp_delta
+from timelyck.universe import INF, Universe, clamp_delta, window_reach
 
 from generic_gfp import gfp_bruteforce_oracle
 
@@ -222,14 +222,15 @@ def test_tuple_sweep_matches_bruteforce_oracle():
 
 def test_map_tables_rows_are_each_pairs_within_table():
     rng = np.random.default_rng(61)
-    seen = dict(two=0, three=0, inf=0, huge=0, shared_row=0)
+    seen = dict(two=0, three=0, inf=0, huge=0, shared_row=0, reach_merged=0)
     for case in range(80):
         k = 2 if case % 2 else 3
         u, spec, _, kind = _oracle_case(rng, k, 6 * k)
         space = PackedSpace(u)
         within, pair_index, knows = space.map_tables(spec)
-        keys = {clamp_delta(spec.delta(*p), u.horizon) for p in spec.pairs()}
+        keys = {window_reach(spec.delta(*p), u.horizon) for p in spec.pairs()}
         assert within.shape == (len(keys), 1 << space.n_bits)
+        assert len(np.unique(within, axis=0)) == len(keys), case  # no row twice
         assert pair_index.shape == (k, k) and knows.shape == (k, 1 << space.n_bits)
         for ai, i in enumerate(spec.agents):
             assert np.array_equal(knows[ai], space.knows_table(i)), (case, i)
@@ -241,6 +242,9 @@ def test_map_tables_rows_are_each_pairs_within_table():
         seen["inf"] += any(spec.delta(*p) == INF for p in spec.pairs())
         seen["huge"] += kind == 1
         seen["shared_row"] += len(keys) < len(spec.pairs())
+        # bounds of H, H+1 and inf are distinct shifts but one window
+        clamped = {clamp_delta(spec.delta(*p), u.horizon) for p in spec.pairs()}
+        seen["reach_merged"] += len(keys) < len(clamped)
     assert min(seen.values()) >= 10, seen
 
 

@@ -241,6 +241,17 @@ def test_short_obs_delay_window_exits_3_naming_the_field(tmp_path):
     assert "obs_delay.first" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_string_delta_exits_3_naming_the_pair(tmp_path):
+    doc = json.loads(open(PKG_DATA["car_wash"]).read())
+    doc["delta"]["L->R"] = "abc"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("solve", str(bad))
+    assert proc.returncode == 3, proc.stderr
+    assert "delta.L->R" in proc.stderr and '"inf"' in proc.stderr
+    assert "'abc'" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_string_trigger_time_exits_3_naming_the_field(tmp_path):
     proc = _solve_edited(tmp_path, lambda doc: doc.update(trigger_times=["0"]))
     assert proc.returncode == 3, proc.stderr
@@ -271,6 +282,8 @@ def test_scenario_field_of_the_wrong_type_exits_3_naming_it(tmp_path, field, val
         ([["never", 0], [0, 0]], "psi[1] must be"),
         ([["never", "0"]], "psi[0] must be"),
         (["never"], "psi[0] must be"),
+        ([["never", 0], ["nope", 0]], "psi[1] must be a point: unknown run 'nope'"),
+        ([["never", 99]], "psi[0] must be a point: time 99 outside 0..2"),
     ],
 )
 def test_gfp_psi_that_is_not_a_list_of_points_exits_3_naming_it(tmp_path, psi, where):
@@ -355,6 +368,52 @@ def test_report_names_a_field_that_is_not_an_object(tmp_path, doc, path):
     proc = run_cli("report", str(bad))
     assert proc.returncode == 3, proc.stderr
     assert path in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_report_reads_the_responses_of_a_bare_result(tmp_path):
+    res_out = tmp_path / "result.json"
+    assert run_cli("solve", PKG_DATA["ordered_2"], "-o", str(res_out)).returncode == 0
+    runs = json.loads(res_out.read_text())["runs"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({run: entry["responses"] for run, entry in runs.items()}))
+    proc = run_cli("report", str(bare))
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[-2:] == ["resp[first]", "resp[second]"]
+    by_run = {row.split()[0]: row.split()[-2:] for row in rows}
+    for run, entry in runs.items():
+        want = entry["responses"]
+        assert by_run[run] == ["-" if t is None else str(t) for t in want.values()], run
+    assert any(t is not None for e in runs.values() for t in e["responses"].values())
+
+
+def test_oracle_without_the_never_run_skips_only_the_optimality_sweep(tmp_path):
+    out = tmp_path / "oracle.json"
+    proc = run_cli("oracle", PKG_DATA["car_wash"], "--no-never-run", "--cases", "4",
+                   "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["optimality_sweep"] == {"skipped": "instance has no never-run"}
+    assert doc["fixed_point_sweep"] == {"cases": 4, "mismatches": 0}
+    assert doc["nested_characterisation"] and doc["ensemble_correspondence"]["failures"] == 0
+    res_out = tmp_path / "result.json"
+    run_cli("solve", PKG_DATA["car_wash"], "--no-never-run", "-o", str(res_out))
+    proc = run_cli("verify", PKG_DATA["car_wash"], str(res_out), "--optimal", "--no-never-run")
+    assert proc.returncode == 3 and "needs the never-run" in proc.stderr
+
+
+def test_parser_defaults_are_the_library_constants():
+    from timelyck.cli import build_parser
+    from timelyck.fixpoint import DEFAULT_ORACLE_GUARD_BITS
+    from timelyck.nested import DEFAULT_MAX_PATHS
+    from timelyck.optimality import DEFAULT_ENUM_GUARD
+
+    parser = build_parser()
+    verify = parser.parse_args(["verify", "s.json", "r.json"])
+    oracle = parser.parse_args(["oracle", "s.json"])
+    assert verify.guard == oracle.guard == DEFAULT_ENUM_GUARD
+    assert oracle.oracle_guard == DEFAULT_ORACLE_GUARD_BITS
+    assert oracle.max_paths == DEFAULT_MAX_PATHS
 
 
 def test_no_never_run_flag(tmp_path):

@@ -79,6 +79,22 @@ def test_normalizing_a_spec_changes_neither_fixed_point():
     assert clamped >= 100
 
 
+def test_bounded_pairs_are_the_finite_entries_of_pairs_in_order():
+    rng = np.random.default_rng(29)
+    for case in range(60):
+        agents = tuple("abcd"[: 2 + case % 3])
+        drawn = random_spec(rng, agents, lo=-5, hi=5, p_inf=0.4)
+        # a delta map given in reverse order must not change the pair order
+        spec = TimingSpec(agents, {p: drawn.delta(*p) for p in reversed(drawn.pairs())})
+        want = [
+            (agents.index(i), agents.index(j), spec.delta(i, j))
+            for i, j in spec.pairs()
+            if spec.delta(i, j) != INF
+        ]
+        assert spec.bounded_pairs() == want, case
+        assert all(type(d) is int for _, _, d in spec.bounded_pairs())
+
+
 def test_spec_json_round_trip():
     s = TimingSpec(("a", "b"), {("a", "b"): 2, ("b", "a"): INF})
     doc = s.to_json_dict()

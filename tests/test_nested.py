@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from timelyck.errors import InvariantViolation, SizeGuardExceeded
@@ -58,6 +59,21 @@ def test_enumerate_paths_ordered_chain():
     assert enumerate_paths(s, "c", 4) == [("c",), ("c", "b"), ("c", "b", "a")]
     assert paths_are_finite(s)
     assert not paths_are_finite(spec2(0, 0))
+
+
+def test_paths_are_finite_iff_no_path_visits_more_than_every_agent():
+    # a path of k + 1 agents repeats one, so the bound graph has a cycle
+    rng = np.random.default_rng(83)
+    seen = dict(finite=0, infinite=0, five=0)
+    for case in range(200):
+        k = 2 + case % 4
+        agents = tuple("abcde"[:k])
+        spec = random_spec(rng, agents, p_inf=(0.5, 0.7, 0.85)[case % 3])
+        longest = max(len(p) for a in agents for p in enumerate_paths(spec, a, k + 1))
+        assert paths_are_finite(spec) == (longest <= k), (case, spec)
+        seen["finite" if longest <= k else "infinite"] += 1
+        seen["five"] += k == 5
+    assert min(seen.values()) >= 40, seen
 
 
 def test_nested_formula_base_cases(toy, rng):

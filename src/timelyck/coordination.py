@@ -29,6 +29,8 @@ from .fixpoint import EventTuple, TimingSpec, apply_f, reach_matrix, timely_ck, 
 from .packed import PackedSpace
 from .universe import Universe
 
+DEFAULT_ENSEMBLE_GUARD = 50_000  # local ensembles the correspondence check may enumerate
+
 
 def uncoordinated_pairs(ensemble: EventTuple, spec: TimingSpec) -> list[tuple]:
     """The pairs (i, j), in `spec.pairs()` order, where some occurrence of e_i
@@ -97,7 +99,7 @@ def local_combinations(space: PackedSpace, agents, guard: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
-def enumerate_local_ensembles(universe: Universe, agents, *, guard: int = 50_000):
+def enumerate_local_ensembles(universe: Universe, agents, *, guard: int = DEFAULT_ENSEMBLE_GUARD):
     """Yield every ensemble of local events, one per combination of class unions."""
     agents = tuple(agents)
     space = PackedSpace(universe)
@@ -136,7 +138,7 @@ def verify_greatest_coordinated_ensemble(
     spec: TimingSpec,
     *,
     candidate: EventTuple | None = None,
-    enum_guard: int = 50_000,
+    enum_guard: int = DEFAULT_ENSEMBLE_GUARD,
     engine_samples: int = 4,
     seed: int = 0,
 ) -> CorrespondenceReport:

@@ -12,16 +12,19 @@ run by run.  That search space is swept three independent ways:
     element, computed by chaotic iteration; every value between the two
     extremes of a variable is attained by some solution (raising one variable
     propagates along nonnegative cycles only);
-  * enumeration of every solution, extending the partial assignments one
-    variable at a time and testing each candidate value against the
-    constraints that variable closes, feasible when the raw candidate space
-    fits the guard;
+  * enumeration of every solution, feasible when the raw candidate space fits
+    the guard.  It extends the partial assignments one variable at a time up
+    to the last agent's variables, testing each candidate value against the
+    constraints that variable closes.  No constraint joins two variables of
+    one agent, so each prefix fixes an interval for every variable of the
+    last agent, and those are counted by interval products, not listed;
   * for product-structured instances (every observation-time combination of
     every pair realized in some run), a sweep over every combination of
     per-agent (min, max) signature boxes, which the pairwise constraints see
     exhaustively.  A pair's bound reads only its two agents' boxes, so the
-    sweep builds one boolean table per bounded pair and ANDs the tables by
-    broadcasting into a feasibility tensor of one byte per combination.
+    sweep builds one boolean table per pair of agents and grows a feasibility
+    tensor of one byte per combination one agent axis at a time, ANDing in
+    the tables that agent closes with the agents before it.
 
 A protocol is time-optimal iff it is the least solution; necessity holds iff
 every attainable response point lies inside the corresponding coordinate of
@@ -221,12 +224,22 @@ def _sweep_boxes(model: StrategyModel):
         shape[axis] = -1
         return values.reshape(shape)
 
-    # feasible[b_0, ..., b_k-1]: every bounded pair holds in that combination;
-    # a bound max_j <= min_i + delta(i, j) reads only the boxes of i and j, so
-    # each pair contributes an n_i x n_j table, broadcast over the other axes
-    feasible = np.ones([len(m) for m in box_min], dtype=bool)
+    # feasible[b_0, ..., b_k-1]: every bounded pair holds in that combination.
+    # A bound max_j <= min_i + delta(i, j) reads only the boxes of i and j, so
+    # each pair of agents gives one n_i x n_j table, both directions ANDed,
+    # and the tensor grows one agent axis at a time, ANDing in the tables of
+    # the pairs that agent closes with the agents before it
+    tables = {}  # (earlier agent, later agent) -> the pair's table
     for ai, aj, d in model.instance.timing.bounded_pairs():
-        feasible &= along(box_max[aj], aj) <= along(box_min[ai], ai) + d
+        key = (min(ai, aj), max(ai, aj))
+        tables[key] = tables.get(key, True) & (along(box_max[aj], aj) <= along(box_min[ai], ai) + d)
+    feasible = np.ones((1,) * k, dtype=bool)
+    for a in range(k):
+        closing = [table for (_, later), table in tables.items() if later == a]
+        first, *rest = closing or [along(np.ones(len(box_min[a]), dtype=bool), a)]
+        feasible = feasible & first  # lays out axis a
+        for table in rest:
+            feasible &= table
 
     if not feasible.any():
         return False, None, None

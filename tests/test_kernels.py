@@ -1,5 +1,7 @@
 """The vectorized sweeps must agree with their definition-direct references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,90 @@ def test_solution_scan_matches_depth_first_reference():
         seen["contradiction"] += any(p == q and c < 0 for p, q, c in constraints)
         seen["unconstrained"] += V > 0 and not constraints
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def _candidates(lo, hi, constraints):
+    """Per variable, the figure the guard bounds: the consistent assignments
+    of the variables before it, times its domain size."""
+    out = []
+    for v in range(len(lo)):
+        before = [(p, q, c) for p, q, c in constraints if max(p, q) < v]
+        count = n_scan_solutions(lo[:v], hi[:v], before, 8, 2**62)[0]
+        out.append(count * max(0, int(hi[v] - lo[v]) + 1))
+    return out
+
+
+def test_free_suffix_counted_by_intervals_matches_depth_first_reference():
+    # every constraint joins a variable to one at or before `split`, so the
+    # variables after it (at least two of them) range over intervals the
+    # prefix fixes; the sweep counts them without listing the solutions
+    rng = np.random.default_rng(29)
+    seen = dict(suffix_overflow=0, suffix_empty=0, unconstrained=0, no_variables=0,
+                solutions=0)
+    for _ in range(300):
+        V = int(rng.choice([0, 2, 3, 4, 5, 6, 7]))
+        split = int(rng.integers(-1, V - 2)) if V else -1
+        lo = rng.integers(0, 4, size=V)
+        hi = lo + rng.integers(-1, 4, size=V)  # some domains are empty
+        constraints = []
+        if split >= 0:
+            for _ in range(int(rng.integers(1, 8))):
+                a, b = int(rng.integers(0, split + 1)), int(rng.integers(0, V))
+                constraints.append((a, b) if rng.random() < 0.5 else (b, a))
+            constraints = [(p, q, int(rng.integers(-2, 3))) for p, q in constraints]
+        if V and rng.random() < 0.3:  # t[v] <= t[v] + c on some variable
+            v = int(rng.integers(0, V))
+            constraints.append((v, v, int(rng.integers(-1, 2))))
+        real_split = max((min(p, q) for p, q, _ in constraints if p != q), default=-1)
+        assert real_split <= V - 3 or V == 0
+        need = _candidates(lo, hi, constraints)
+        in_prefix, anywhere = max(need[: real_split + 1], default=1), max(need, default=1)
+        if rng.random() < 0.3 and in_prefix < anywhere:  # passes the prefix, not the suffix
+            guard = int(rng.integers(in_prefix, anywhere))
+        else:
+            guard = 10**6 if rng.random() < 0.6 else int(rng.integers(1, 200))
+        count, _, _, overflowed = _assert_scans_agree(lo, hi, constraints, 8, guard)
+        seen["suffix_overflow"] += overflowed and max(need[: real_split + 1], default=0) <= guard
+        free = range(real_split + 1, V)
+        seen["suffix_empty"] += any(
+            lo[v] > hi[v] or (v, v) in {(p, q) for p, q, c in constraints if c < 0} for v in free
+        )
+        seen["unconstrained"] += V > 0 and not constraints
+        seen["no_variables"] += V == 0
+        seen["solutions"] += count > 0
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_guard_above_the_int64_range_acts_as_its_maximum():
+    # 21 free variables of 21 values have 21^21 > 2^63 assignments; the
+    # interval products would wrap in int64, so the sweep overflows instead
+    count, _, _, overflowed = _kernels.scan_solutions([0] * 21, [20] * 21, [], 21, 10**30)
+    assert (int(count), bool(overflowed)) == (0, True)
+    # below the range every count stays exact
+    count, _, _, overflowed = _kernels.scan_solutions([0] * 13, [20] * 13, [], 21, 10**30)
+    assert (int(count), bool(overflowed)) == (21**13, False)
+
+
+def test_solution_scan_memory_stays_below_the_solution_count():
+    # 147,690 solutions, the shape of the benchmark's enumeration-4x17: the
+    # last agent's variables are counted, not listed, so the sweep's peak
+    # allocation is a few bytes per solution; one int64 row per solution
+    # would take several times the bound
+    agents = tuple("abcd")
+    spec = TimingSpec(agents, {(i, j): 3 for i in agents for j in agents if i != j})
+    inst = generate_system(make_scenario(agents, spec, obs_delay=(0, 1)))
+    model = build_strategy_model(inst)
+    n_vals = inst.universe.horizon + 1
+    tracemalloc.start()
+    try:
+        count, _, _, overflowed = _kernels.scan_solutions(
+            model.lo, model.hi, model.constraints, n_vals, 10**6
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (int(count), bool(overflowed)) == (147_690, False)
+    assert peak < 16 * count, peak / count
 
 
 def test_self_constraint_with_negative_bound_is_infeasible():

@@ -24,7 +24,9 @@ run by run.  That search space is swept three independent ways:
     exhaustively.  A pair's bound reads only its two agents' boxes, so the
     sweep builds one boolean table per pair of agents and grows a feasibility
     tensor of one byte per combination one agent axis at a time, ANDing in
-    the tables that agent closes with the agents before it.
+    the tables that agent closes with the agents before it.  Two reductions,
+    onto the leading and the trailing half of the axes, give each agent's
+    boxes in use.
 
 A protocol is time-optimal iff it is the least solution; necessity holds iff
 every attainable response point lies inside the corresponding coordinate of
@@ -52,8 +54,8 @@ from .scenarios import (
     ProtocolResult,
     SolutionReport,
     TCRInstance,
+    check_response_times,
     knowledge_for,
-    verify_solution,
 )
 
 DEFAULT_ENUM_GUARD = 10**6
@@ -95,12 +97,15 @@ def build_strategy_model(instance: TCRInstance) -> StrategyModel:
     lo = np.concatenate([seen for seen, _ in columns]).astype(np.int64)
     hi = np.full(len(variables), instance.universe.horizon, dtype=np.int64)
 
-    n, constraints = len(variables), []
-    for ai, aj, d in instance.timing.bounded_pairs():
-        # one code p * n + q per realized variable pair
-        p, q = np.divmod(np.unique(var_of[:, ai] * n + var_of[:, aj]), max(n, 1))
-        constraints += zip(p.tolist(), q.tolist(), [d] * p.size)
-    constraints.sort()
+    n, k = len(variables), len(agents)
+    ai, aj, d = np.array(instance.timing.bounded_pairs(), dtype=np.int64).reshape(-1, 3).T
+    bound = np.zeros((k, k), dtype=np.int64)
+    bound[ai, aj] = d
+    # one code p * n + q per realized variable pair of every bounded pair; a
+    # pair of variables names its pair of agents, so the codes sort the constraints
+    p, q = np.divmod(np.unique(var_of[:, ai] * n + var_of[:, aj]), max(n, 1))
+    agent_of = np.repeat(np.arange(k), np.diff(offsets))
+    constraints = list(zip(p.tolist(), q.tolist(), bound[agent_of[p], agent_of[q]].tolist()))
     return StrategyModel(instance, variables, lo, hi, constraints, var_of)
 
 
@@ -213,9 +218,9 @@ def _sweep_boxes(model: StrategyModel):
     horizon = model.instance.universe.horizon
     k = len(agents)
     box_min, box_max = [], []  # per agent: its boxes' (m, M), m <= M, M >= s_max
+    m, M = np.triu_indices(horizon + 1)
     for a in agents:
         s_max = max(s for (b, s) in model.variables if b == a)
-        m, M = np.triu_indices(horizon + 1)
         box_min.append(m[M >= s_max])
         box_max.append(M[M >= s_max])
 
@@ -244,12 +249,17 @@ def _sweep_boxes(model: StrategyModel):
     if not feasible.any():
         return False, None, None
 
+    # the boxes each agent uses, read off the tensor's reduction onto its half of the axes
+    used = []
+    for half in (range(k // 2), range(k // 2, k)):
+        table = feasible.any(axis=tuple(x for x in range(k) if x not in half))
+        used += [table.any(axis=tuple(y - half.start for y in half if y != x)) for x in half]
+
     mins = np.full(model.n_vars, np.iinfo(np.int64).max, dtype=np.int64)
     attained = np.zeros((model.n_vars, horizon + 1), dtype=bool)
     times = np.arange(horizon + 1)
     for ai, a in enumerate(agents):
-        used = feasible.any(axis=tuple(x for x in range(k) if x != ai))
-        m, M = box_min[ai][used], box_max[ai][used]
+        m, M = box_min[ai][used[ai]], box_max[ai][used[ai]]
         v, obs = np.array([(v, s) for v, (b, s) in enumerate(model.variables) if b == a]).T
         # within a box, (a, s) attains [max(s, m), M]; M >= s by construction
         first = np.maximum(obs[:, None], m[None, :])
@@ -300,8 +310,12 @@ def result_assignment(model: StrategyModel, result: ProtocolResult) -> np.ndarra
     Requires the result to be observation-indexed: a response by every agent in
     every triggered run, the same in every run sharing an observation class.
     """
+    return _assignment(model, *result.response_times(model.instance))
+
+
+def _assignment(model: StrategyModel, times: np.ndarray, problems: list) -> np.ndarray:
+    """`result_assignment` on what `ProtocolResult.response_times` returns."""
     instance = model.instance
-    times, problems = result.response_times(instance)
     if problems:
         raise InvariantViolation(f"malformed response: {problems[0]}")
     fired = np.flatnonzero(instance.trigger_time >= 0)
@@ -336,13 +350,14 @@ def verify_optimal(
     possible response point lies inside timely common knowledge's coordinate.
 
     The supplied result must pass `verify_solution`; pass that call's report
-    as `report` to skip checking the result again.
+    as `report` to skip checking the result again.  The result is read once,
+    for the check and for the projection onto the strategy variables.
     """
-    solution_report = report if report is not None else verify_solution(instance, result)
-    if not solution_report.ok():
-        raise InvariantViolation(
-            f"result is not a solution: {solution_report.to_json_dict()}"
-        )
+    responses, problems = result.response_times(instance)
+    if report is None:
+        report = check_response_times(instance, responses, problems)
+    if not report.ok():
+        raise InvariantViolation(f"result is not a solution: {report.to_json_dict()}")
 
     model = build_strategy_model(instance)
     if model.n_vars == 0:  # no triggered runs: the empty protocol is the answer
@@ -355,7 +370,7 @@ def verify_optimal(
             earliest={},
             latest={},
         )
-    assignment = result_assignment(model, result)
+    assignment = _assignment(model, responses, problems)
     if not is_valid_assignment(model, assignment):
         raise InternalConsistencyError(
             "a verified solution does not satisfy the strategy-space constraints"

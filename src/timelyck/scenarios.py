@@ -8,7 +8,9 @@ combination of trigger time and delay vector; local states are
 full-information records (current time plus the observation time, once seen),
 so generated universes are synchronous and never forget.  An instance keeps
 its runs as a table (a trigger-time vector and an (n_runs, k) observation
-matrix, -1 for never), counted against the run cap before it is built.
+matrix, -1 for never), counted against the run cap before it is built; the
+states are interned from it, and a result is checked on it as an (n_runs, k)
+response array, with no event tuple built.
 
 The solvable instances are exactly those in which the trigger guarantees that
 every agent eventually reaches its coordinate of timely common knowledge of
@@ -24,7 +26,6 @@ from itertools import product
 
 import numpy as np
 
-from .coordination import uncoordinated_pairs
 from .errors import (
     InternalConsistencyError,
     InvariantViolation,
@@ -32,7 +33,7 @@ from .errors import (
     Unsolvable,
 )
 from .events import Event, eventually, is_local, within
-from .fixpoint import EventTuple, TimingSpec, timely_ck, tuple_union
+from .fixpoint import EventTuple, TimingSpec, reach_matrix, timely_ck
 from .universe import INF, Universe, json_int, json_object
 
 
@@ -238,18 +239,26 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
         table.setflags(write=False)
 
     # agent a's state at (run, t) is (t, obs if obs <= t else None), coded as
-    # t * (H + 2) + (obs + 1, or 0 for None), then interned by first appearance
-    clock = np.arange(horizon + 1)
+    # t * (H + 2) + (obs + 1, or 0 for None) and interned by first appearance
+    # in run-then-time order: (t, o) first appears in the first run observing
+    # at o, (t, None) in the first run not observing by t (never is H + 1)
+    n_times, width = horizon + 1, horizon + 2
+    clock, unseen = np.arange(n_times), n_runs * n_times  # unseen: after every point
     state_ids, labels = [], []
     for obs in observed_at.T:
-        obs = obs[:, None]
-        codes = clock * (horizon + 2) + np.where(obs <= clock, obs + 1, 0)
-        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
+        seen, first = np.unique(obs, return_index=True)  # the first run observing at o
+        first, seen = first[seen >= 0] * n_times, seen[seen >= 0]
+        blind = np.maximum.accumulate(np.where(obs < 0, n_times, obs))
+        blind = np.searchsorted(blind, clock, "right") * n_times + clock
+        at = np.full((n_times, width), unseen)  # each code's first point, by (t, obs + 1)
+        at[:, 0] = np.minimum(blind, unseen)
+        at[:, seen + 1] = np.where(seen <= clock[:, None], first + clock[:, None], unseen)
+        order = np.argsort(at, axis=None)[: np.count_nonzero(at < unseen)]
+        rank = np.empty(at.size, dtype=np.int64)
         rank[order] = np.arange(order.size)
-        state_ids.append(rank[inverse].reshape(codes.shape))
-        t_of, seen_of = np.divmod(uniq[order], horizon + 2)
+        obs = obs[:, None]
+        state_ids.append(rank[clock * width + np.where(obs <= clock, obs + 1, 0)])
+        t_of, seen_of = np.divmod(order, width)
         labels.append(
             [(t, s - 1 if s else None) for t, s in zip(t_of.tolist(), seen_of.tolist())]
         )
@@ -336,7 +345,8 @@ class ProtocolResult:
         times, problems = self.response_times(instance)
         if problems:
             raise InvariantViolation(f"malformed response: {problems[0]}")
-        return _response_events(instance, times)
+        u = instance.universe  # agent a's event holds at (r, times[r, a])
+        return EventTuple.of(u, instance.timing.agents, times.T[..., None] == np.arange(u.n_times))
 
     def to_json_dict(self) -> dict:
         return {
@@ -363,12 +373,6 @@ class ProtocolResult:
                 path += ".responses"
             responses[run] = dict(json_object(per, path))
         return cls(responses)
-
-
-def _response_events(instance: TCRInstance, times: np.ndarray) -> EventTuple:
-    """Agent a's event holds at (r, times[r, a]); -1 matches no time."""
-    u = instance.universe
-    return EventTuple.of(u, instance.timing.agents, times.T[:, :, None] == np.arange(u.n_times))
 
 
 def synthesize_optimal(
@@ -425,10 +429,19 @@ def verify_solution(instance: TCRInstance, result: ProtocolResult) -> SolutionRe
     * in every triggered run every agent responds;
     * each agent's response set is determined by its own local state.
     """
+    return check_response_times(instance, *result.response_times(instance))
+
+
+def check_response_times(instance: TCRInstance, times, problems: list) -> SolutionReport:
+    """`verify_solution` on what `ProtocolResult.response_times` returns.
+
+    A pair (i, j) is broken where i responds and j's response (2 * n_times for
+    none) is later than i's plus `reach_matrix`'s (i, j).  A response is stray
+    in an untriggered run or before the trigger time, listed in run-then-time
+    order.  Locality is `is_local` on one agent's responses at a time.
+    """
     checks: dict = {}
     cex: dict = {}
-
-    times, problems = result.response_times(instance)
     checks["well_formed"] = not problems
     cex["well_formed"] = problems
     if problems:
@@ -436,29 +449,38 @@ def verify_solution(instance: TCRInstance, result: ProtocolResult) -> SolutionRe
             checks[name] = False
         return SolutionReport(checks, cex)
 
-    ensemble = _response_events(instance, times)
-    broken = uncoordinated_pairs(ensemble, instance.timing)
-    checks["coordinated"] = not broken
-    if broken:
-        cex["coordinated"] = [{"pair": f"{i}->{j}"} for i, j in broken]
+    u, agents = instance.universe, instance.timing.agents
+    responds = times.T >= 0  # (k, n_runs), runs innermost
+    first = np.where(responds, times.T, 2 * u.n_times)
+    late = first[None, :, :] > first[:, None, :] + reach_matrix(instance.timing, u)[:, :, None]
+    broken = np.argwhere((late & responds[:, None, :]).any(axis=2))
+    checks["coordinated"] = not broken.size
+    if broken.size:
+        cex["coordinated"] = [{"pair": f"{agents[i]}->{agents[j]}"} for i, j in broken]
 
-    stray = tuple_union(ensemble) - instance.trigger_history()
-    checks["follows_trigger"] = stray.is_empty()
-    if not stray.is_empty():
+    fired_at = instance.trigger_time[:, None]  # -1 where the trigger never fires
+    r, a = np.nonzero(responds.T & ((fired_at < 0) | (times < fired_at)))
+    stray = sorted(set((r * u.n_times + times[r, a]).tolist()))  # usually none
+    checks["follows_trigger"] = not stray
+    if stray:
         cex["follows_trigger"] = [
-            {"run": p.run, "time": p.time} for p in stray.points()[:5]
+            {"run": u.runs[p // u.n_times], "time": p % u.n_times} for p in stray[:5]
         ]
 
-    agents, fired = instance.timing.agents, instance.trigger_time >= 0
+    fired = instance.trigger_time >= 0
     misses = [
-        {"agent": agent, "run": instance.universe.runs[r]}
+        {"agent": agent, "run": u.runs[r]}
         for agent, col in zip(agents, times.T)
         for r in np.flatnonzero(fired & (col < 0))[:3]
     ]
     checks["covers_triggered_runs"] = not misses
     cex["covers_triggered_runs"] = misses
 
-    nonlocal_agents = [{"agent": a} for a in agents if not is_local(a, ensemble[a])]
+    clock = np.arange(u.n_times)
+    nonlocal_agents = [
+        {"agent": a} for a, col in zip(agents, times.T)
+        if not is_local(a, Event(u, col[:, None] == clock))
+    ]
     checks["locally_determined"] = not nonlocal_agents
     cex["locally_determined"] = nonlocal_agents
 

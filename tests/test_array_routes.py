@@ -3,8 +3,9 @@
 Each reference below is the per-point or per-combination loop the array code
 replaced, kept here so that the two can be compared on random inputs: the
 sampled universes draw by draw, the packed knows tables against
-`naive.n_knows`, the grid tuple sweep against `gfp_bruteforce_oracle`, and the
-ensemble enumeration against its old loop.
+`naive.n_knows`, the grid tuple sweep against `gfp_bruteforce_oracle`, the
+ensemble enumeration against its old loop, and the solution check on the run
+table against the same check on the response ensemble's events.
 """
 
 import ast
@@ -32,6 +33,15 @@ from timelyck.fixpoint import (
     tuple_union,
 )
 from timelyck.packed import PackedSpace
+from timelyck.scenarios import (
+    ProtocolResult,
+    SolutionReport,
+    generate_system,
+    make_scenario,
+    solvability,
+    synthesize_optimal,
+    verify_solution,
+)
 from timelyck.sampling import AGENT_POOL, random_event, random_spec, random_tuple, random_universe
 from timelyck.universe import INF, Universe, clamp_delta, window_reach
 
@@ -501,3 +511,108 @@ def test_ensemble_report_matches_the_combination_loop(monkeypatch):
         seen["three_agents"] += k == 3
     reordered = seen.pop("greatest_not_first")
     assert min(seen.values()) >= 10 and reordered >= 3, (seen, reordered)
+
+
+# -- the solution check ------------------------------------------------------------
+
+
+def _verify_solution_by_points(instance, result) -> SolutionReport:
+    """`verify_solution` on the response ensemble's events: the ensemble
+    builds one (k, n_runs, n_times) table, and each condition is decided by
+    the event operators."""
+    checks: dict = {}
+    cex: dict = {}
+
+    times, problems = result.response_times(instance)
+    checks["well_formed"] = not problems
+    cex["well_formed"] = problems
+    if problems:
+        for name in ("coordinated", "follows_trigger", "covers_triggered_runs", "locally_determined"):
+            checks[name] = False
+        return SolutionReport(checks, cex)
+
+    ensemble = result.response_events(instance)
+    broken = coord.uncoordinated_pairs(ensemble, instance.timing)
+    checks["coordinated"] = not broken
+    if broken:
+        cex["coordinated"] = [{"pair": f"{i}->{j}"} for i, j in broken]
+
+    stray = tuple_union(ensemble) - instance.trigger_history()
+    checks["follows_trigger"] = stray.is_empty()
+    if not stray.is_empty():
+        cex["follows_trigger"] = [
+            {"run": p.run, "time": p.time} for p in stray.points()[:5]
+        ]
+
+    agents, fired = instance.timing.agents, instance.trigger_time >= 0
+    misses = [
+        {"agent": agent, "run": instance.universe.runs[r]}
+        for agent, col in zip(agents, times.T)
+        for r in np.flatnonzero(fired & (col < 0))[:3]
+    ]
+    checks["covers_triggered_runs"] = not misses
+    cex["covers_triggered_runs"] = misses
+
+    nonlocal_agents = [{"agent": a} for a in agents if not is_local(a, ensemble[a])]
+    checks["locally_determined"] = not nonlocal_agents
+    cex["locally_determined"] = nonlocal_agents
+
+    return SolutionReport(checks, cex)
+
+
+def _solvable_instances(rng, count):
+    """Small generated instances with 1 to 3 agents that admit a solution."""
+    found = []
+    while len(found) < count:
+        k = int(rng.integers(1, 4))
+        agents = tuple("abc"[:k])
+        delta = {
+            (i, j): INF if rng.random() < 0.2 else int(rng.integers(-1, 4))
+            for i in agents for j in agents if i != j
+        }
+        lo = int(rng.integers(0, 2))
+        instance = generate_system(make_scenario(
+            agents, TimingSpec(agents, delta),
+            obs_delay=(lo, lo + int(rng.integers(0, 3))),
+            trigger_times=sorted({int(t) for t in rng.integers(0, 3, size=int(rng.integers(1, 3)))}),
+            include_never_run=rng.random() < 0.85,
+        ))
+        if solvability(instance):
+            found.append(instance)
+    return found
+
+
+def test_solution_check_on_the_run_table_matches_the_point_route():
+    rng = np.random.default_rng(61)
+    names = ("well_formed", "coordinated", "follows_trigger", "covers_triggered_runs",
+             "locally_determined")
+    failed = dict.fromkeys(names, 0)
+    cases = passed = 0
+    for instance in _solvable_instances(rng, 40):
+        u, agents = instance.universe, instance.timing.agents
+        optimal = synthesize_optimal(instance).responses
+        for trial in range(16):
+            responses = {run: dict(per) for run, per in optimal.items()}
+            for _ in range(int(rng.integers(0 if trial == 0 else 1, 4))):
+                run = u.runs[int(rng.integers(0, u.n_runs))]
+                agent = agents[int(rng.integers(0, len(agents)))]
+                draw = rng.random()
+                if draw < 0.06:  # a malformed entry
+                    responses[run][agent] = [u.horizon + 1, -1, 1.5, True, "x"][int(rng.integers(0, 5))]
+                elif draw < 0.3:
+                    responses[run][agent] = None
+                else:
+                    responses[run][agent] = int(rng.integers(0, u.n_times))
+            result = ProtocolResult(responses)
+            got, want = verify_solution(instance, result), _verify_solution_by_points(instance, result)
+            assert got.to_json_dict() == want.to_json_dict(), (cases, responses)
+            checks = want.to_json_dict()["checks"]
+            if checks["well_formed"]:
+                for name in names[1:]:
+                    failed[name] += not checks[name]
+            else:
+                failed["well_formed"] += 1
+            passed += want.ok()
+            cases += 1
+    assert cases >= 600 and passed >= 40, (cases, passed)
+    assert min(failed.values()) >= 50, failed

@@ -135,9 +135,12 @@ def test_box_sweep_matches_literal_combination_loop():
     rng = np.random.default_rng(23)
     infeasible = checked = 0
     feasible_agent_counts = set()
-    while checked < 24:
-        k = int(rng.integers(2, 5))
-        agents = tuple("abcd"[:k])
+    while checked < 48:
+        # from 1 to 5 agents, so both halves of the tensor's final reduction
+        # are empty, single and multiple; 5 agents at horizon 2 and window
+        # (0, 0) have 6^5 = 7,776 box combinations
+        k = int(rng.integers(1, 6))
+        agents = tuple("abcde"[:k])
         delta = {
             (i, j): (INF if rng.random() < 0.25 else int(rng.integers(-2, 5)))
             for i in agents
@@ -148,8 +151,8 @@ def test_box_sweep_matches_literal_combination_loop():
             make_scenario(
                 agents,
                 TimingSpec(agents, delta),
-                obs_delay=(0, int(rng.integers(0, 2))),
-                horizon=int(rng.integers(2, 4)) if k == 4 else None,
+                obs_delay=(0, 0 if k == 5 else int(rng.integers(0, 2))),
+                horizon={4: int(rng.integers(2, 4)), 5: 2}.get(k),
             )
         )
         model = build_strategy_model(inst)
@@ -165,7 +168,7 @@ def test_box_sweep_matches_literal_combination_loop():
             assert got == (False, None, None)
             infeasible += 1
         checked += 1
-    assert infeasible and feasible_agent_counts == {2, 3, 4}
+    assert infeasible and feasible_agent_counts == {1, 2, 3, 4, 5}
 
     # a pair that must each respond strictly before the other
     agents = ("a", "b")
@@ -251,6 +254,8 @@ def test_verify_optimal_rejects_non_solution():
 
 
 def test_verify_optimal_reuses_the_callers_report(monkeypatch):
+    # verify_optimal checks a result through check_response_times, the
+    # function verify_solution calls, so patching it catches a second check
     import timelyck.optimality as optimality
     from timelyck.scenarios import verify_solution
 
@@ -262,14 +267,14 @@ def test_verify_optimal_reuses_the_callers_report(monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("the solution was checked again")
 
-    monkeypatch.setattr(optimality, "verify_solution", unexpected)
+    monkeypatch.setattr(optimality, "check_response_times", unexpected)
     assert verify_optimal(inst, res, report=report).to_json_dict() == expected
 
     bad = synthesize_optimal(inst)
     bad.responses["t0_L0_R0_D0"]["D"] = None
     monkeypatch.undo()
     failing = verify_solution(inst, bad)
-    monkeypatch.setattr(optimality, "verify_solution", unexpected)
+    monkeypatch.setattr(optimality, "check_response_times", unexpected)
     with pytest.raises(InvariantViolation):
         verify_optimal(inst, bad, report=failing)
 

@@ -8,9 +8,9 @@ combination of trigger time and delay vector; local states are
 full-information records (current time plus the observation time, once seen),
 so generated universes are synchronous and never forget.  An instance keeps
 its runs as a table (a trigger-time vector and an (n_runs, k) observation
-matrix, -1 for never), counted against the run cap before it is built; the
-states are interned from it, and a result is checked on it as an (n_runs, k)
-response array, with no event tuple built.
+matrix, -1 for never), counted against the run cap before it is built; a
+result is checked on it as an (n_runs, k) response array, with no event tuple
+built.
 
 The solvable instances are exactly those in which the trigger guarantees that
 every agent eventually reaches its coordinate of timely common knowledge of
@@ -239,26 +239,18 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
         table.setflags(write=False)
 
     # agent a's state at (run, t) is (t, obs if obs <= t else None), coded as
-    # t * (H + 2) + (obs + 1, or 0 for None) and interned by first appearance
-    # in run-then-time order: (t, o) first appears in the first run observing
-    # at o, (t, None) in the first run not observing by t (never is H + 1)
-    n_times, width = horizon + 1, horizon + 2
-    clock, unseen = np.arange(n_times), n_runs * n_times  # unseen: after every point
+    # t * (H + 2) + (obs + 1, or 0 for None), then interned by first appearance
+    clock = np.arange(horizon + 1)
     state_ids, labels = [], []
     for obs in observed_at.T:
-        seen, first = np.unique(obs, return_index=True)  # the first run observing at o
-        first, seen = first[seen >= 0] * n_times, seen[seen >= 0]
-        blind = np.maximum.accumulate(np.where(obs < 0, n_times, obs))
-        blind = np.searchsorted(blind, clock, "right") * n_times + clock
-        at = np.full((n_times, width), unseen)  # each code's first point, by (t, obs + 1)
-        at[:, 0] = np.minimum(blind, unseen)
-        at[:, seen + 1] = np.where(seen <= clock[:, None], first + clock[:, None], unseen)
-        order = np.argsort(at, axis=None)[: np.count_nonzero(at < unseen)]
-        rank = np.empty(at.size, dtype=np.int64)
-        rank[order] = np.arange(order.size)
         obs = obs[:, None]
-        state_ids.append(rank[clock * width + np.where(obs <= clock, obs + 1, 0)])
-        t_of, seen_of = np.divmod(order, width)
+        codes = clock * (horizon + 2) + np.where(obs <= clock, obs + 1, 0)
+        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        state_ids.append(rank[inverse].reshape(codes.shape))
+        t_of, seen_of = np.divmod(uniq[order], horizon + 2)
         labels.append(
             [(t, s - 1 if s else None) for t, s in zip(t_of.tolist(), seen_of.tolist())]
         )

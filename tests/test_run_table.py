@@ -3,9 +3,7 @@
 The literal side builds one record per run with an observations dict, and
 walks those records for the variables, the constraints, product structure,
 the projection of a result and the necessity check, as the engine did before
-its runs became `(n_runs, k)` arrays.  The state interning is checked against
-the sort that `generate_system` used before it read first appearances off the
-run table.
+its runs became `(n_runs, k)` arrays.
 """
 
 import tracemalloc
@@ -230,46 +228,6 @@ def test_run_table_and_model_match_the_literal_construction():
     assert all(seen.values()), seen
 
 
-def interned_by_sorting(observed_at, horizon):
-    """Per agent, (state ids, labels): every point's code t * (H + 2) + (obs + 1,
-    or 0 before the observation) interned by `np.unique` in order of first
-    appearance."""
-    clock = np.arange(horizon + 1)
-    out = []
-    for obs in observed_at.T:
-        obs = obs[:, None]
-        codes = clock * (horizon + 2) + np.where(obs <= clock, obs + 1, 0)
-        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        t_of, seen_of = np.divmod(uniq[order], horizon + 2)
-        labels = [(t, s - 1 if s else None) for t, s in zip(t_of.tolist(), seen_of.tolist())]
-        out.append((rank[inverse].reshape(codes.shape), labels))
-    return out
-
-
-def test_state_interning_matches_the_sorting_reference():
-    rng = np.random.default_rng(43)
-    seen = dict.fromkeys(("no_trigger", "no_never_run", "multi_trigger", "set_horizon"), 0)
-    for case in range(300):
-        scenario = _draw_scenario(rng)
-        seen["no_trigger"] += not scenario.trigger_times
-        seen["no_never_run"] += not scenario.include_never_run
-        seen["multi_trigger"] += len(scenario.trigger_times) > 1
-        seen["set_horizon"] += scenario.horizon is not None
-        instance = generate_system(scenario)
-        u = instance.universe
-        want = interned_by_sorting(instance.observed_at, u.horizon)
-        for agent, (ids, labels) in zip(u.agents, want):
-            assert np.array_equal(u.state_ids(agent), ids), (case, agent)
-            _, first = np.unique(ids, return_index=True)
-            run, t = np.divmod(first, u.n_times)
-            got = [u.state_label(agent, u.runs[r], t) for r, t in zip(run.tolist(), t.tolist())]
-            assert got == labels and repr(got) == repr(labels), (case, agent)
-    assert all(seen.values()), seen
-
-
 @pytest.mark.parametrize("hi, n_runs", [(20, 194_482), (999, 10**12 + 1)])
 def test_run_cap_is_checked_before_any_run_is_built(hi, n_runs):
     agents = ("a", "b", "c", "d")
@@ -299,3 +257,21 @@ def test_points_bound_is_checked_before_any_run_is_built(horizon, delta):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+def test_generation_memory_stays_proportional_to_the_points():
+    # 5 runs of 2 agents over 2,004 times: few runs and a long horizon, so a
+    # per-agent table over every (time, observation) pair would be about
+    # 4 * 10^6 entries against 20,040 points
+    timing = TimingSpec(("a", "b"), {("a", "b"): 2000, ("b", "a"): 0})
+    scenario = make_scenario(("a", "b"), timing, obs_delay={"a": (0, 0), "b": (0, 1)},
+                             trigger_times=(0, 1))
+    tracemalloc.start()
+    try:
+        u = generate_system(scenario).universe
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = len(u.runs) * u.n_times * len(u.agents)
+    assert points == 20_040
+    assert peak < 512 * points, peak / points

@@ -45,12 +45,13 @@ from .scenarios import (
     ScenarioSpec,
     TCRInstance,
     generate_system,
+    read_runs,
     response_knowledge,
     solvability,
     synthesize_optimal,
     verify_solution,
 )
-from .universe import json_object
+from .universe import delta_to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -121,7 +122,7 @@ def _runs_block(instance: TCRInstance, result: ProtocolResult | None) -> dict:
 
 def _normalization_block(instance: TCRInstance) -> dict:
     return {
-        f"{i}->{j}": [old if old != float("inf") else "inf", new]
+        f"{i}->{j}": [delta_to_json(old), new]
         for (i, j), (old, new) in sorted(instance.delta_normalizations.items())
     }
 
@@ -254,22 +255,12 @@ def cmd_props(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json_object(_load_json(args.result), "result")
-    where = "runs" if "runs" in doc else "result"
-    runs = json_object(doc.get("runs", doc), where)
+    doc = _load_json(args.result)
+    table = read_runs(doc)
     if args.format == "json":
         _write(_dump(doc), args.output)
         return EXIT_OK
-    table = {}
-    for name, entry in runs.items():
-        entry = json_object(entry, f"{where}.{name}")
-        if where == "result" and "responses" not in entry:
-            entry = {"responses": entry}  # a bare run -> agent -> time map
-        table[name] = [entry.get("trigger_time")] + [
-            json_object(entry.get(key, {}), f"{where}.{name}.{key}")
-            for key in ("observations", "responses")
-        ]
-    agents = list(dict.fromkeys(a for _, _, responses in table.values() for a in responses))
+    agents = list(dict.fromkeys(a for _, obs, resp in table.values() for a in (*obs, *resp)))
     header = ["run", "trigger"]
     header += [f"obs[{a}]" for a in agents] + [f"resp[{a}]" for a in agents]
     rows = [header]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation, SizeGuardExceeded
 from .events import Event, first_instants, is_local, window_cover
-from .fixpoint import EventTuple, TimingSpec, apply_f, reach_matrix, timely_ck, tuple_union
+from .fixpoint import EventTuple, TimingSpec, apply_f, late_pairs, timely_ck, tuple_union
 from .packed import PackedSpace
 from .universe import Universe
 
@@ -34,19 +34,11 @@ DEFAULT_ENSEMBLE_GUARD = 50_000  # local ensembles the correspondence check may 
 
 def uncoordinated_pairs(ensemble: EventTuple, spec: TimingSpec) -> list[tuple]:
     """The pairs (i, j), in `spec.pairs()` order, where some occurrence of e_i
-    is not answered by e_j within delta(i, j).
-
-    By first instants: in every run where e_i holds, e_j must hold too, with
-    its first instant at most e_i's first instant plus delta(i, j) (deltas
-    clamped to the horizon, inf acting like H).
-    """
+    is not answered by e_j within delta(i, j): `late_pairs` of their first
+    instants, deltas clamped to the horizon and inf acting like H."""
     if ensemble.agents != spec.agents:
         raise InvariantViolation("ensemble agents do not match the timing spec")
-    u = ensemble.universe
-    first = first_instants(ensemble.table)
-    reach = reach_matrix(spec, u)
-    late = first[None, :, :] > first[:, None, :] + reach[:, :, None]
-    bad = (late & (first < u.n_times)[:, None, :]).any(axis=2)
+    bad = late_pairs(first_instants(ensemble.table), spec, ensemble.universe)
     return [(spec.agents[i], spec.agents[j]) for i, j in zip(*np.nonzero(bad))]
 
 

@@ -292,6 +292,15 @@ def reach_matrix(spec: TimingSpec, universe: Universe) -> np.ndarray:
     return np.array([[reach(i, j) for j in spec.agents] for i in spec.agents], dtype=np.int64)
 
 
+def late_pairs(first: np.ndarray, spec: TimingSpec, universe: Universe) -> np.ndarray:
+    """The (k, k) boolean matrix of the pairs (i, j) such that, in some run
+    where i's coordinate holds, j's first instant is later than i's plus
+    `reach_matrix`'s (i, j); `first` is (k, n_runs) as `first_instants` gives
+    it, n_times or more for a run where the coordinate never holds."""
+    late = first[None, :, :] > first[:, None, :] + reach_matrix(spec, universe)[:, :, None]
+    return (late & (first < universe.n_times)[:, None, :]).any(axis=2)
+
+
 def _window_operands(psi: Event, spec: TimingSpec) -> tuple:
     """The window map's operands: its constants are the negated reach matrix
     laid out as (k_i, k_j, 1) and the clock 0..H."""

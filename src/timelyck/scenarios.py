@@ -33,7 +33,7 @@ from .errors import (
     Unsolvable,
 )
 from .events import Event, eventually, is_local, within
-from .fixpoint import EventTuple, TimingSpec, reach_matrix, timely_ck
+from .fixpoint import EventTuple, TimingSpec, late_pairs, timely_ck
 from .universe import INF, Universe, json_int, json_object
 
 
@@ -348,23 +348,33 @@ class ProtocolResult:
 
     @classmethod
     def from_json_dict(cls, doc) -> "ProtocolResult":
-        """Responses from a run -> {agent -> time} object, or from a `solve`
-        document whose runs carry their responses.  Times are kept as given;
+        """The responses of a result document as `read_runs` reads it; a run
+        without responses responds nowhere.  Times are kept as given;
         `response_times` judges them."""
-        where = "result"
-        if isinstance(doc, dict) and "runs" in doc:
-            doc, where = doc["runs"], "runs"
-        runs = json_object(doc, where)
-        first = next(iter(runs.values()), None)
-        nested = isinstance(first, dict) and "responses" in first
-        responses = {}
-        for run, per in runs.items():
-            path = f"{where}.{run}"
-            if nested:
-                per = json_object(per, path).get("responses")
-                path += ".responses"
-            responses[run] = dict(json_object(per, path))
-        return cls(responses)
+        return cls({run: dict(responses) for run, (_, _, responses) in read_runs(doc).items()})
+
+
+def read_runs(doc) -> dict:
+    """A result document's runs, run -> (trigger time, observations,
+    responses), the last two agent -> time objects, every value as given.
+
+    A document with `runs` is a `solve` document, and a run entry there
+    without `responses` responds nowhere.  Any other document is a bare run ->
+    agent -> time map of responses, but an entry carrying `responses` reads as
+    a `solve` run entry, so a `solve` runs block reads on its own too.  A
+    field that is not an object is an InvariantViolation naming its path."""
+    doc = json_object(doc, "result")
+    where = "runs" if "runs" in doc else "result"
+    out = {}
+    for run, entry in json_object(doc.get("runs", doc), where).items():
+        path = f"{where}.{run}"
+        if "responses" in json_object(entry, path) or where == "runs":
+            out[run] = (entry.get("trigger_time"), *(
+                json_object(entry.get(key, {}), f"{path}.{key}")
+                for key in ("observations", "responses")))
+        else:
+            out[run] = (None, {}, entry)  # a bare run -> agent -> time map
+    return out
 
 
 def synthesize_optimal(
@@ -427,10 +437,10 @@ def verify_solution(instance: TCRInstance, result: ProtocolResult) -> SolutionRe
 def check_response_times(instance: TCRInstance, times, problems: list) -> SolutionReport:
     """`verify_solution` on what `ProtocolResult.response_times` returns.
 
-    A pair (i, j) is broken where i responds and j's response (2 * n_times for
-    none) is later than i's plus `reach_matrix`'s (i, j).  A response is stray
-    in an untriggered run or before the trigger time, listed in run-then-time
-    order.  Locality is `is_local` on one agent's responses at a time.
+    The broken pairs are `late_pairs` of the responses, 2 * n_times standing
+    for none.  A response is stray in an untriggered run or before the trigger
+    time, listed in run-then-time order.  Locality is `is_local` on one
+    agent's responses at a time.
     """
     checks: dict = {}
     cex: dict = {}
@@ -444,8 +454,7 @@ def check_response_times(instance: TCRInstance, times, problems: list) -> Soluti
     u, agents = instance.universe, instance.timing.agents
     responds = times.T >= 0  # (k, n_runs), runs innermost
     first = np.where(responds, times.T, 2 * u.n_times)
-    late = first[None, :, :] > first[:, None, :] + reach_matrix(instance.timing, u)[:, :, None]
-    broken = np.argwhere((late & responds[:, None, :]).any(axis=2))
+    broken = np.argwhere(late_pairs(first, instance.timing, u))
     checks["coordinated"] = not broken.size
     if broken.size:
         cex["coordinated"] = [{"pair": f"{agents[i]}->{agents[j]}"} for i, j in broken]

@@ -14,7 +14,6 @@ state may recur at different times and knowledge then quantifies across time.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Union
 
@@ -329,9 +328,6 @@ class Universe:
             "synchronous": self.synchronous,
             "states": states,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def __repr__(self) -> str:
         mode = "sync" if self.synchronous else "async"

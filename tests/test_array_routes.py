@@ -106,7 +106,7 @@ def test_one_draw_universe_matches_point_by_point_draws():
                 for t in range(u.n_times):
                     label, ref_label = u.state_label(agent, run, t), ref.state_label(agent, run, t)
                     assert label == ref_label and repr(label) == repr(ref_label)
-        assert u.to_json() == ref.to_json()
+        assert u.to_json_dict() == ref.to_json_dict()
 
 
 class _NoDraws:

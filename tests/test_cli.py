@@ -387,6 +387,48 @@ def test_report_reads_the_responses_of_a_bare_result(tmp_path):
     assert any(t is not None for e in runs.values() for t in e["responses"].values())
 
 
+def test_verify_optimal_reads_an_unsolvable_solve_document_as_responding_nowhere(tmp_path):
+    res_out = tmp_path / "result.json"
+    assert run_cli("solve", PKG_DATA["unsatisfiable"], "-o", str(res_out)).returncode == 5
+    proc = run_cli("verify", PKG_DATA["unsatisfiable"], str(res_out), "--optimal")
+    assert proc.returncode == 6, proc.stderr
+    report = json.loads(proc.stdout)["solution_checks"]
+    assert report["checks"]["well_formed"] is True
+    assert report["checks"]["covers_triggered_runs"] is False
+    assert {"agent": "a", "run": "t0_a0_b0"} in report["counterexamples"]["covers_triggered_runs"]
+    assert "unknown agent" not in proc.stdout + proc.stderr
+
+
+def test_report_shows_the_observations_of_an_unsolvable_solve_document(tmp_path):
+    res_out = tmp_path / "result.json"
+    assert run_cli("solve", PKG_DATA["unsatisfiable"], "-o", str(res_out)).returncode == 5
+    proc = run_cli("report", str(res_out))
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["run", "trigger", "obs[a]", "obs[b]", "resp[a]", "resp[b]"]
+    by_run = {row.split()[0]: row.split()[1:] for row in rows}
+    assert by_run["t0_a0_b1"] == ["0", "0", "1", "-", "-"]
+    assert by_run["never"] == ["-"] * 5
+
+
+def test_report_shows_the_trigger_times_of_a_bare_runs_block(tmp_path):
+    res_out = tmp_path / "result.json"
+    assert run_cli("solve", PKG_DATA["ordered_2"], "-o", str(res_out)).returncode == 0
+    runs = json.loads(res_out.read_text())["runs"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(runs))
+    proc = run_cli("report", str(bare))
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:2] == ["run", "trigger"]
+    by_run = {row.split()[0]: row.split()[1] for row in rows}
+    assert by_run == {
+        run: "-" if e["trigger_time"] is None else str(e["trigger_time"])
+        for run, e in runs.items()
+    }
+    assert any(e["trigger_time"] is not None for e in runs.values())
+
+
 def test_oracle_without_the_never_run_skips_only_the_optimality_sweep(tmp_path):
     out = tmp_path / "oracle.json"
     proc = run_cli("oracle", PKG_DATA["car_wash"], "--no-never-run", "--cases", "4",

@@ -1,5 +1,6 @@
-"""The package's import graph: every import sits at a module's top, and the
-event layer loads nothing of the fixed-point layer."""
+"""The package's import graph: every import sits at a module's top, the
+event layer loads nothing of the fixed-point layer, and the CLI reads result
+documents only through the library's reader."""
 
 import ast
 import json
@@ -43,3 +44,15 @@ def test_events_loads_nothing_from_fixpoint():
     loaded = json.loads(proc.stdout)
     assert "timelyck.events" in loaded
     assert "timelyck.fixpoint" not in loaded, loaded
+
+
+def test_cli_keeps_no_document_shape_rule():
+    # the field checkers belong to the document readers, not to the CLI
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"json_object", "json_int"}, imported

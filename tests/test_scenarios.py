@@ -280,6 +280,14 @@ def test_protocol_result_round_trip():
     assert ProtocolResult.from_json_dict(doc).responses == res.responses
 
 
+def test_a_solve_run_without_responses_responds_nowhere():
+    doc = {"runs": {
+        "fired": {"trigger_time": 0, "observations": {"a": 0}, "responses": {"a": 1}},
+        "never": {"trigger_time": None, "observations": {"a": None}},
+    }}
+    assert ProtocolResult.from_json_dict(doc).responses == {"fired": {"a": 1}, "never": {}}
+
+
 # -- special-case timing matrices ---------------------------------------------------
 
 

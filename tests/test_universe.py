@@ -146,7 +146,7 @@ def test_generated_universe_matches_callback_universe():
             for run in u.runs:
                 for t in range(u.n_times):
                     assert u.state_label(agent, run, t) == ref.state_label(agent, run, t)
-        assert u.to_json() == ref.to_json()
+        assert u.to_json_dict() == ref.to_json_dict()
 
 
 def test_unknown_ids_rejected(toy):

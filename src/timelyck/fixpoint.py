@@ -22,9 +22,10 @@ built only for the final value; `apply_f` is one such step.
 within-windows and skips unbounded pairs; it is the one the nested-knowledge
 characterisation reconstructs path by path.  Its step gathers every partner's
 coordinate at the shifted time, and `apply_g` is one such step.  Both fixed
-points and the single-event fixed points (`event_gfp`: common, eventual and
-window common knowledge) run through one descent loop (`_descend`) with one
-descent check, iteration bound and trace.
+points, the single-event fixed points (`event_gfp`: common, eventual and
+window common knowledge) and the class-table descent of
+`scenarios.response_knowledge` run through one descent loop (`_descend`) with
+one descent check, iteration bound and trace.
 Each iteration makes one descent test, `nxt > cur`, and the loop stops when
 the coordinate sizes it records for the trace repeat: every accepted step lies
 inside its predecessor, so equal sizes mean equal iterates.
@@ -370,26 +371,24 @@ class GfpResult:
     trace: list  # per-iteration coordinate sizes
 
 
-def _descend(step, start, universe: Universe, agents: tuple) -> GfpResult:
-    """Iterate a monotone map on (k, n_runs, n_times) tuple tables until two
-    iterates coincide; `start` None means the all-full table.
+def _descend(step, start: np.ndarray, agents: tuple, sizes: list | None = None) -> tuple:
+    """Iterate a monotone map on boolean tables of shape (k, ...), row n for
+    ``agents[n]``, from `start` until two iterates coincide; `sizes`, when
+    given, are start's row counts.  Returns the value table, the iteration
+    count and the trace.
 
     On a finite lattice the stabilized value of a descending Kleene iteration
     from the top is the greatest fixed point.  Each strict step must remove at
-    least one point from at least one coordinate, which bounds the iteration
-    count; exceeding the bound, or any non-descending step, means the supplied
-    map was not monotone and is reported as an internal error.  Since every
-    accepted step lies inside its predecessor, two iterates coincide exactly
-    when their coordinate sizes, recorded for the trace, do.  The tuple is
-    built only for the final value.
+    least one entry from at least one row, which bounds the iteration count by
+    the table size; exceeding the bound, or any non-descending step, means the
+    supplied map was not monotone and is reported as an internal error.  Since
+    every accepted step lies inside its predecessor, two iterates coincide
+    exactly when their row counts, recorded for the trace, do.
     """
     k = len(agents)
-    bound = universe.n_points * k + 1
-    if start is None:
-        cur = np.ones((k, universe.n_runs, universe.n_times), dtype=bool)
-        sizes = [universe.n_points] * k
-    else:
-        cur = start
+    bound = start.size + 1
+    cur = start
+    if sizes is None:
         sizes = cur.reshape(k, -1).sum(axis=1).tolist()
     trace = [dict(zip(agents, sizes))]
     for iteration in range(1, bound + 1):
@@ -401,25 +400,34 @@ def _descend(step, start, universe: Universe, agents: tuple) -> GfpResult:
         new_sizes = nxt.reshape(k, -1).sum(axis=1).tolist()
         trace.append(dict(zip(agents, new_sizes)))
         if new_sizes == sizes:
-            return GfpResult(EventTuple.of(universe, agents, nxt), iteration, trace)
+            return nxt, iteration, trace
         cur, sizes = nxt, new_sizes
     raise InternalConsistencyError(
         f"fixed-point iteration failed to stabilize within {bound} steps"
     )
 
 
+def _descend_from_top(step, universe: Universe, agents: tuple) -> GfpResult:
+    """`_descend` on (k, n_runs, n_times) tuple tables from the all-full one;
+    the tuple is built only for the final value."""
+    k = len(agents)
+    start = np.ones((k, universe.n_runs, universe.n_times), dtype=bool)
+    table, iterations, trace = _descend(step, start, agents, [universe.n_points] * k)
+    return GfpResult(EventTuple.of(universe, agents, table), iterations, trace)
+
+
 def event_gfp(step: Callable[[Event], Event], universe: Universe, agent: str) -> Event:
     """The greatest fixed point of a monotone map on single events, descended
     from the full event as a one-coordinate tuple labelled `agent`."""
-    return _descend(
-        lambda x: step(Event(universe, x[0])).table[None], None, universe, (agent,)
+    return _descend_from_top(
+        lambda x: step(Event(universe, x[0])).table[None], universe, (agent,)
     ).value[agent]
 
 
 def timely_ck_info(psi: Event, spec: TimingSpec) -> GfpResult:
     """The greatest fixed point of the window map, with its iteration trace."""
     operands = _window_operands(psi, spec)
-    return _descend(lambda x: _window_step(x, *operands), None, psi.universe, spec.agents)
+    return _descend_from_top(lambda x: _window_step(x, *operands), psi.universe, spec.agents)
 
 
 def timely_ck(psi: Event, spec: TimingSpec) -> EventTuple:
@@ -429,7 +437,7 @@ def timely_ck(psi: Event, spec: TimingSpec) -> EventTuple:
 def timely_ck_g_info(psi: Event, spec: TimingSpec) -> GfpResult:
     """The greatest fixed point of the exact-shift map, with its iteration trace."""
     operands = _operands(psi, spec, _shift_columns(spec, psi.universe))
-    return _descend(lambda x: _shift_step(x, *operands), None, psi.universe, spec.agents)
+    return _descend_from_top(lambda x: _shift_step(x, *operands), psi.universe, spec.agents)
 
 
 def timely_ck_g(psi: Event, spec: TimingSpec) -> EventTuple:

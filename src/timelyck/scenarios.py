@@ -8,9 +8,12 @@ combination of trigger time and delay vector; local states are
 full-information records (current time plus the observation time, once seen),
 so generated universes are synchronous and never forget.  An instance keeps
 its runs as a table (a trigger-time vector and an (n_runs, k) observation
-matrix, -1 for never), counted against the run cap before it is built; a
-result is checked on it as an (n_runs, k) response array, with no event tuple
-built.
+matrix, -1 for never), counted against the run cap before it is built.
+Solving works on that table and never interns a point state: knowledge is
+decided on per-agent observation classes, a synthesized result keeps its
+(n_runs, k) response array, and a result is checked on such an array, with
+no event tuple built.  The universe's states are interned only when something
+reads them.
 
 The solvable instances are exactly those in which the trigger guarantees that
 every agent eventually reaches its coordinate of timely common knowledge of
@@ -22,7 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import partial
+from itertools import repeat
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,8 +38,8 @@ from .errors import (
     SizeGuardExceeded,
     Unsolvable,
 )
-from .events import Event, eventually, is_local, within
-from .fixpoint import EventTuple, TimingSpec, late_pairs, timely_ck
+from .events import Event, eventually, within
+from .fixpoint import EventTuple, TimingSpec, _descend, late_pairs, reach_matrix
 from .universe import INF, Universe, json_int, json_object
 
 
@@ -153,8 +159,7 @@ class ScenarioSpec:
 NEVER_RUN = "never"
 
 
-@dataclass(frozen=True)
-class RunInfo:
+class RunInfo(NamedTuple):
     """One row of an instance's run table, with None for never."""
 
     name: str
@@ -182,15 +187,41 @@ class TCRInstance:
     @property
     def runs(self) -> list:
         """The run table as RunInfo rows, built afresh on each access."""
-        agents, fired = self.scenario.agents, self.trigger_time.tolist()
-        return [
-            RunInfo(name, t, dict(zip(agents, row))) if t >= 0
-            else RunInfo(name, None, dict.fromkeys(agents))
-            for name, t, row in zip(self.universe.runs, fired, self.observed_at.tolist())
-        ]
+        observations = map(dict, map(zip, repeat(self.scenario.agents), _with_none(self.observed_at)))
+        return list(map(RunInfo, self.universe.runs, _with_none(self.trigger_time), observations))
 
     def trigger_history(self) -> Event:
         return within(self.trigger, 0)
+
+
+def _with_none(table: np.ndarray) -> list:
+    """A run-table array as nested lists of ints, None where it holds -1."""
+    cells = table.astype(object)
+    cells[table < 0] = None
+    return cells.tolist()
+
+
+def _intern_states(observed_at: np.ndarray, horizon: int) -> tuple[list, list]:
+    """A generated universe's state ids and labels, per agent.
+
+    Agent a's state at (run, t) is (t, obs if obs <= t else None), coded as
+    t * (H + 2) + (obs + 1, or 0 for None), then interned by first appearance.
+    """
+    clock = np.arange(horizon + 1)
+    state_ids, labels = [], []
+    for obs in observed_at.T:
+        obs = obs[:, None]
+        codes = clock * (horizon + 2) + np.where(obs <= clock, obs + 1, 0)
+        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        state_ids.append(rank[inverse].reshape(codes.shape))
+        t_of, seen_of = np.divmod(uniq[order], horizon + 2)
+        labels.append(
+            [(t, s - 1 if s else None) for t, s in zip(t_of.tolist(), seen_of.tolist())]
+        )
+    return state_ids, labels
 
 
 def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRInstance:
@@ -201,6 +232,8 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
     the cap times `POINTS_PER_CAPPED_RUN`, before anything is allocated.
     Generated local states carry the current time, so dropping the synchronous
     flag changes no indistinguishability class; it only skips the clock check.
+    The universe gets `_intern_states` as its deferred interning step, so the
+    states are built only when something reads them.
     """
     horizon = scenario.effective_horizon()
     if scenario.trigger_times and scenario.trigger_times[-1] + scenario.max_hi() > horizon:
@@ -227,37 +260,19 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
     observed_at = np.full((n_runs, len(agents)), -1, dtype=np.int64)
     trigger_time[:n_fired] = np.repeat(triggers, len(delays))
     observed_at[:n_fired] = (triggers[:, None, None] + delays).reshape(-1, len(agents))
-    suffixes = [
-        [f"_{a}{d}" for d in range(first, first + n)] for a, first, n in zip(agents, lo, sizes)
-    ]
-    names = [
-        f"t{tau}" + "".join(parts)
-        for tau in scenario.trigger_times
-        for parts in product(*suffixes)
-    ] + [NEVER_RUN] * scenario.include_never_run
+    names = [f"t{tau}" for tau in scenario.trigger_times]
+    for a, first, n in zip(agents, lo, sizes):  # product order: the last agent innermost
+        suffixes = [f"_{a}{d}" for d in range(first, first + n)]
+        names = [prefix + suffix for prefix in names for suffix in suffixes]
+    names += [NEVER_RUN] * scenario.include_never_run
     for table in (trigger_time, observed_at):
         table.setflags(write=False)
 
-    # agent a's state at (run, t) is (t, obs if obs <= t else None), coded as
-    # t * (H + 2) + (obs + 1, or 0 for None), then interned by first appearance
-    clock = np.arange(horizon + 1)
-    state_ids, labels = [], []
-    for obs in observed_at.T:
-        obs = obs[:, None]
-        codes = clock * (horizon + 2) + np.where(obs <= clock, obs + 1, 0)
-        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        state_ids.append(rank[inverse].reshape(codes.shape))
-        t_of, seen_of = np.divmod(uniq[order], horizon + 2)
-        labels.append(
-            [(t, s - 1 if s else None) for t, s in zip(t_of.tolist(), seen_of.tolist())]
-        )
-
-    universe = Universe.from_state_ids(
-        agents, names, horizon, state_ids, labels, synchronous=synchronous
+    universe = Universe.from_interning(
+        agents, names, horizon, partial(_intern_states, observed_at, horizon),
+        synchronous=synchronous,
     )
+    clock = np.arange(horizon + 1)
     trigger = Event(universe, clock == trigger_time[:, None])
     timing, changed = scenario.timing.normalized(horizon)
     return TCRInstance(
@@ -269,8 +284,76 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
 
 
 def response_knowledge(instance: TCRInstance) -> EventTuple:
-    """Timely common knowledge of the trigger's history, per agent."""
-    return timely_ck(instance.trigger_history(), instance.timing)
+    """Timely common knowledge of the trigger's history, per agent, decided on
+    the agents' observation classes; `timely_ck` on the trigger history is the
+    point route it equals.
+
+    Agent i's state at (r, t) is (t, o) once it has observed the trigger at o
+    and (t, None) before, so each coordinate is a union of classes.  The
+    descent holds, per agent, a boolean table over one column per distinct
+    observation time o and one unobserved column, by time; every column is
+    true from its class's first instant on.  From such a table, f_j(o) is
+    agent j's first instant in the runs it observes at o (the unobserved
+    column's, when that is earlier than o), and M_j(T) is the maximum of f_j
+    over T + j's delay window: the runs triggered at T realize every delay of
+    every agent.  The observed class (i, t, o) then holds iff t >= o and
+    M_j(T) <= t + reach(i, j) for every partner j and every trigger time T
+    with o - T in i's window.  The unobserved class (i, t) is false when the
+    never-run is included; otherwise it holds iff every trigger time T whose
+    runs may leave i unobserved at t (T + i's latest delay > t) has T <= t and
+    meets the same bounds.  The descent runs through `_descend`, and one row
+    gather then turns the value into the (k, n_runs, n_times) tuple.
+    """
+    scenario, u, agents = instance.scenario, instance.universe, instance.timing.agents
+    triggers = scenario.trigger_times
+    if not triggers:  # the trigger's history holds nowhere
+        return EventTuple.bottom(u, agents)
+    k, n, n_trig = len(agents), u.n_times, len(triggers)
+    never = 2 * n  # the first instant of a class that never holds, as in `first_instants`
+    windows = [scenario.obs_delay[a] for a in agents]
+    seen = [sorted({tau + d for tau in triggers for d in range(lo, hi + 1)}) for lo, hi in windows]
+    unobserved = max(map(len, seen))  # the last column; shorter agents are padded before it
+    width = max(hi - lo for lo, hi in windows) + 1
+
+    # obs_of[a, c]: column c's observation time, `never` for padding and the
+    # unobserved column; column_of[a, o + 1]: the row of observation time o
+    # (-1 for never) in the (k * columns, n_times) table; late_at and trig_at
+    # gather the first instants M_j(T) reads and the trigger times of (i, o)
+    obs_of, column_of, late_at, trig_at = [], [], [], []
+    for a, ((lo, hi), times) in enumerate(zip(windows, seen)):
+        at = {o: a * (unobserved + 1) + c for c, o in enumerate(times)}
+        obs_of.append(times + [never] * (unobserved + 1 - len(times)))
+        column_of.append([a * (unobserved + 1) + unobserved] + [at.get(o, 0) for o in range(n)])
+        late_at.append([[at[tau + min(d, hi)] for d in range(lo, lo + width)] for tau in triggers])
+        cols = [[a * n_trig + q for q, tau in enumerate(triggers) if lo <= o - tau <= hi]
+                for o in times] + [[a * n_trig]] * (unobserved + 1 - len(times))
+        trig_at.append([c + c[-1:] * (n_trig - len(c)) for c in cols])
+    obs_of, column_of, late_at, trig_at = map(np.array, (obs_of, column_of, late_at, trig_at))
+    lag = -reach_matrix(instance.timing, u)[:, :, None]
+    clock = np.arange(n)
+    first_of_suffix = np.concatenate(([never], np.arange(n - 1, -1, -1)))
+    if not scenario.include_never_run:
+        fired = np.array(triggers)
+        cutoff = fired + np.array([hi for _, hi in windows])[:, None]  # (k, n_trig)
+
+    def step(x):
+        first = first_of_suffix[x.sum(axis=2)]  # every column is a suffix in time
+        early = first[:, unobserved:]
+        first = np.minimum(first, np.where(early < obs_of, early, never))
+        latest = first.ravel()[late_at].max(axis=2)  # M_j(T)
+        need = (latest + lag).max(axis=1)  # (i, T): max over j of M_j(T) - reach(i, j)
+        start = np.maximum(need.ravel()[trig_at].max(axis=2), obs_of)
+        if not scenario.include_never_run:
+            start[:, unobserved] = np.minimum(cutoff, np.maximum(fired, need)).max(axis=1)
+        return clock >= start[:, :, None]
+
+    observed = clock >= obs_of[:, :, None]
+    top = observed.copy()
+    top[:, unobserved] = True
+    value = _descend(step, top, agents)[0]
+    rows = np.where(observed, value, value[:, unobserved:])  # the runs' rows per class column
+    runs = column_of[np.arange(k)[:, None], instance.observed_at.T + 1]
+    return EventTuple.of(u, agents, rows.reshape(-1, n)[runs])
 
 
 def knowledge_for(instance: TCRInstance, knowledge: EventTuple | None) -> EventTuple:
@@ -302,13 +385,35 @@ def solvability(instance: TCRInstance, *, knowledge: EventTuple | None = None) -
 
 @dataclass
 class ProtocolResult:
-    responses: dict  # run name -> {agent -> response time or None}
+    """A protocol's responses, run name -> {agent -> response time or None}.
+
+    A synthesized result (`from_times`) keeps the (n_runs, k) response array of
+    its instance, and its `responses` is a read-only mapping derived from that
+    array, so the two cannot drift apart.  Any other result, a parsed document
+    included, is read by walking its mapping.
+    """
+
+    responses: Mapping
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_times(cls, instance: TCRInstance, times: np.ndarray) -> "ProtocolResult":
+        """The result responding at `times[r, a]` (-1 for never) in the
+        instance's run and agent order; the array is made read-only."""
+        times.setflags(write=False)
+        rows = map(dict, map(zip, repeat(instance.timing.agents), _with_none(times)))
+        out = cls(MappingProxyType(dict(zip(instance.universe.runs, map(MappingProxyType, rows)))))
+        out._source = (instance, times)
+        return out
 
     def response_times(self, instance: TCRInstance) -> tuple[np.ndarray, list]:
         """The responses as an (n_runs, k) array in the instance's run and agent
         order, -1 for no response, and the well-formedness problems: unknown
         runs and agents, times that are not JSON integers or null, and times
-        outside the horizon.  An entry with a problem stays -1."""
+        outside the horizon.  An entry with a problem stays -1.  A synthesized
+        result returns its own array for its own instance."""
+        if self._source is not None and self._source[0] is instance:
+            return self._source[1], []
         u, k = instance.universe, len(instance.timing.agents)
         column = {a: c for c, a in enumerate(instance.timing.agents)}
         offset = {run: r * k for r, run in enumerate(u.runs)}
@@ -384,10 +489,8 @@ def synthesize_optimal(
     xi = knowledge_for(instance, knowledge)
     if not solvability(instance, knowledge=xi):
         raise Unsolvable("instance admits no coordinated response protocol")
-    u = instance.universe
-    agents = instance.timing.agents
     holds = xi.table.any(axis=2)
-    fired = instance.trigger.table.any(axis=1)
+    fired = instance.trigger_time >= 0
     if (holds & ~fired).any():
         raise InternalConsistencyError(
             "knowledge coordinate holds in a run without a trigger"
@@ -396,12 +499,7 @@ def synthesize_optimal(
         raise InternalConsistencyError(
             "solvable instance left an agent without a response time"
         )
-    first = np.where(holds, xi.table.argmax(axis=2), -1).T.tolist()  # (run, agent)
-    responses = {
-        run: {agent: (t if t >= 0 else None) for agent, t in zip(agents, row)}
-        for run, row in zip(u.runs, first)
-    }
-    return ProtocolResult(responses)
+    return ProtocolResult.from_times(instance, np.where(holds, xi.table.argmax(axis=2), -1).T)
 
 
 # -- solution checking ----------------------------------------------------------
@@ -439,8 +537,14 @@ def check_response_times(instance: TCRInstance, times, problems: list) -> Soluti
 
     The broken pairs are `late_pairs` of the responses, 2 * n_times standing
     for none.  A response is stray in an untriggered run or before the trigger
-    time, listed in run-then-time order.  Locality is `is_local` on one
-    agent's responses at a time.
+    time, listed in run-then-time order.  Locality is decided on the run table:
+    agent a's state at (r, t) is (t, its observation time) once it has
+    observed, so a response at or after the observation must be the same in
+    every run observing at that time, and a response at t before it must be
+    made at t in every run observing later than t; the never-run observes at
+    H + 1.  The runs of each agent are sorted by observation time, so the
+    first test compares group minima with group maxima and the second reads
+    suffix minima and maxima from the position `searchsorted` finds.
     """
     checks: dict = {}
     cex: dict = {}
@@ -477,11 +581,23 @@ def check_response_times(instance: TCRInstance, times, problems: list) -> Soluti
     checks["covers_triggered_runs"] = not misses
     cex["covers_triggered_runs"] = misses
 
-    clock = np.arange(u.n_times)
-    nonlocal_agents = [
-        {"agent": a} for a, col in zip(agents, times.T)
-        if not is_local(a, Event(u, col[:, None] == clock))
-    ]
+    k, code_of = len(agents), u.n_times + 1  # code: agent * code_of + observation time
+    seen = np.where(instance.observed_at.T >= 0, instance.observed_at.T, u.n_times)
+    order = np.argsort(seen, axis=1, kind="stable")
+    seen = np.take_along_axis(seen, order, axis=1)
+    said = np.take_along_axis(times.T, order, axis=1)  # (k, n_runs), by observation time
+    code = (seen + code_of * np.arange(k)[:, None]).ravel()
+    after = np.where(said >= seen, said, -1).ravel()
+    groups = np.flatnonzero(np.diff(code, prepend=-1))
+    split = np.minimum.reduceat(after, groups) != np.maximum.reduceat(after, groups)
+    early = np.flatnonzero(((said >= 0) & (said < seen)).ravel())
+    t = said.ravel()[early]
+    later = np.searchsorted(code, code[early] - seen.ravel()[early] + t, side="right")
+    low = np.minimum.accumulate(said[:, ::-1], axis=1)[:, ::-1].ravel()[later]
+    high = np.maximum.accumulate(said[:, ::-1], axis=1)[:, ::-1].ravel()[later]
+    bad = set((code[groups[split]] // code_of).tolist())
+    bad.update((early[(low != t) | (high != t)] // u.n_runs).tolist())
+    nonlocal_agents = [{"agent": a} for n, a in enumerate(agents) if n in bad]
     checks["locally_determined"] = not nonlocal_agents
     cex["locally_determined"] = nonlocal_agents
 

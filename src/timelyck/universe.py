@@ -8,8 +8,12 @@ knowledge operators are derived from that relation alone.
 
 In synchronous mode the current time must be recoverable from every local
 state (states of one agent at two distinct times are never equal), which is
-validated at construction.  Asynchronous mode drops that requirement, so a
+validated with the states.  Asynchronous mode drops that requirement, so a
 state may recur at different times and knowledge then quantifies across time.
+
+A universe may defer its states (`from_interning`): it keeps the step that
+interns them and runs it, with the validation, at the first state read, so a
+caller that decides everything from its own tables never pays for them.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ class Universe:
         "synchronous",
         "_agent_pos",
         "_run_pos",
+        "_intern",
         "_state_ids",
         "_id_labels",
         "_n_classes",
@@ -171,6 +176,24 @@ class Universe:
         u._set_states(state_ids, labels)
         return u
 
+    @classmethod
+    def from_interning(
+        cls,
+        agents: Iterable[str],
+        runs: Iterable[str],
+        horizon: int,
+        intern: Callable[[], tuple],
+        *,
+        synchronous: bool = True,
+    ) -> "Universe":
+        """A universe whose states `intern()` returns at the first state read,
+        as the (state_ids, labels) pair `from_state_ids` takes; they are
+        validated then, and a refused build is retried at the next read."""
+        u = cls.__new__(cls)
+        u._set_geometry(agents, runs, horizon, synchronous)
+        u._intern = intern
+        return u
+
     def _set_geometry(self, agents, runs, horizon, synchronous) -> None:
         self.agents = tuple(agents)
         self.runs = tuple(runs)
@@ -186,6 +209,7 @@ class Universe:
             raise InvariantViolation("horizon must be nonnegative")
         self.horizon = int(horizon)
         self.synchronous = bool(synchronous)
+        self._intern = None
         self._agent_pos = {a: k for k, a in enumerate(self.agents)}
         self._run_pos = {r: k for k, r in enumerate(self.runs)}
 
@@ -224,6 +248,14 @@ class Universe:
             self._n_classes.append(n)
         if self.synchronous:
             self._check_time_in_state()
+
+    def _states(self) -> tuple:
+        """Per agent: the state ids, their labels and the class count, built
+        first by a deferred interning step."""
+        if self._intern is not None:
+            self._set_states(*self._intern())
+            self._intern = None
+        return self._state_ids, self._id_labels, self._n_classes
 
     def _check_time_in_state(self) -> None:
         """Each state id of each agent must occur at exactly one time.
@@ -279,15 +311,15 @@ class Universe:
 
     def state_ids(self, agent: str) -> np.ndarray:
         """Interned state ids of one agent, shape (n_runs, n_times)."""
-        return self._state_ids[self.agent_index(agent)]
+        return self._states()[0][self.agent_index(agent)]
 
     def n_state_classes(self, agent: str) -> int:
-        return self._n_classes[self.agent_index(agent)]
+        return self._states()[2][self.agent_index(agent)]
 
     def state_label(self, agent: str, run: str, t: int) -> Hashable:
         ai = self.agent_index(agent)
-        sid = self._state_ids[ai][self.run_index(run), self.check_time(t)]
-        return self._id_labels[ai][int(sid)]
+        ids, labels, _ = self._states()
+        return labels[ai][int(ids[ai][self.run_index(run), self.check_time(t)])]
 
     def exhibits_perfect_recall(self) -> bool:
         """Whether every agent's current state determines its set of past states.
@@ -299,7 +331,8 @@ class Universe:
         `naive.n_perfect_recall` is the point-by-point reference.
         """
         rows = np.arange(self.n_points)
-        for ids, n in zip(self._state_ids, self._n_classes):
+        state_ids, _, n_classes = self._states()
+        for ids, n in zip(state_ids, n_classes):
             flat = ids.ravel()
             bit = np.zeros((self.n_points, -(-n // 64)), dtype=np.uint64)
             bit[rows, flat >> 6] = np.left_shift(np.uint64(1), (flat & 63).astype(np.uint64))
@@ -316,7 +349,7 @@ class Universe:
 
     def to_json_dict(self) -> dict:
         states = {}
-        for agent, ids, labels in zip(self.agents, self._state_ids, self._id_labels):
+        for agent, ids, labels in zip(self.agents, *self._states()[:2]):
             names = [str(label) for label in labels]
             states[agent] = {
                 run: [names[sid] for sid in row] for run, row in zip(self.runs, ids.tolist())

@@ -33,7 +33,8 @@ def gfp(step: Callable[[EventTuple], EventTuple], start: EventTuple) -> GfpResul
         start._same(image)
         return image.table
 
-    return _descend(table_step, start.table, u, agents)
+    table, iterations, trace = _descend(table_step, start.table, agents)
+    return GfpResult(EventTuple.of(u, agents, table), iterations, trace)
 
 
 def gfp_bruteforce_oracle(

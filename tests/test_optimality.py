@@ -21,6 +21,7 @@ from timelyck.optimality import (
     verify_optimal,
 )
 from timelyck.scenarios import (
+    ProtocolResult,
     generate_system,
     make_scenario,
     ordered_delta,
@@ -29,6 +30,11 @@ from timelyck.scenarios import (
     synthesize_optimal,
 )
 from timelyck.universe import INF
+
+
+def editable(result):
+    """A mutable copy of a result: a synthesized one's responses are read-only."""
+    return ProtocolResult({run: dict(per) for run, per in result.responses.items()})
 
 
 def carwash_instance():
@@ -247,7 +253,7 @@ def test_verify_optimal_rejects_delayed_solution():
 
 def test_verify_optimal_rejects_non_solution():
     inst = carwash_instance()
-    res = synthesize_optimal(inst)
+    res = editable(synthesize_optimal(inst))
     res.responses["t0_L0_R0_D0"]["D"] = None
     with pytest.raises(InvariantViolation):
         verify_optimal(inst, res)
@@ -270,7 +276,7 @@ def test_verify_optimal_reuses_the_callers_report(monkeypatch):
     monkeypatch.setattr(optimality, "check_response_times", unexpected)
     assert verify_optimal(inst, res, report=report).to_json_dict() == expected
 
-    bad = synthesize_optimal(inst)
+    bad = editable(synthesize_optimal(inst))
     bad.responses["t0_L0_R0_D0"]["D"] = None
     monkeypatch.undo()
     failing = verify_solution(inst, bad)
@@ -315,7 +321,7 @@ def test_result_assignment_requires_class_constancy():
         make_scenario(("a", "b"), simultaneous_delta(("a", "b")), obs_delay=(0, 1))
     )
     model = build_strategy_model(inst)
-    res = synthesize_optimal(inst)
+    res = editable(synthesize_optimal(inst))
     res.responses["t0_a0_b0"]["a"] = 2  # same observation class as t0_a0_b1
     with pytest.raises(InvariantViolation):
         result_assignment(model, res)

@@ -269,6 +269,8 @@ def test_generation_memory_stays_proportional_to_the_points():
     tracemalloc.start()
     try:
         u = generate_system(scenario).universe
+        for agent in u.agents:  # the states are interned at their first read
+            u.state_ids(agent)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -33,6 +33,11 @@ from reductions import (
 )
 
 
+def editable(result):
+    """A mutable copy of a result: a synthesized one's responses are read-only."""
+    return ProtocolResult({run: dict(per) for run, per in result.responses.items()})
+
+
 def carwash_timing():
     return TimingSpec(
         ("L", "R", "D"),
@@ -226,7 +231,7 @@ def test_ordered_synthesis_pinned():
 
 def test_verify_solution_rejects_never_run_response():
     inst = carwash_instance()
-    res = synthesize_optimal(inst)
+    res = editable(synthesize_optimal(inst))
     res.responses["never"]["L"] = 3
     report = verify_solution(inst, res)
     assert not report.checks["follows_trigger"]
@@ -236,7 +241,7 @@ def test_verify_solution_rejects_coordination_break():
     inst = generate_system(
         make_scenario(("a", "b"), simultaneous_delta(("a", "b")), obs_delay=(0, 1))
     )
-    res = synthesize_optimal(inst)
+    res = editable(synthesize_optimal(inst))
     run = "t0_a0_b0"
     res.responses[run]["b"] = res.responses[run]["b"] + 1
     report = verify_solution(inst, res)
@@ -247,7 +252,7 @@ def test_verify_solution_names_exactly_the_broken_pair():
     # the dryer answering at 7 where the right washer saw the car at 2 breaks
     # only t_R <= t_D - 6; the other five bounds still hold in every run
     inst = carwash_instance()
-    res = synthesize_optimal(inst)
+    res = editable(synthesize_optimal(inst))
     assert res.responses["t0_L0_R2_D0"] == {"L": 0, "R": 2, "D": 8}
     res.responses["t0_L0_R2_D0"]["D"] = 7
     report = verify_solution(inst, res)
@@ -257,7 +262,7 @@ def test_verify_solution_names_exactly_the_broken_pair():
 
 def test_verify_solution_rejects_missing_response():
     inst = carwash_instance()
-    res = synthesize_optimal(inst)
+    res = editable(synthesize_optimal(inst))
     res.responses["t0_L0_R0_D0"]["D"] = None
     report = verify_solution(inst, res)
     assert not report.checks["covers_triggered_runs"]
@@ -265,7 +270,7 @@ def test_verify_solution_rejects_missing_response():
 
 def test_verify_solution_rejects_out_of_horizon():
     inst = carwash_instance()
-    res = synthesize_optimal(inst)
+    res = editable(synthesize_optimal(inst))
     res.responses["t0_L0_R0_D0"]["D"] = 99
     report = verify_solution(inst, res)
     assert not report.checks["well_formed"]

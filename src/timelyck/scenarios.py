@@ -316,19 +316,18 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     width = max(hi - lo for lo, hi in windows) + 1
 
     # obs_of[a, c]: column c's observation time, `never` for padding and the
-    # unobserved column; column_of[a, o + 1]: the row of observation time o
-    # (-1 for never) in the (k * columns, n_times) table; late_at and trig_at
-    # gather the first instants M_j(T) reads and the trigger times of (i, o)
-    obs_of, column_of, late_at, trig_at = [], [], [], []
+    # unobserved column; late_at and trig_at gather, from the flattened
+    # (k, columns) and (k, n_trig) arrays, the first instants each M_j(T)
+    # reads and the trigger times each observed class (i, o) has
+    obs_of, late_at, trig_at = [], [], []
     for a, ((lo, hi), times) in enumerate(zip(windows, seen)):
         at = {o: a * (unobserved + 1) + c for c, o in enumerate(times)}
         obs_of.append(times + [never] * (unobserved + 1 - len(times)))
-        column_of.append([a * (unobserved + 1) + unobserved] + [at.get(o, 0) for o in range(n)])
         late_at.append([[at[tau + min(d, hi)] for d in range(lo, lo + width)] for tau in triggers])
         cols = [[a * n_trig + q for q, tau in enumerate(triggers) if lo <= o - tau <= hi]
                 for o in times] + [[a * n_trig]] * (unobserved + 1 - len(times))
         trig_at.append([c + c[-1:] * (n_trig - len(c)) for c in cols])
-    obs_of, column_of, late_at, trig_at = map(np.array, (obs_of, column_of, late_at, trig_at))
+    obs_of, late_at, trig_at = np.array(obs_of), np.array(late_at), np.array(trig_at)
     lag = -reach_matrix(instance.timing, u)[:, :, None]
     clock = np.arange(n)
     first_of_suffix = np.concatenate(([never], np.arange(n - 1, -1, -1)))
@@ -338,12 +337,12 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
 
     def step(x):
         first = first_of_suffix[x.sum(axis=2)]  # every column is a suffix in time
-        early = first[:, unobserved:]
-        first = np.minimum(first, np.where(early < obs_of, early, never))
+        unseen = first[:, unobserved:]  # a run observing at o holds from here if before o
+        first = np.minimum(first, np.where(unseen < obs_of, unseen, never))
         latest = first.ravel()[late_at].max(axis=2)  # M_j(T)
         need = (latest + lag).max(axis=1)  # (i, T): max over j of M_j(T) - reach(i, j)
         start = np.maximum(need.ravel()[trig_at].max(axis=2), obs_of)
-        if not scenario.include_never_run:
+        if not scenario.include_never_run:  # past T + hi, no run of T is unobserved
             start[:, unobserved] = np.minimum(cutoff, np.maximum(fired, need)).max(axis=1)
         return clock >= start[:, :, None]
 
@@ -351,7 +350,14 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     top = observed.copy()
     top[:, unobserved] = True
     value = _descend(step, top, agents)[0]
-    rows = np.where(observed, value, value[:, unobserved:])  # the runs' rows per class column
+    # row (a, c): a's value in the runs observing at column c's time, the
+    # unobserved column's before that time and column c's from it on
+    rows = np.where(observed, value, value[:, unobserved:])
+    # column_of[a, o + 1]: the row of observation time o, -1 for never, in rows
+    real = obs_of < never
+    column_of = np.zeros((k, n + 1), dtype=np.int64)
+    column_of[:, 0] = np.arange(k) * (unobserved + 1) + unobserved
+    column_of[np.nonzero(real)[0], obs_of[real] + 1] = np.flatnonzero(real)
     runs = column_of[np.arange(k)[:, None], instance.observed_at.T + 1]
     return EventTuple.of(u, agents, rows.reshape(-1, n)[runs])
 

@@ -548,9 +548,10 @@ def check_response_times(instance: TCRInstance, times, problems: list) -> Soluti
     observed, so a response at or after the observation must be the same in
     every run observing at that time, and a response at t before it must be
     made at t in every run observing later than t; the never-run observes at
-    H + 1.  The runs of each agent are sorted by observation time, so the
-    first test compares group minima with group maxima and the second reads
-    suffix minima and maxima from the position `searchsorted` finds.
+    H + 1.  Both tests read tables of least and greatest responses per
+    (agent, observation time): the first compares a group's least and greatest
+    response at or after its observation, the second reads the least and
+    greatest response over the groups observing after t.
     """
     checks: dict = {}
     cex: dict = {}
@@ -587,23 +588,24 @@ def check_response_times(instance: TCRInstance, times, problems: list) -> Soluti
     checks["covers_triggered_runs"] = not misses
     cex["covers_triggered_runs"] = misses
 
-    k, code_of = len(agents), u.n_times + 1  # code: agent * code_of + observation time
+    # per agent and observation time o (the never-run's as H + 1): the least
+    # and greatest response at or after o, and of any response, over its runs
+    k, width = len(agents), u.n_times + 1
     seen = np.where(instance.observed_at.T >= 0, instance.observed_at.T, u.n_times)
-    order = np.argsort(seen, axis=1, kind="stable")
-    seen = np.take_along_axis(seen, order, axis=1)
-    said = np.take_along_axis(times.T, order, axis=1)  # (k, n_runs), by observation time
-    code = (seen + code_of * np.arange(k)[:, None]).ravel()
-    after = np.where(said >= seen, said, -1).ravel()
-    groups = np.flatnonzero(np.diff(code, prepend=-1))
-    split = np.minimum.reduceat(after, groups) != np.maximum.reduceat(after, groups)
-    early = np.flatnonzero(((said >= 0) & (said < seen)).ravel())
-    t = said.ravel()[early]
-    later = np.searchsorted(code, code[early] - seen.ravel()[early] + t, side="right")
-    low = np.minimum.accumulate(said[:, ::-1], axis=1)[:, ::-1].ravel()[later]
-    high = np.maximum.accumulate(said[:, ::-1], axis=1)[:, ::-1].ravel()[later]
-    bad = set((code[groups[split]] // code_of).tolist())
-    bad.update((early[(low != t) | (high != t)] // u.n_runs).tolist())
-    nonlocal_agents = [{"agent": a} for n, a in enumerate(agents) if n in bad]
+    said = times.T
+    values = np.stack((np.where(said >= seen, said, -1), said))
+    group = seen + width * np.arange(2 * k).reshape(2, k, 1)
+    low = np.full((2, k, width), u.n_times)  # above every response
+    high = np.full((2, k, width), -2)  # below every response and every -1
+    np.minimum.at(low.reshape(-1), group.ravel(), values.ravel())
+    np.maximum.at(high.reshape(-1), group.ravel(), values.ravel())
+    bad = ((low[0] != high[0]) & (high[0] >= -1)).any(axis=1)
+    later_low = np.minimum.accumulate(low[1][:, ::-1], axis=1)[:, ::-1]
+    later_high = np.maximum.accumulate(high[1][:, ::-1], axis=1)[:, ::-1]
+    a, r = np.nonzero((said >= 0) & (said < seen))
+    t = said[a, r]
+    bad[a[(later_low[a, t + 1] != t) | (later_high[a, t + 1] != t)]] = True
+    nonlocal_agents = [{"agent": agents[n]} for n in np.flatnonzero(bad)]
     checks["locally_determined"] = not nonlocal_agents
     cex["locally_determined"] = nonlocal_agents
 

@@ -9,11 +9,12 @@ full-information records (current time plus the observation time, once seen),
 so generated universes are synchronous and never forget.  An instance keeps
 its runs as a table (a trigger-time vector and an (n_runs, k) observation
 matrix, -1 for never), counted against the run cap before it is built.
-Solving works on that table and never interns a point state: knowledge is
-decided on per-agent observation classes, a synthesized result keeps its
-(n_runs, k) response array, and a result is checked on such an array, with
-no event tuple built.  The universe's states are interned only when something
-reads them.
+Solving works on that table and builds no point event: knowledge is decided
+on per-agent observation classes, solvability and synthesis read one (k,
+n_runs) table of the runs each coordinate reaches, a synthesized result keeps
+its (n_runs, k) response array, and a result is checked on such an array.  The
+universe's states are interned, and the trigger event built, only when
+something reads them.
 
 The solvable instances are exactly those in which the trigger guarantees that
 every agent eventually reaches its coordinate of timely common knowledge of
@@ -36,9 +37,10 @@ from .errors import (
     InternalConsistencyError,
     InvariantViolation,
     SizeGuardExceeded,
+    UniverseMismatch,
     Unsolvable,
 )
-from .events import Event, eventually, within
+from .events import Event, within
 from .fixpoint import EventTuple, TimingSpec, _descend, late_pairs, reach_matrix
 from .universe import INF, Universe, json_int, json_object
 
@@ -178,7 +180,6 @@ class TCRInstance:
 
     scenario: ScenarioSpec
     universe: Universe
-    trigger: Event
     trigger_time: np.ndarray  # (n_runs,)
     observed_at: np.ndarray  # (n_runs, k)
     timing: TimingSpec  # normalized against the generated horizon
@@ -189,6 +190,11 @@ class TCRInstance:
         """The run table as RunInfo rows, built afresh on each access."""
         observations = map(dict, map(zip, repeat(self.scenario.agents), _with_none(self.observed_at)))
         return list(map(RunInfo, self.universe.runs, _with_none(self.trigger_time), observations))
+
+    @property
+    def trigger(self) -> Event:
+        """The trigger event, each run's trigger time, built afresh on each access."""
+        return Event(self.universe, np.arange(self.universe.n_times) == self.trigger_time[:, None])
 
     def trigger_history(self) -> Event:
         return within(self.trigger, 0)
@@ -272,12 +278,8 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
         agents, names, horizon, partial(_intern_states, observed_at, horizon),
         synchronous=synchronous,
     )
-    clock = np.arange(horizon + 1)
-    trigger = Event(universe, clock == trigger_time[:, None])
     timing, changed = scenario.timing.normalized(horizon)
-    return TCRInstance(
-        scenario, universe, trigger, trigger_time, observed_at, timing, changed
-    )
+    return TCRInstance(scenario, universe, trigger_time, observed_at, timing, changed)
 
 
 # -- solvability and synthesis ---------------------------------------------------
@@ -298,51 +300,46 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     over T + j's delay window: the runs triggered at T realize every delay of
     every agent.  The observed class (i, t, o) then holds iff t >= o and
     M_j(T) <= t + reach(i, j) for every partner j and every trigger time T
-    with o - T in i's window.  The unobserved class (i, t) is false when the
-    never-run is included; otherwise it holds iff every trigger time T whose
-    runs may leave i unobserved at t (T + i's latest delay > t) has T <= t and
-    meets the same bounds.  The descent runs through `_descend`, and one row
-    gather then turns the value into the (k, n_runs, n_times) tuple.
+    with o - T in i's window: one boolean (k, columns, n_trig) mask holds
+    o - T in a's window, and both maxima are masked by it, M_j(T) over the
+    columns and the class's bound over the trigger times.  The unobserved
+    class (i, t) is false when the never-run is included; otherwise it holds
+    iff every trigger time T whose runs may leave i unobserved at t (T + i's
+    latest delay > t) has T <= t and meets the same bounds.  The descent runs
+    through `_descend`, and a `searchsorted` per agent then finds each run's
+    column, giving the (k, n_runs, n_times) tuple.
     """
     scenario, u, agents = instance.scenario, instance.universe, instance.timing.agents
     triggers = scenario.trigger_times
     if not triggers:  # the trigger's history holds nowhere
         return EventTuple.bottom(u, agents)
-    k, n, n_trig = len(agents), u.n_times, len(triggers)
+    k, n = len(agents), u.n_times
     never = 2 * n  # the first instant of a class that never holds, as in `first_instants`
     windows = [scenario.obs_delay[a] for a in agents]
     seen = [sorted({tau + d for tau in triggers for d in range(lo, hi + 1)}) for lo, hi in windows]
+    lo, hi = np.array(windows).T
     unobserved = max(map(len, seen))  # the last column; shorter agents are padded before it
-    width = max(hi - lo for lo, hi in windows) + 1
-
     # obs_of[a, c]: column c's observation time, `never` for padding and the
-    # unobserved column; late_at and trig_at gather, from the flattened
-    # (k, columns) and (k, n_trig) arrays, the first instants each M_j(T)
-    # reads and the trigger times each observed class (i, o) has
-    obs_of, late_at, trig_at = [], [], []
-    for a, ((lo, hi), times) in enumerate(zip(windows, seen)):
-        at = {o: a * (unobserved + 1) + c for c, o in enumerate(times)}
-        obs_of.append(times + [never] * (unobserved + 1 - len(times)))
-        late_at.append([[at[tau + min(d, hi)] for d in range(lo, lo + width)] for tau in triggers])
-        cols = [[a * n_trig + q for q, tau in enumerate(triggers) if lo <= o - tau <= hi]
-                for o in times] + [[a * n_trig]] * (unobserved + 1 - len(times))
-        trig_at.append([c + c[-1:] * (n_trig - len(c)) for c in cols])
-    obs_of, late_at, trig_at = np.array(obs_of), np.array(late_at), np.array(trig_at)
+    # unobserved column, which therefore lie in no trigger time's window
+    obs_of = np.array([times + [never] * (unobserved + 1 - len(times)) for times in seen])
+    fired = np.array(triggers)
+    delay = obs_of[:, :, None] - fired
+    in_window = (lo[:, None, None] <= delay) & (delay <= hi[:, None, None])
     lag = -reach_matrix(instance.timing, u)[:, :, None]
     clock = np.arange(n)
     first_of_suffix = np.concatenate(([never], np.arange(n - 1, -1, -1)))
-    if not scenario.include_never_run:
-        fired = np.array(triggers)
-        cutoff = fired + np.array([hi for _, hi in windows])[:, None]  # (k, n_trig)
+    cutoff = fired + hi[:, None]  # (k, n_trig): past T + hi, no run of T is unobserved
 
+    # masked maxima fill with 0: first instants are >= 0, and a class's bound
+    # is raised to its observation time >= 0 anyway
     def step(x):
         first = first_of_suffix[x.sum(axis=2)]  # every column is a suffix in time
         unseen = first[:, unobserved:]  # a run observing at o holds from here if before o
         first = np.minimum(first, np.where(unseen < obs_of, unseen, never))
-        latest = first.ravel()[late_at].max(axis=2)  # M_j(T)
+        latest = np.where(in_window, first[:, :, None], 0).max(axis=1)  # M_j(T)
         need = (latest + lag).max(axis=1)  # (i, T): max over j of M_j(T) - reach(i, j)
-        start = np.maximum(need.ravel()[trig_at].max(axis=2), obs_of)
-        if not scenario.include_never_run:  # past T + hi, no run of T is unobserved
+        start = np.maximum(np.where(in_window, need[:, None], 0).max(axis=2), obs_of)
+        if not scenario.include_never_run:
             start[:, unobserved] = np.minimum(cutoff, np.maximum(fired, need)).max(axis=1)
         return clock >= start[:, :, None]
 
@@ -353,20 +350,19 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     # row (a, c): a's value in the runs observing at column c's time, the
     # unobserved column's before that time and column c's from it on
     rows = np.where(observed, value, value[:, unobserved:])
-    # column_of[a, o + 1]: the row of observation time o, -1 for never, in rows
-    real = obs_of < never
-    column_of = np.zeros((k, n + 1), dtype=np.int64)
-    column_of[:, 0] = np.arange(k) * (unobserved + 1) + unobserved
-    column_of[np.nonzero(real)[0], obs_of[real] + 1] = np.flatnonzero(real)
-    runs = column_of[np.arange(k)[:, None], instance.observed_at.T + 1]
-    return EventTuple.of(u, agents, rows.reshape(-1, n)[runs])
+    obs = instance.observed_at.T
+    column = np.where(obs >= 0, [np.searchsorted(times, o) for times, o in zip(seen, obs)], unobserved)
+    return EventTuple.of(u, agents, rows[np.arange(k)[:, None], column])
 
 
 def knowledge_for(instance: TCRInstance, knowledge: EventTuple | None) -> EventTuple:
-    """A supplied knowledge tuple, whose table rows must be the instance's
-    agents in timing order, or else the instance's response knowledge."""
+    """A supplied knowledge tuple, which must live in the instance's universe
+    with its table rows the instance's agents in timing order, or else the
+    instance's response knowledge."""
     if knowledge is None:
         return response_knowledge(instance)
+    if knowledge.universe is not instance.universe:
+        raise UniverseMismatch("knowledge belongs to another universe than the instance")
     if knowledge.agents != instance.timing.agents:
         raise InvariantViolation(
             f"knowledge agents {knowledge.agents} are not {instance.timing.agents}"
@@ -374,19 +370,26 @@ def knowledge_for(instance: TCRInstance, knowledge: EventTuple | None) -> EventT
     return knowledge
 
 
-def solvability(instance: TCRInstance, *, knowledge: EventTuple | None = None) -> bool:
-    """Whether the trigger guarantees every agent eventually reaches its
-    coordinate; per-agent verdicts must coincide, and are cross-checked."""
+def _reach_table(instance: TCRInstance, knowledge: EventTuple | None):
+    """The knowledge tuple, its (k, n_runs) reach table (the runs in which each
+    agent's coordinate ever holds) and whether every triggered run reaches
+    every coordinate; the per-agent verdicts must coincide, and are
+    cross-checked."""
     xi = knowledge_for(instance, knowledge)
-    verdicts = [
-        instance.trigger <= eventually(xi[agent]) for agent in instance.timing.agents
-    ]
-    if len(set(verdicts)) > 1:
+    reached = xi.table.any(axis=2)
+    verdicts = (reached | (instance.trigger_time < 0)).all(axis=1)
+    if verdicts.min() != verdicts.max():
         raise InternalConsistencyError(
             "solvability verdict differs between agents; for-every and "
             "for-some characterisations must coincide"
         )
-    return verdicts[0]
+    return xi, reached, bool(verdicts[0])
+
+
+def solvability(instance: TCRInstance, *, knowledge: EventTuple | None = None) -> bool:
+    """Whether the trigger guarantees every agent eventually reaches its
+    coordinate, read off the reach table: every triggered run reaches it."""
+    return _reach_table(instance, knowledge)[2]
 
 
 @dataclass
@@ -491,21 +494,14 @@ def read_runs(doc) -> dict:
 def synthesize_optimal(
     instance: TCRInstance, *, knowledge: EventTuple | None = None
 ) -> ProtocolResult:
-    """Respond at the first instant the agent's knowledge coordinate holds."""
-    xi = knowledge_for(instance, knowledge)
-    if not solvability(instance, knowledge=xi):
+    """Respond at the first instant the agent's knowledge coordinate holds, on
+    the reach table that decides solvability."""
+    xi, reached, solvable = _reach_table(instance, knowledge)
+    if not solvable:
         raise Unsolvable("instance admits no coordinated response protocol")
-    holds = xi.table.any(axis=2)
-    fired = instance.trigger_time >= 0
-    if (holds & ~fired).any():
-        raise InternalConsistencyError(
-            "knowledge coordinate holds in a run without a trigger"
-        )
-    if (~holds & fired).any():
-        raise InternalConsistencyError(
-            "solvable instance left an agent without a response time"
-        )
-    return ProtocolResult.from_times(instance, np.where(holds, xi.table.argmax(axis=2), -1).T)
+    if (reached & (instance.trigger_time < 0)).any():
+        raise InternalConsistencyError("knowledge coordinate holds in a run without a trigger")
+    return ProtocolResult.from_times(instance, np.where(reached, xi.table.argmax(axis=2), -1).T)
 
 
 # -- solution checking ----------------------------------------------------------

@@ -10,9 +10,14 @@ import pytest
 
 import timelyck
 import timelyck.scenarios as scenarios
-from timelyck.errors import InvariantViolation
-from timelyck.events import Event, is_local
-from timelyck.fixpoint import TimingSpec, timely_ck
+from timelyck.errors import (
+    InternalConsistencyError,
+    InvariantViolation,
+    UniverseMismatch,
+    Unsolvable,
+)
+from timelyck.events import Event, is_local, within
+from timelyck.fixpoint import EventTuple, TimingSpec, timely_ck
 from timelyck.optimality import verify_optimal
 from timelyck.scenarios import (
     ProtocolResult,
@@ -63,7 +68,7 @@ def test_class_knowledge_matches_the_point_descent():
     rng = np.random.default_rng(71)
     seen = dict.fromkeys(
         ("multi_trigger", "no_never_run", "inf_bound", "horizon", "solvable",
-         "unsolvable", "known_unobserved", "empty"),
+         "unsolvable", "known_unobserved", "empty", "short_agent", "disjoint_windows"),
         0,
     )
     scenarios_ = [_draw_scenario(rng) for _ in range(320)] + _bundled()
@@ -82,7 +87,15 @@ def test_class_knowledge_matches_the_point_descent():
         seen["solvable" if solvability(instance, knowledge=got) else "unsolvable"] += 1
         seen["known_unobserved"] += bool((got.table & pending).any())
         seen["empty"] += not got.table.any()
+        # the class mask where fixed-width tables would pad: an agent with
+        # fewer observation columns than the widest, and an agent whose
+        # windows of two trigger times do not overlap
+        columns = [np.unique(col[col >= 0]).size for col in instance.observed_at.T]
+        seen["short_agent"] += min(columns) < max(columns)
+        spread = scenario.trigger_times[-1] - scenario.trigger_times[0]
+        seen["disjoint_windows"] += any(spread > hi - lo for lo, hi in scenario.obs_delay.values())
     assert all(n >= 10 for n in seen.values()), seen
+    assert seen["short_agent"] >= 20 and seen["disjoint_windows"] >= 20, seen
 
 
 def test_class_knowledge_memory_stays_proportional_to_the_points():
@@ -274,3 +287,79 @@ def test_run_table_locality_matches_is_local():
         seen["early"] += bool(((times >= 0) & (times < np.where(
             instance.observed_at >= 0, instance.observed_at, u.n_times))).any())
     assert all(n >= 20 for n in seen.values()), seen
+
+
+def _pair_instance(window=(0, 1)):
+    timing = TimingSpec(("a", "b"), {("a", "b"): 0, ("b", "a"): 0})
+    return generate_system(make_scenario(("a", "b"), timing, obs_delay=window))
+
+
+def test_knowledge_from_another_universe_is_refused():
+    instance = _pair_instance()
+    result = synthesize_optimal(instance)
+    # the same scenario generated again, and a wider window: other universes
+    for other in (_pair_instance(), _pair_instance((0, 2))):
+        xi = response_knowledge(other)
+        with pytest.raises(UniverseMismatch):
+            solvability(instance, knowledge=xi)
+        with pytest.raises(UniverseMismatch):
+            synthesize_optimal(instance, knowledge=xi)
+        with pytest.raises(UniverseMismatch):
+            verify_optimal(instance, result, knowledge=xi)
+
+
+def test_reach_table_consistency_checks_refuse_crafted_knowledge():
+    instance = _pair_instance()
+    u, agents = instance.universe, instance.timing.agents
+    xi = response_knowledge(instance)
+    assert solvability(instance, knowledge=xi)
+
+    # a reaches its coordinate in every triggered run, b in none
+    split = xi.table.copy()
+    split[1] = False
+    split = EventTuple.of(u, agents, split)
+    with pytest.raises(InternalConsistencyError, match="differs between agents"):
+        solvability(instance, knowledge=split)
+    with pytest.raises(InternalConsistencyError, match="differs between agents"):
+        synthesize_optimal(instance, knowledge=split)
+
+    # a coordinate that also holds in the never-run
+    stray = xi.table.copy()
+    stray[0, u.run_index("never"), -1] = True
+    stray = EventTuple.of(u, agents, stray)
+    assert solvability(instance, knowledge=stray)
+    with pytest.raises(InternalConsistencyError, match="holds in a run without a trigger"):
+        synthesize_optimal(instance, knowledge=stray)
+
+    # coordinates no agent ever reaches
+    nowhere = EventTuple.bottom(u, agents)
+    assert not solvability(instance, knowledge=nowhere)
+    with pytest.raises(Unsolvable):
+        synthesize_optimal(instance, knowledge=nowhere)
+
+
+def test_solving_builds_no_point_event(monkeypatch):
+    built = []
+    real = Event.__init__
+
+    def spy(self, universe, table):
+        built.append(table.shape)
+        real(self, universe, table)
+
+    monkeypatch.setattr(Event, "__init__", spy)
+    rng = np.random.default_rng(83)
+    solved = 0
+    for case in range(80):
+        instance = generate_system(_draw_scenario(rng))
+        xi = response_knowledge(instance)
+        if solvability(instance, knowledge=xi):
+            assert verify_solution(instance, synthesize_optimal(instance, knowledge=xi)).ok()
+            solved += 1
+        assert built == [], case
+
+        u = instance.universe
+        trigger = instance.trigger
+        assert np.array_equal(trigger.table, np.arange(u.n_times) == instance.trigger_time[:, None])
+        assert instance.trigger_history() == within(trigger, 0)
+        built.clear()
+    assert solved >= 20

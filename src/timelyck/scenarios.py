@@ -300,14 +300,14 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     over T + j's delay window: the runs triggered at T realize every delay of
     every agent.  The observed class (i, t, o) then holds iff t >= o and
     M_j(T) <= t + reach(i, j) for every partner j and every trigger time T
-    with o - T in i's window: one boolean (k, columns, n_trig) mask holds
-    o - T in a's window, and both maxima are masked by it, M_j(T) over the
-    columns and the class's bound over the trigger times.  The unobserved
-    class (i, t) is false when the never-run is included; otherwise it holds
-    iff every trigger time T whose runs may leave i unobserved at t (T + i's
-    latest delay > t) has T <= t and meets the same bounds.  The descent runs
-    through `_descend`, and a `searchsorted` per agent then finds each run's
-    column, giving the (k, n_runs, n_times) tuple.
+    with o - T in i's window.  One boolean (k, columns, n_trig) mask marks
+    each agent's columns in each trigger time's window, and both maxima are
+    masked by it: M_j(T) over the columns, a class's bound over the triggers.
+    The unobserved class (i, t) is false when the never-run is included;
+    otherwise it holds iff every trigger time T whose runs may leave i
+    unobserved at t (T + i's latest delay > t) has T <= t and meets the same
+    bounds.  The descent runs through `_descend`, and a `searchsorted` per
+    agent then finds each run's column, giving the (k, n_runs, n_times) tuple.
     """
     scenario, u, agents = instance.scenario, instance.universe, instance.timing.agents
     triggers = scenario.trigger_times

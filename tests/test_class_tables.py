@@ -32,7 +32,10 @@ from timelyck.scenarios import (
 from timelyck.universe import INF, Universe
 
 
-def _draw_scenario(rng):
+def draw_scenario(rng, min_triggers=1):
+    """A random scenario: 2-4 agents, min_triggers-3 trigger times (with the
+    never-run whenever there are none), windows of width 1-3, deltas in
+    -3..4 or inf, the never-run in about 80% and an explicit horizon in 30%."""
     k = int(rng.integers(2, 5))
     agents = tuple("abcd"[:k])
     delta = {
@@ -45,13 +48,13 @@ def _draw_scenario(rng):
     for a in agents:
         lo = int(rng.integers(0, 3))
         windows[a] = (lo, lo + int(rng.integers(0, 3)))  # width 1 to 3
-    triggers = rng.choice(5, size=int(rng.integers(1, 4)), replace=False)
+    triggers = rng.choice(5, size=int(rng.integers(min_triggers, 4)), replace=False)
     scenario = make_scenario(
         agents,
         TimingSpec(agents, delta),
         obs_delay=windows,
         trigger_times=triggers.tolist(),
-        include_never_run=rng.random() < 0.8,
+        include_never_run=rng.random() < 0.8 or not triggers.size,
     )
     if rng.random() < 0.3:
         scenario.horizon = scenario.min_horizon() + int(rng.integers(0, 3))
@@ -71,7 +74,7 @@ def test_class_knowledge_matches_the_point_descent():
          "unsolvable", "known_unobserved", "empty", "short_agent", "disjoint_windows"),
         0,
     )
-    scenarios_ = [_draw_scenario(rng) for _ in range(320)] + _bundled()
+    scenarios_ = [draw_scenario(rng) for _ in range(320)] + _bundled()
     for case, scenario in enumerate(scenarios_):
         instance = generate_system(scenario)
         got = response_knowledge(instance)
@@ -147,7 +150,7 @@ def test_solving_leaves_the_generated_states_unbuilt(monkeypatch):
     rng = np.random.default_rng(73)
     built = 0
     for case in range(60):
-        scenario = _draw_scenario(rng)
+        scenario = draw_scenario(rng)
         instance, calls = _spied_instance(monkeypatch, scenario)
         xi = response_knowledge(instance)
         if solvability(instance, knowledge=xi):
@@ -266,7 +269,7 @@ def test_run_table_locality_matches_is_local():
     rng = np.random.default_rng(79)
     seen = dict(local=0, nonlocal_=0, early=0)
     for case in range(150):
-        instance = generate_system(_draw_scenario(rng))
+        instance = generate_system(draw_scenario(rng))
         u, agents = instance.universe, instance.timing.agents
         times = np.where(rng.random((u.n_runs, len(agents))) < 0.3, -1,
                          rng.integers(0, u.n_times, size=(u.n_runs, len(agents))))
@@ -350,7 +353,7 @@ def test_solving_builds_no_point_event(monkeypatch):
     rng = np.random.default_rng(83)
     solved = 0
     for case in range(80):
-        instance = generate_system(_draw_scenario(rng))
+        instance = generate_system(draw_scenario(rng))
         xi = response_knowledge(instance)
         if solvability(instance, knowledge=xi):
             assert verify_solution(instance, synthesize_optimal(instance, knowledge=xi)).ok()

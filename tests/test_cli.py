@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import timelyck
@@ -16,6 +17,8 @@ from timelyck.cli import main
 from timelyck.fixpoint import EventTuple
 from timelyck.nested import verify_nested_characterization
 from timelyck.scenarios import ScenarioSpec, generate_system
+
+from test_class_tables import draw_scenario
 
 PKG_DATA = {
     name: str(timelyck.bundled_scenario_path(name))
@@ -632,3 +635,36 @@ def test_cli_output_matches_golden_hashes(tmp_path, name):
         assert code == GOLDEN["exit"][name][verb], (name, verb)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == GOLDEN["sha256"][name][verb], (name, verb)
+
+
+RANDOM_VERBS = ("generate", "solve", "gfp --diagnostics", "verify --optimal")
+
+
+def random_scenario_digests(tmp_path, seed, cases):
+    """One sha256 per verb over `cases` scenarios drawn from `seed` by
+    `draw_scenario` with 0-3 trigger times: each scenario adds its exit code
+    and its output bytes (none when no output was written).  `verify` is fed
+    the scenario's own `solve` output."""
+    rng = np.random.default_rng(seed)
+    digests = {verb: hashlib.sha256() for verb in RANDOM_VERBS}
+    for case in range(cases):
+        scenario = tmp_path / f"scenario{case}.json"
+        scenario.write_text(json.dumps(draw_scenario(rng, min_triggers=0).to_json_dict()))
+        for verb in RANDOM_VERBS:
+            out = tmp_path / f"{case}-{verb.split()[0]}.json"
+            argv = [*verb.split(), str(scenario)]
+            if verb.startswith("verify"):
+                argv.append(str(tmp_path / f"{case}-solve.json"))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([*argv, "-o", str(out)])
+            digests[verb].update(f"{code}\n".encode())
+            digests[verb].update(out.read_bytes() if out.exists() else b"")
+    return {verb: h.hexdigest() for verb, h in digests.items()}
+
+
+def test_cli_output_on_random_scenarios_matches_golden_hashes(tmp_path):
+    """The output bytes of each verb on seeded random scenarios are pinned;
+    tests/data/cli_golden.json records how the hashes were made."""
+    pinned = GOLDEN["random_scenarios"]
+    got = random_scenario_digests(tmp_path, pinned["seed"], pinned["cases"])
+    assert got == pinned["sha256"]

@@ -18,6 +18,7 @@ from .errors import (
 )
 from .events import (
     Event,
+    EventTuple,
     eventually,
     everyone_knows,
     is_local,
@@ -27,7 +28,6 @@ from .events import (
     within,
 )
 from .fixpoint import (
-    EventTuple,
     TimingSpec,
     apply_f,
     apply_g,

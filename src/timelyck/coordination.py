@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvariantViolation, SizeGuardExceeded
-from .events import Event, first_instants, is_local, window_cover
-from .fixpoint import EventTuple, TimingSpec, apply_f, late_pairs, timely_ck, tuple_union
+from .errors import InternalConsistencyError, SizeGuardExceeded
+from .events import Event, EventTuple, first_instants, is_local, window_cover
+from .fixpoint import TimingSpec, apply_f, late_pairs, timely_ck, tuple_union
 from .packed import PackedSpace
 from .universe import Universe
 
@@ -36,8 +36,7 @@ def uncoordinated_pairs(ensemble: EventTuple, spec: TimingSpec) -> list[tuple]:
     """The pairs (i, j), in `spec.pairs()` order, where some occurrence of e_i
     is not answered by e_j within delta(i, j): `late_pairs` of their first
     instants, deltas clamped to the horizon and inf acting like H."""
-    if ensemble.agents != spec.agents:
-        raise InvariantViolation("ensemble agents do not match the timing spec")
+    ensemble.conform(ensemble.universe, spec.agents, "ensemble")
     bad = late_pairs(first_instants(ensemble.table), spec, ensemble.universe)
     return [(spec.agents[i], spec.agents[j]) for i, j in zip(*np.nonzero(bad))]
 

@@ -1,13 +1,20 @@
-"""Events over a universe and the temporal / epistemic operators acting on them.
+"""Events and agent-indexed event tuples over a universe, and the temporal /
+epistemic operators acting on them.
 
 An event is a set of (run, time) points, stored as a dense boolean table of
-shape (n_runs, n_times).  All operators are pure: they return fresh events and
-never mutate their inputs.
+shape (n_runs, n_times); an event tuple holds one event per agent as one
+(k, n_runs, n_times) table.  Both keep their table read-only in one shared
+base, which also owns the set algebra (``&``, ``|``, ``<=``, ``==``) and its
+same-kind, same-universe check; a tuple adds the same-agent-order check,
+`EventTuple.conform`.  The knows rule, a point known iff its whole state class
+lies in the body, is written once, in `knows_by_ids`, which `knows` and the
+fixed-point steps of `fixpoint` apply.  All operators are pure: they return
+fresh events and never mutate their inputs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -16,21 +23,60 @@ from .errors import InvariantViolation, UniverseMismatch
 from .universe import DeltaValue, Point, Universe, check_delta, json_int, window_reach
 
 
-class Event:
-    """A set of points of one universe, as a dense boolean membership table."""
+class _PointTable:
+    """A read-only boolean table over the points of one universe, shared by
+    `Event` and `EventTuple`: ``&``, ``|``, ``<=`` and ``==`` act entrywise
+    between tables of one kind over one universe (and, for tuples, one agent
+    order), and give a table of the same kind."""
 
     __slots__ = ("universe", "table")
 
-    def __init__(self, universe: Universe, table: np.ndarray):
-        if table.shape != (universe.n_runs, universe.n_times):
+    def _store(self, universe: Universe, table: np.ndarray, shape: tuple) -> None:
+        if table.shape != shape:
             raise InvariantViolation(
-                f"event table shape {table.shape} does not match universe "
-                f"({universe.n_runs}, {universe.n_times})"
+                f"{type(self).__name__} table shape {table.shape} is not {shape}"
             )
         table = np.ascontiguousarray(table, dtype=bool)
         table.setflags(write=False)
-        self.universe = universe
-        self.table = table
+        self.universe, self.table = universe, table
+
+    def _same(self, other: "_PointTable") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"expected an {type(self).__name__}, got {type(other).__name__}")
+        if other.universe is not self.universe:
+            raise UniverseMismatch(f"{type(self).__name__}s belong to different universes")
+
+    def __and__(self, other):
+        self._same(other)
+        return self._like(self.table & other.table)
+
+    def __or__(self, other):
+        self._same(other)
+        return self._like(self.table | other.table)
+
+    def __le__(self, other) -> bool:
+        self._same(other)
+        return bool((self.table <= other.table).all())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._same(other)
+        return bool(np.array_equal(self.table, other.table))
+
+    __hash__ = None  # mutable-free but identity hashing would invite mistakes
+
+
+class Event(_PointTable):
+    """A set of points of one universe, as a dense boolean membership table."""
+
+    __slots__ = ()
+
+    def __init__(self, universe: Universe, table: np.ndarray):
+        self._store(universe, table, (universe.n_runs, universe.n_times))
+
+    def _like(self, table: np.ndarray) -> "Event":
+        return Event(self.universe, table)
 
     # -- constructors --------------------------------------------------------
 
@@ -49,40 +95,12 @@ class Event:
             table[universe.run_index(run), universe.check_time(t)] = True
         return cls(universe, table)
 
-    # -- set algebra -----------------------------------------------------------
-
-    def _same(self, other: "Event") -> None:
-        if not isinstance(other, Event):
-            raise TypeError(f"expected an Event, got {type(other).__name__}")
-        if other.universe is not self.universe:
-            raise UniverseMismatch("events belong to different universes")
-
-    def __and__(self, other: "Event") -> "Event":
-        self._same(other)
-        return Event(self.universe, self.table & other.table)
-
-    def __or__(self, other: "Event") -> "Event":
-        self._same(other)
-        return Event(self.universe, self.table | other.table)
-
     def __sub__(self, other: "Event") -> "Event":
         self._same(other)
         return Event(self.universe, self.table & ~other.table)
 
     def __invert__(self) -> "Event":
         return Event(self.universe, ~self.table)
-
-    def __le__(self, other: "Event") -> bool:
-        self._same(other)
-        return bool(np.all(~self.table | other.table))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        self._same(other)
-        return bool(np.array_equal(self.table, other.table))
-
-    __hash__ = None  # mutable-free but identity hashing would invite mistakes
 
     def is_empty(self) -> bool:
         return not self.table.any()
@@ -124,6 +142,78 @@ class Event:
 
     def __repr__(self) -> str:
         return f"Event({self.size} of {self.universe.n_points} points)"
+
+
+class EventTuple(_PointTable):
+    """An agent-indexed tuple of events over one universe, held as one read-only
+    boolean table of shape (k, n_runs, n_times) whose row n is the coordinate of
+    ``agents[n]``; indexing by an agent gives an `Event` over a view of its row.
+    The set algebra acts coordinatewise, between tuples of one agent order."""
+
+    __slots__ = ("agents",)
+
+    def __init__(self, universe: Universe, coords: Mapping[str, Event]):
+        for agent, e in coords.items():
+            if e.universe is not universe:
+                raise UniverseMismatch(f"coordinate {agent!r} lives in another universe")
+        self._set(universe, tuple(coords), np.array([e.table for e in coords.values()]))
+
+    @classmethod
+    def of(cls, universe: Universe, agents: Iterable[str], table: np.ndarray) -> "EventTuple":
+        """The tuple whose coordinate for ``agents[n]`` is ``table[n]``."""
+        out = cls.__new__(cls)
+        out._set(universe, tuple(agents), table)
+        return out
+
+    def _set(self, universe: Universe, agents: tuple, table: np.ndarray) -> None:
+        if not agents:
+            raise InvariantViolation("an event tuple needs at least one coordinate")
+        for agent in agents:
+            universe.agent_index(agent)
+        self._store(universe, table, (len(agents), universe.n_runs, universe.n_times))
+        self.agents = agents
+
+    def _like(self, table: np.ndarray) -> "EventTuple":
+        return EventTuple.of(self.universe, self.agents, table)
+
+    def _same(self, other: "EventTuple") -> None:
+        super()._same(other)
+        other.conform(self.universe, self.agents)
+
+    def conform(self, universe: Universe, agents: tuple, what: str = "tuple") -> "EventTuple":
+        """This tuple, if it lives in `universe` with its rows in the order of
+        `agents`; otherwise a UniverseMismatch or InvariantViolation naming it
+        as `what`."""
+        if self.universe is not universe:
+            raise UniverseMismatch(f"{what} belongs to another universe")
+        if self.agents != agents:
+            raise InvariantViolation(f"{what} agents {self.agents} are not {agents}")
+        return self
+
+    @classmethod
+    def bottom(cls, universe: Universe, agents: Iterable[str]) -> "EventTuple":
+        agents = tuple(agents)
+        shape = (len(agents), universe.n_runs, universe.n_times)
+        return cls.of(universe, agents, np.zeros(shape, dtype=bool))
+
+    @classmethod
+    def top(cls, universe: Universe, agents: Iterable[str]) -> "EventTuple":
+        agents = tuple(agents)
+        shape = (len(agents), universe.n_runs, universe.n_times)
+        return cls.of(universe, agents, np.ones(shape, dtype=bool))
+
+    def __getitem__(self, agent: str) -> Event:
+        if agent not in self.agents:
+            raise KeyError(agent)
+        return Event(self.universe, self.table[self.agents.index(agent)])
+
+    def to_json_dict(self) -> dict:
+        return {a: self[a].to_json_list() for a in self.agents}
+
+    def __repr__(self) -> str:
+        sizes = self.table.reshape(len(self.agents), -1).sum(axis=1).tolist()
+        inner = ", ".join(f"{a}:{n}" for a, n in zip(self.agents, sizes))
+        return f"EventTuple({inner})"
 
 
 # -- temporal operators ---------------------------------------------------------
@@ -197,13 +287,18 @@ def is_stable(e: Event) -> bool:
 # -- epistemic operators ----------------------------------------------------------
 
 
+def knows_by_ids(body: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """knows on a boolean table: the entries whose whole class lies in `body`,
+    the classes being the state ids 0..n_ids-1 of the same-shaped `ids`."""
+    ok = np.ones(n_ids, dtype=bool)
+    ok[ids[~body]] = False
+    return ok[ids]
+
+
 def knows(agent: str, e: Event) -> Event:
     """Points at which every point the agent cannot distinguish satisfies `e`."""
     u = e.universe
-    ids = u.state_ids(agent)
-    ok = np.ones(u.n_state_classes(agent), dtype=bool)
-    ok[ids[~e.table]] = False
-    return Event(u, ok[ids])
+    return Event(u, knows_by_ids(e.table, u.state_ids(agent), u.n_state_classes(agent)))
 
 
 def everyone_knows(agents: Iterable[str], e: Event) -> Event:

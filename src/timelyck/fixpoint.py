@@ -1,5 +1,4 @@
-"""Agent-indexed event tuples, the timing-spec lattice machinery, and greatest
-fixed points.
+"""Timing specs and greatest fixed points over agent-indexed event tuples.
 
 The central object is `timely_ck(psi, spec)`: the greatest fixed point of the
 vectorial map whose coordinate for agent i is
@@ -8,12 +7,13 @@ vectorial map whose coordinate for agent i is
                                                         other agents)
 
 computed by descending iteration from the all-full tuple.  An `EventTuple`
-holds its coordinates as one (k, n_runs, n_times) boolean table, and the
-descent runs on that table and works on first instants: within(x_j, d) holds
-at (r, t) iff x_j's first instant in run r is at most t + d, so each step
-takes every coordinate's first instants, gives agent i the per-run threshold
-max_j(first_j[r] - window_reach(delta(i, j))) (an empty run putting the
-threshold past H), ANDs it with psi and applies knows through the state ids.
+(`events`) holds its coordinates as one (k, n_runs, n_times) boolean table,
+and the descent runs on that table and works on first instants: within(x_j,
+d) holds at (r, t) iff x_j's first instant in run r is at most t + d, so each
+step takes every coordinate's first instants, gives agent i the per-run
+threshold max_j(first_j[r] - window_reach(delta(i, j))) (an empty run putting
+the threshold past H), ANDs it with psi and applies `knows_by_ids` through
+the state ids.
 The operands (psi's table, the negated reach matrix, the clock and the agents'
 state ids shifted into one id range) are built once per call.  The tuple is
 built only for the final value; `apply_f` is one such step.
@@ -45,13 +45,17 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from ._kernels import scan_postfixed_join
-from .errors import (
-    InternalConsistencyError,
-    InvariantViolation,
-    SizeGuardExceeded,
-    UniverseMismatch,
+from .errors import InternalConsistencyError, InvariantViolation, SizeGuardExceeded
+from .events import (
+    Event,
+    EventTuple,
+    eventually,
+    everyone_knows,
+    first_instants,
+    knows,
+    knows_by_ids,
+    window_cover,
 )
-from .events import Event, eventually, everyone_knows, first_instants, knows, window_cover
 from .packed import PackedSpace
 from .universe import (
     DeltaValue,
@@ -156,109 +160,11 @@ class TimingSpec:
         return f"TimingSpec({list(self.agents)}, {self.to_json_dict()})"
 
 
-class EventTuple:
-    """An agent-indexed tuple of events over one universe, held as one read-only
-    boolean table of shape (k, n_runs, n_times) whose row n is the coordinate of
-    ``agents[n]``; indexing by an agent gives an `Event` over a view of its row.
-    ``<=``, ``|`` and ``&`` act coordinatewise, like `Event`'s."""
-
-    __slots__ = ("universe", "agents", "table")
-
-    def __init__(self, universe: Universe, coords: Mapping[str, Event]):
-        for agent, e in coords.items():
-            if e.universe is not universe:
-                raise UniverseMismatch(f"coordinate {agent!r} lives in another universe")
-        self._set(universe, tuple(coords), np.array([e.table for e in coords.values()]))
-
-    @classmethod
-    def of(cls, universe: Universe, agents: Iterable[str], table: np.ndarray) -> "EventTuple":
-        """The tuple whose coordinate for ``agents[n]`` is ``table[n]``."""
-        out = cls.__new__(cls)
-        out._set(universe, tuple(agents), table)
-        return out
-
-    def _set(self, universe: Universe, agents: tuple, table: np.ndarray) -> None:
-        if not agents:
-            raise InvariantViolation("an event tuple needs at least one coordinate")
-        for agent in agents:
-            universe.agent_index(agent)
-        shape = (len(agents), universe.n_runs, universe.n_times)
-        if table.shape != shape:
-            raise InvariantViolation(f"event tuple table shape {table.shape} is not {shape}")
-        table = np.ascontiguousarray(table, dtype=bool)
-        table.setflags(write=False)
-        self.universe, self.agents, self.table = universe, agents, table
-
-    @classmethod
-    def bottom(cls, universe: Universe, agents: Iterable[str]) -> "EventTuple":
-        agents = tuple(agents)
-        shape = (len(agents), universe.n_runs, universe.n_times)
-        return cls.of(universe, agents, np.zeros(shape, dtype=bool))
-
-    @classmethod
-    def top(cls, universe: Universe, agents: Iterable[str]) -> "EventTuple":
-        agents = tuple(agents)
-        shape = (len(agents), universe.n_runs, universe.n_times)
-        return cls.of(universe, agents, np.ones(shape, dtype=bool))
-
-    def __getitem__(self, agent: str) -> Event:
-        if agent not in self.agents:
-            raise KeyError(agent)
-        return Event(self.universe, self.table[self.agents.index(agent)])
-
-    def _same(self, other: "EventTuple") -> None:
-        if not isinstance(other, EventTuple):
-            raise TypeError(f"expected an EventTuple, got {type(other).__name__}")
-        if other.universe is not self.universe:
-            raise UniverseMismatch("tuples belong to different universes")
-        if other.agents != self.agents:
-            raise InvariantViolation(
-                f"agent sets differ: {self.agents} vs {other.agents}"
-            )
-
-    def __le__(self, other: "EventTuple") -> bool:
-        self._same(other)
-        return bool((self.table <= other.table).all())
-
-    def __or__(self, other: "EventTuple") -> "EventTuple":
-        self._same(other)
-        return EventTuple.of(self.universe, self.agents, self.table | other.table)
-
-    def __and__(self, other: "EventTuple") -> "EventTuple":
-        self._same(other)
-        return EventTuple.of(self.universe, self.agents, self.table & other.table)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventTuple):
-            return NotImplemented
-        self._same(other)
-        return bool(np.array_equal(self.table, other.table))
-
-    __hash__ = None
-
-    def to_json_dict(self) -> dict:
-        return {a: self[a].to_json_list() for a in self.agents}
-
-    def __repr__(self) -> str:
-        sizes = self.table.reshape(len(self.agents), -1).sum(axis=1).tolist()
-        inner = ", ".join(f"{a}:{n}" for a, n in zip(self.agents, sizes))
-        return f"EventTuple({inner})"
-
-
 def tuple_union(x: EventTuple) -> Event:
     return Event(x.universe, x.table.any(axis=0))
 
 
 # -- the vectorial maps ------------------------------------------------------
-
-
-def _check_shapes(psi: Event, spec: TimingSpec, x: EventTuple) -> None:
-    if x.universe is not psi.universe:
-        raise UniverseMismatch("psi and tuple belong to different universes")
-    if x.agents != spec.agents:
-        raise InvariantViolation(
-            f"tuple agents {x.agents} do not match spec agents {spec.agents}"
-        )
 
 
 def _operands(psi: Event, spec: TimingSpec, *constants) -> tuple:
@@ -272,13 +178,6 @@ def _operands(psi: Event, spec: TimingSpec, *constants) -> tuple:
         np.add(u.state_ids(a), n_ids, out=ids[n])
         n_ids += u.n_state_classes(a)
     return (psi.table, *constants, ids, n_ids)
-
-
-def _knows_all(body: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
-    """knows applied to every agent's body at once through the shared ids."""
-    ok = np.ones(n_ids, dtype=bool)
-    ok[ids[~body]] = False
-    return ok[ids]
 
 
 def reach_matrix(spec: TimingSpec, universe: Universe) -> np.ndarray:
@@ -317,7 +216,7 @@ def _window_step(x: np.ndarray, psi, lag, clock, ids, n_ids) -> np.ndarray:
     then keeps the points whose whole state class lies in the body.
     """
     start = (first_instants(x) + lag).max(axis=1)
-    return _knows_all(psi & (clock >= start[:, :, None]), ids, n_ids)
+    return knows_by_ids(psi & (clock >= start[:, :, None]), ids, n_ids)
 
 
 def _shift_columns(spec: TimingSpec, universe: Universe) -> np.ndarray:
@@ -344,19 +243,19 @@ def _shift_step(x: np.ndarray, psi, cols, ids, n_ids) -> np.ndarray:
     pad[..., 1] = True
     # (k_i, k_j, n_times, n_runs): partner j's value at agent i's shifted time
     read = np.concatenate((x, pad), axis=2)[np.arange(k)[None, :, None], :, cols]
-    return _knows_all(psi & read.all(axis=1).transpose(0, 2, 1), ids, n_ids)
+    return knows_by_ids(psi & read.all(axis=1).transpose(0, 2, 1), ids, n_ids)
 
 
 def apply_f(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
     """One application of the window-based coordination map."""
-    _check_shapes(psi, spec, x)
+    x.conform(psi.universe, spec.agents)
     operands = _window_operands(psi, spec)
     return EventTuple.of(psi.universe, spec.agents, _window_step(x.table, *operands))
 
 
 def apply_g(psi: Event, spec: TimingSpec, x: EventTuple) -> EventTuple:
     """One application of the exact-shift map; unbounded pairs impose nothing."""
-    _check_shapes(psi, spec, x)
+    x.conform(psi.universe, spec.agents)
     operands = _operands(psi, spec, _shift_columns(spec, psi.universe))
     return EventTuple.of(psi.universe, spec.agents, _shift_step(x.table, *operands))
 

@@ -25,14 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, InvariantViolation, SizeGuardExceeded
-from .events import Event, eventually, first_instants, is_stable, knows, shift_exact
-from .fixpoint import (
-    EventTuple,
-    TimingSpec,
-    apply_g,
-    timely_ck,
-    timely_ck_g_info,
-)
+from .events import Event, EventTuple, eventually, first_instants, is_stable, knows, shift_exact
+from .fixpoint import TimingSpec, apply_g, timely_ck, timely_ck_g_info
 from .universe import is_finite_delta
 
 DeltaPath = tuple  # of agent ids

@@ -49,7 +49,7 @@ from .errors import (
     InvariantViolation,
     SizeGuardExceeded,
 )
-from .fixpoint import EventTuple
+from .events import EventTuple
 from .scenarios import (
     ProtocolResult,
     SolutionReport,
@@ -358,6 +358,8 @@ def verify_optimal(
         report = check_response_times(instance, responses, problems)
     if not report.ok():
         raise InvariantViolation(f"result is not a solution: {report.to_json_dict()}")
+    if knowledge is not None:  # refuse a tuple it cannot read before the sweeps
+        knowledge_for(instance, knowledge)
 
     model = build_strategy_model(instance)
     if model.n_vars == 0:  # no triggered runs: the empty protocol is the answer

@@ -25,6 +25,7 @@ from .coordination import (
 from .errors import InternalConsistencyError
 from .events import (
     Event,
+    EventTuple,
     eventually,
     is_local,
     is_stable,
@@ -33,7 +34,6 @@ from .events import (
     within,
 )
 from .fixpoint import (
-    EventTuple,
     TimingSpec,
     apply_f,
     check_induction_rule,

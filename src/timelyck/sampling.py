@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvariantViolation
-from .events import Event, within
-from .fixpoint import EventTuple, TimingSpec
+from .events import Event, EventTuple, within
+from .fixpoint import TimingSpec
 from .universe import INF, Universe
 
 AGENT_POOL = ("a", "b", "c", "d")

@@ -37,11 +37,10 @@ from .errors import (
     InternalConsistencyError,
     InvariantViolation,
     SizeGuardExceeded,
-    UniverseMismatch,
     Unsolvable,
 )
-from .events import Event, within
-from .fixpoint import EventTuple, TimingSpec, _descend, late_pairs, reach_matrix
+from .events import Event, EventTuple, within
+from .fixpoint import TimingSpec, _descend, late_pairs, reach_matrix
 from .universe import INF, Universe, json_int, json_object
 
 
@@ -136,13 +135,19 @@ class ScenarioSpec:
                     raise InvariantViolation(
                         f"obs_delay.{a} must be a [lo, hi] pair, got {window!r}"
                     )
-                windows[a] = tuple(json_int(v, f"obs_delay.{a}") for v in window)
+                windows[a] = tuple(
+                    json_int(v, f"obs_delay.{a}[{n}]") for n, v in enumerate(window)
+                )
             include_never_run = doc.get("include_never_run", True)
             if not isinstance(include_never_run, bool):
                 raise InvariantViolation(
                     f"include_never_run must be true or false, got {include_never_run!r}"
                 )
             horizon = doc.get("horizon")
+            actions = json_object(doc["actions"], "actions")
+            for a, label in actions.items():
+                if not isinstance(label, str):
+                    raise InvariantViolation(f"actions.{a} must be a string, got {label!r}")
             return cls(
                 agents=agents,
                 trigger_times=tuple(
@@ -150,7 +155,7 @@ class ScenarioSpec:
                 ),
                 obs_delay=windows,
                 timing=timing,
-                actions=dict(json_object(doc["actions"], "actions")),
+                actions=dict(actions),
                 include_never_run=include_never_run,
                 horizon=None if horizon is None else json_int(horizon, "horizon"),
             )
@@ -311,8 +316,6 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     """
     scenario, u, agents = instance.scenario, instance.universe, instance.timing.agents
     triggers = scenario.trigger_times
-    if not triggers:  # the trigger's history holds nowhere
-        return EventTuple.bottom(u, agents)
     k, n = len(agents), u.n_times
     never = 2 * n  # the first instant of a class that never holds, as in `first_instants`
     windows = [scenario.obs_delay[a] for a in agents]
@@ -322,7 +325,7 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     # obs_of[a, c]: column c's observation time, `never` for padding and the
     # unobserved column, which therefore lie in no trigger time's window
     obs_of = np.array([times + [never] * (unobserved + 1 - len(times)) for times in seen])
-    fired = np.array(triggers)
+    fired = np.array(triggers, dtype=np.int64)
     delay = obs_of[:, :, None] - fired
     in_window = (lo[:, None, None] <= delay) & (delay <= hi[:, None, None])
     lag = -reach_matrix(instance.timing, u)[:, :, None]
@@ -330,15 +333,16 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     first_of_suffix = np.concatenate(([never], np.arange(n - 1, -1, -1)))
     cutoff = fired + hi[:, None]  # (k, n_trig): past T + hi, no run of T is unobserved
 
-    # masked maxima fill with 0: first instants are >= 0, and a class's bound
-    # is raised to its observation time >= 0 anyway
+    # masked maxima fill with 0, as does the bound over no trigger time: first
+    # instants are >= 0, and a class's bound is raised to its observation time
+    # >= 0 anyway (`never` for every column when no trigger time is given)
     def step(x):
         first = first_of_suffix[x.sum(axis=2)]  # every column is a suffix in time
         unseen = first[:, unobserved:]  # a run observing at o holds from here if before o
         first = np.minimum(first, np.where(unseen < obs_of, unseen, never))
         latest = np.where(in_window, first[:, :, None], 0).max(axis=1)  # M_j(T)
         need = (latest + lag).max(axis=1)  # (i, T): max over j of M_j(T) - reach(i, j)
-        start = np.maximum(np.where(in_window, need[:, None], 0).max(axis=2), obs_of)
+        start = np.maximum(np.where(in_window, need[:, None], 0).max(axis=2, initial=0), obs_of)
         if not scenario.include_never_run:
             start[:, unobserved] = np.minimum(cutoff, np.maximum(fired, need)).max(axis=1)
         return clock >= start[:, :, None]
@@ -361,13 +365,7 @@ def knowledge_for(instance: TCRInstance, knowledge: EventTuple | None) -> EventT
     instance's response knowledge."""
     if knowledge is None:
         return response_knowledge(instance)
-    if knowledge.universe is not instance.universe:
-        raise UniverseMismatch("knowledge belongs to another universe than the instance")
-    if knowledge.agents != instance.timing.agents:
-        raise InvariantViolation(
-            f"knowledge agents {knowledge.agents} are not {instance.timing.agents}"
-        )
-    return knowledge
+    return knowledge.conform(instance.universe, instance.timing.agents, "knowledge")
 
 
 def _reach_table(instance: TCRInstance, knowledge: EventTuple | None):

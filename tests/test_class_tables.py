@@ -71,10 +71,11 @@ def test_class_knowledge_matches_the_point_descent():
     rng = np.random.default_rng(71)
     seen = dict.fromkeys(
         ("multi_trigger", "no_never_run", "inf_bound", "horizon", "solvable",
-         "unsolvable", "known_unobserved", "empty", "short_agent", "disjoint_windows"),
+         "unsolvable", "known_unobserved", "empty", "short_agent", "disjoint_windows",
+         "no_trigger"),
         0,
     )
-    scenarios_ = [draw_scenario(rng) for _ in range(320)] + _bundled()
+    scenarios_ = [draw_scenario(rng, min_triggers=0) for _ in range(320)] + _bundled()
     for case, scenario in enumerate(scenarios_):
         instance = generate_system(scenario)
         got = response_knowledge(instance)
@@ -84,6 +85,7 @@ def test_class_knowledge_matches_the_point_descent():
 
         pending = instance.observed_at.T[:, :, None] > np.arange(instance.universe.n_times)
         seen["multi_trigger"] += len(scenario.trigger_times) > 1
+        seen["no_trigger"] += not scenario.trigger_times
         seen["no_never_run"] += not scenario.include_never_run
         seen["inf_bound"] += INF in [scenario.timing.delta(*p) for p in scenario.timing.pairs()]
         seen["horizon"] += scenario.horizon is not None
@@ -95,10 +97,11 @@ def test_class_knowledge_matches_the_point_descent():
         # windows of two trigger times do not overlap
         columns = [np.unique(col[col >= 0]).size for col in instance.observed_at.T]
         seen["short_agent"] += min(columns) < max(columns)
-        spread = scenario.trigger_times[-1] - scenario.trigger_times[0]
+        spread = np.ptp(scenario.trigger_times or [0])
         seen["disjoint_windows"] += any(spread > hi - lo for lo, hi in scenario.obs_delay.values())
     assert all(n >= 10 for n in seen.values()), seen
     assert seen["short_agent"] >= 20 and seen["disjoint_windows"] >= 20, seen
+    assert seen["no_trigger"] >= 20, seen
 
 
 def test_class_knowledge_memory_stays_proportional_to_the_points():

@@ -224,8 +224,8 @@ def test_invariant_violation_exit_code(tmp_path):
     assert proc.returncode == 3
 
 
-def _solve_edited(tmp_path, edit):
-    doc = json.loads(open(PKG_DATA["ordered_2"]).read())
+def _solve_edited(tmp_path, edit, name="ordered_2"):
+    doc = json.loads(open(PKG_DATA[name]).read())
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -259,6 +259,20 @@ def test_string_trigger_time_exits_3_naming_the_field(tmp_path):
     proc = _solve_edited(tmp_path, lambda doc: doc.update(trigger_times=["0"]))
     assert proc.returncode == 3, proc.stderr
     assert "trigger_times[0]" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda doc: doc["actions"].update(a=5), "actions.a must be a string, got 5"),
+        (lambda doc: doc["obs_delay"].update(a=["0", 1]), "obs_delay.a[0] must be an integer"),
+    ],
+    ids=["action-label", "window-element"],
+)
+def test_scenario_value_of_the_wrong_type_exits_3_naming_its_path(tmp_path, edit, where):
+    proc = _solve_edited(tmp_path, edit, "firing_squad_2")
+    assert proc.returncode == 3, proc.stderr
+    assert where in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

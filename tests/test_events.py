@@ -2,6 +2,8 @@
 the definitions, plus randomized agreement with the definition-direct
 evaluators in `timelyck.naive`."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from timelyck import naive
 from timelyck.errors import InvariantViolation, UniverseMismatch
 from timelyck.events import (
     Event,
+    EventTuple,
     eventually,
     everyone_knows,
     is_local,
@@ -135,6 +138,30 @@ def test_cross_universe_operations_rejected(toy, single_run):
         Event.full(toy) & Event.full(single_run)
     with pytest.raises(UniverseMismatch):
         Event.full(toy) == Event.full(single_run)
+
+
+def test_events_and_tuples_share_one_set_algebra(toy, single_run):
+    # a kind meets only its own kind, over one universe and, for tuples, one
+    # agent order; results are read-only and neither kind hashes
+    e, x = Event.full(toy), EventTuple.top(toy, ("a", "b"))
+    assert (e == x) is False and (x == e) is False
+    for left, right in ((e, x), (x, e)):
+        with pytest.raises(TypeError):
+            left <= right
+    with pytest.raises(UniverseMismatch):
+        e & Event.full(single_run)
+    with pytest.raises(UniverseMismatch):
+        x & EventTuple.top(single_run, ("a", "b"))
+    swapped = EventTuple.top(toy, ("b", "a"))
+    for op in (operator.and_, operator.eq):
+        with pytest.raises(InvariantViolation):
+            op(x, swapped)
+    for result in (e & e, e | e, x & x, x | x):
+        with pytest.raises(ValueError):
+            result.table[...] = False
+    for value in (e, x):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_event_points_round_trip(toy):

@@ -1,12 +1,16 @@
 """The strategy-space sweeps behind optimality and necessity verification."""
 
+import json
 import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from timelyck.errors import InvariantViolation, SizeGuardExceeded
+import timelyck
+from timelyck import optimality
+from timelyck.errors import InvariantViolation, SizeGuardExceeded, UniverseMismatch
+from timelyck.events import EventTuple
 from timelyck.fixpoint import TimingSpec
 from timelyck.optimality import (
     box_space,
@@ -22,9 +26,11 @@ from timelyck.optimality import (
 )
 from timelyck.scenarios import (
     ProtocolResult,
+    ScenarioSpec,
     generate_system,
     make_scenario,
     ordered_delta,
+    response_knowledge,
     simultaneous_delta,
     solvability,
     synthesize_optimal,
@@ -397,3 +403,25 @@ def test_propagation_extremes_match_brute_force(rng):
             assert greatest_solution(model).tolist() == np.max(valid, axis=0).tolist()
     assert 30 < infeasible < 270, infeasible
 
+
+
+def test_a_supplied_knowledge_tuple_is_refused_before_the_sweeps(monkeypatch):
+    doc = json.loads(timelyck.bundled_scenario_path("firing_squad_2").read_text())
+    scenario = ScenarioSpec.from_json_dict(doc)
+    instance, other = generate_system(scenario), generate_system(scenario)
+    result = synthesize_optimal(instance)
+    assert verify_optimal(instance, result).methods == [
+        "difference_bound_propagation", "exhaustive_enumeration", "signature_boxes",
+    ]
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the knowledge tuple was checked")
+
+    monkeypatch.setattr(optimality, "scan_solutions", sweep)
+    monkeypatch.setattr(optimality, "_sweep_boxes", sweep)
+    with pytest.raises(UniverseMismatch):
+        verify_optimal(instance, result, knowledge=response_knowledge(other))
+    xi = response_knowledge(instance)
+    swapped = EventTuple(instance.universe, {a: xi[a] for a in reversed(xi.agents)})
+    with pytest.raises(InvariantViolation, match="knowledge agents"):
+        verify_optimal(instance, result, knowledge=swapped)

@@ -1,15 +1,12 @@
 """Events and agent-indexed event tuples over a universe, and the temporal /
 epistemic operators acting on them.
 
-An event is a set of (run, time) points, stored as a dense boolean table of
-shape (n_runs, n_times); an event tuple holds one event per agent as one
-(k, n_runs, n_times) table.  Both keep their table read-only in one shared
-base, which also owns the set algebra (``&``, ``|``, ``<=``, ``==``) and its
-same-kind, same-universe check; a tuple adds the same-agent-order check,
-`EventTuple.conform`.  The knows rule, a point known iff its whole state class
-lies in the body, is written once, in `knows_by_ids`, which `knows` and the
-fixed-point steps of `fixpoint` apply.  All operators are pure: they return
-fresh events and never mutate their inputs.
+An event is a set of (run, time) points, a dense boolean (n_runs, n_times)
+table; an event tuple holds one event per agent as one (k, n_runs, n_times)
+table.  One base keeps either table read-only and owns the set algebra and its
+kind and universe check; `EventTuple.conform` adds the agent order.
+`knows_by_ids` is the one home of the knows rule.  All operators are pure:
+they return fresh events and never mutate their inputs.
 """
 
 from __future__ import annotations

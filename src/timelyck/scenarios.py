@@ -333,9 +333,9 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     first_of_suffix = np.concatenate(([never], np.arange(n - 1, -1, -1)))
     cutoff = fired + hi[:, None]  # (k, n_trig): past T + hi, no run of T is unobserved
 
-    # masked maxima fill with 0, as does the bound over no trigger time: first
-    # instants are >= 0, and a class's bound is raised to its observation time
-    # >= 0 anyway (`never` for every column when no trigger time is given)
+    # masked maxima fill with 0, as does a bound over no trigger time: first
+    # instants are >= 0 and a bound is raised to its observation time anyway,
+    # which is `never` in every column when there is no trigger time
     def step(x):
         first = first_of_suffix[x.sum(axis=2)]  # every column is a suffix in time
         unseen = first[:, unobserved:]  # a run observing at o holds from here if before o

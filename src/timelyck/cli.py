@@ -13,7 +13,8 @@ Verbs
     report     render a result file as a table
 
 Exit codes: 0 ok, 2 unreadable input, 3 invariant violation, 4 size guard,
-5 unsolvable, 6 verification failure, 7 internal inconsistency.
+5 unsolvable, 6 verification failure, 7 internal inconsistency.  An engine
+error carries its code and stderr label (`errors`); `main` reports any in one clause.
 
 All emitted JSON is key-sorted and newline-terminated, so identical inputs and
 seeds produce byte-identical files.
@@ -28,12 +29,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    InvariantViolation,
-    SizeGuardExceeded,
-    Unsolvable,
-)
+from .errors import EngineError, UnreadableInput
 from .events import Event
 from .fixpoint import DEFAULT_ORACLE_GUARD_BITS, timely_ck_info
 from .nested import DEFAULT_MAX_PATHS, verify_nested_characterization
@@ -54,9 +50,6 @@ from .scenarios import (
 from .universe import delta_to_json
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_INVARIANT = 3
-EXIT_GUARD = 4
 EXIT_UNSOLVABLE = 5
 EXIT_VERIFY = 6
 EXIT_INTERNAL = 7
@@ -79,11 +72,7 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _ParseError(f"cannot read {path}: {exc}") from None
-
-
-class _ParseError(Exception):
-    pass
+        raise UnreadableInput(f"cannot read {path}: {exc}") from None
 
 
 def _int_at_least(low: int):
@@ -367,21 +356,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except InvariantViolation as exc:
-        sys.stderr.write(f"invariant violation: {exc}\n")
-        return EXIT_INVARIANT
-    except SizeGuardExceeded as exc:
-        sys.stderr.write(f"size guard: {exc}\n")
-        return EXIT_GUARD
-    except Unsolvable as exc:
-        sys.stderr.write(f"unsolvable: {exc}\n")
-        return EXIT_UNSOLVABLE
-    except InternalConsistencyError as exc:
-        sys.stderr.write(f"internal inconsistency: {exc}\n")
-        return EXIT_INTERNAL
+    except EngineError as exc:
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ def uncoordinated_pairs(ensemble: EventTuple, spec: TimingSpec) -> list[tuple]:
     is not answered by e_j within delta(i, j): `late_pairs` of their first
     instants, deltas clamped to the horizon and inf acting like H."""
     ensemble.conform(ensemble.universe, spec.agents, "ensemble")
-    bad = late_pairs(first_instants(ensemble.table), spec, ensemble.universe)
+    bad = late_pairs(first_instants(ensemble.table), spec, ensemble.universe.horizon)
     return [(spec.agents[i], spec.agents[j]) for i, j in zip(*np.nonzero(bad))]
 
 

@@ -17,7 +17,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvariantViolation, UniverseMismatch
-from .universe import DeltaValue, Point, Universe, check_delta, json_int, window_reach
+from .universe import (
+    DeltaValue, Point, Universe, check_delta, json_int, json_list, json_str, window_reach,
+)
 
 
 class _PointTable:
@@ -115,26 +117,23 @@ class Event(_PointTable):
         return [Point(u.runs[r], int(t)) for r, t in zip(*np.nonzero(self.table))]
 
     def to_json_list(self) -> list:
-        return sorted([p.run, p.time] for p in self.points())
+        runs, (r, t) = self.universe.runs, np.nonzero(self.table)
+        return sorted([runs[n], time] for n, time in zip(r.tolist(), t.tolist()))
 
     @classmethod
     def from_json_list(cls, universe: Universe, doc: Sequence, field: str = "event") -> "Event":
         """An event from a list of [run, time] pairs; a document of another
         shape, or a pair that is no point of the universe, is an
-        InvariantViolation naming `field` or the pair."""
-        if not isinstance(doc, list):
-            raise InvariantViolation(f"{field} must be a list of [run, time] pairs")
+        InvariantViolation naming `field` or the pair's path `field[n]`."""
         table = np.zeros((universe.n_runs, universe.n_times), dtype=bool)
-        for n, point in enumerate(doc):
-            if not (isinstance(point, list) and len(point) == 2 and isinstance(point[0], str)):
-                raise InvariantViolation(
-                    f"{field}[{n}] must be a [run, time] pair, got {point!r}"
-                )
+        for n, point in enumerate(json_list(doc, field)):
+            path = f"{field}[{n}]"
+            run, t = json_list(point, path, length=2)
             try:
-                r = universe.run_index(point[0])
-                table[r, universe.check_time(json_int(point[1], "its time"))] = True
+                r = universe.run_index(json_str(run, "its run"))
+                table[r, universe.check_time(json_int(t, "its time"))] = True
             except InvariantViolation as exc:
-                raise InvariantViolation(f"{field}[{n}] must be a point: {exc}") from None
+                raise InvariantViolation(f"{path} must be a point: {exc}") from None
         return cls(universe, table)
 
     def __repr__(self) -> str:

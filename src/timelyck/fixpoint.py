@@ -84,20 +84,18 @@ class TimingSpec:
     def __init__(self, agents: Iterable[str], delta: Mapping[tuple, DeltaValue]):
         self.agents = tuple(agents)
         if not self.agents:
-            raise InvariantViolation("a timing spec needs at least one agent")
+            raise InvariantViolation("agents must name at least one agent")
         if len(set(self.agents)) != len(self.agents):
-            raise InvariantViolation("duplicate agents in timing spec")
+            raise InvariantViolation(f"agents must be distinct, got {list(self.agents)}")
         pairs = {(i, j) for i in self.agents for j in self.agents if i != j}
         given = set(delta)
         if given != pairs:
-            missing = pairs - given
-            extra = given - pairs
-            parts = []
-            if missing:
-                parts.append(f"missing pairs {sorted(missing)}")
-            if extra:
-                parts.append(f"unexpected pairs {sorted(extra)}")
-            raise InvariantViolation("timing spec delta map: " + "; ".join(parts))
+            parts = [
+                f"{what} {sorted(f'{i}->{j}' for i, j in keys)}"
+                for what, keys in (("missing", pairs - given), ("unexpected", given - pairs))
+                if keys
+            ]
+            raise InvariantViolation("delta must bound each pair of agents: " + "; ".join(parts))
         self._delta = {pair: check_delta(v) for pair, v in delta.items()}
 
     def delta(self, i: str, j: str) -> DeltaValue:
@@ -152,7 +150,7 @@ class TimingSpec:
             try:
                 i, j = key.split("->")
             except ValueError:
-                raise InvariantViolation(f"bad delta key {key!r}, expected 'i->j'") from None
+                raise InvariantViolation(f"delta.{key} is not an 'i->j' key") from None
             delta[(i, j)] = delta_from_json(raw, f"delta.{key}")
         return cls(agents, delta)
 
@@ -180,32 +178,32 @@ def _operands(psi: Event, spec: TimingSpec, *constants) -> tuple:
     return (psi.table, *constants, ids, n_ids)
 
 
-def reach_matrix(spec: TimingSpec, universe: Universe) -> np.ndarray:
-    """The (k, k) matrix of each pair's `window_reach`; the diagonal is so
-    large that an agent's own coordinate never binds."""
+def reach_matrix(spec: TimingSpec, horizon: int) -> np.ndarray:
+    """The (k, k) matrix of each pair's `window_reach` against horizon H; the
+    diagonal is so large that an agent's own coordinate never binds."""
 
     def reach(i, j):
         if i == j:
-            return 4 * universe.n_times
-        return window_reach(spec.delta(i, j), universe.horizon)
+            return 4 * (horizon + 1)
+        return window_reach(spec.delta(i, j), horizon)
 
     return np.array([[reach(i, j) for j in spec.agents] for i in spec.agents], dtype=np.int64)
 
 
-def late_pairs(first: np.ndarray, spec: TimingSpec, universe: Universe) -> np.ndarray:
+def late_pairs(first: np.ndarray, spec: TimingSpec, horizon: int) -> np.ndarray:
     """The (k, k) boolean matrix of the pairs (i, j) such that, in some run
     where i's coordinate holds, j's first instant is later than i's plus
     `reach_matrix`'s (i, j); `first` is (k, n_runs) as `first_instants` gives
-    it, n_times or more for a run where the coordinate never holds."""
-    late = first[None, :, :] > first[:, None, :] + reach_matrix(spec, universe)[:, :, None]
-    return (late & (first < universe.n_times)[:, None, :]).any(axis=2)
+    it, H + 1 or more for a run where the coordinate never holds."""
+    late = first[None, :, :] > first[:, None, :] + reach_matrix(spec, horizon)[:, :, None]
+    return (late & (first <= horizon)[:, None, :]).any(axis=2)
 
 
 def _window_operands(psi: Event, spec: TimingSpec) -> tuple:
     """The window map's operands: its constants are the negated reach matrix
     laid out as (k_i, k_j, 1) and the clock 0..H."""
     u = psi.universe
-    return _operands(psi, spec, -reach_matrix(spec, u)[:, :, None], np.arange(u.n_times))
+    return _operands(psi, spec, -reach_matrix(spec, u.horizon)[:, :, None], np.arange(u.n_times))
 
 
 def _window_step(x: np.ndarray, psi, lag, clock, ids, n_ids) -> np.ndarray:

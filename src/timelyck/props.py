@@ -419,5 +419,5 @@ def run_all(seed: int, cases: int = 120) -> list[PropResult]:
         try:
             results.append(fn(rng, n))
         except InternalConsistencyError as exc:
-            results.append(PropResult(name, n, error=f"internal inconsistency: {exc}"))
+            results.append(PropResult(name, n, error=f"{exc.label}: {exc}"))
     return results

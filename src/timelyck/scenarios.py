@@ -41,7 +41,9 @@ from .errors import (
 )
 from .events import Event, EventTuple, within
 from .fixpoint import TimingSpec, _descend, late_pairs, reach_matrix
-from .universe import INF, Universe, json_int, json_object
+from .universe import (
+    INF, Universe, json_bool, json_int, json_list, json_object, json_str,
+)
 
 
 DEFAULT_RUN_CAP = 2048  # runs a generated scenario may have; `--run-cap` sets it
@@ -64,7 +66,7 @@ class ScenarioSpec:
         self.include_never_run = bool(self.include_never_run)
         self.trigger_times = tuple(sorted(set(int(t) for t in self.trigger_times)))
         if self.agents != self.timing.agents:
-            raise InvariantViolation("scenario agents must match the timing spec agents")
+            raise InvariantViolation("agents must match the timing spec agents")
         if set(self.actions) != set(self.agents):
             raise InvariantViolation("actions must name exactly the scenario agents")
         if set(self.obs_delay) != set(self.agents):
@@ -72,12 +74,12 @@ class ScenarioSpec:
         for agent, (lo, hi) in self.obs_delay.items():
             if not (0 <= lo <= hi):
                 raise InvariantViolation(
-                    f"obs_delay for {agent!r} must satisfy 0 <= lo <= hi"
+                    f"obs_delay.{agent} must satisfy 0 <= lo <= hi, got [{lo}, {hi}]"
                 )
         if not self.trigger_times and not self.include_never_run:
             raise InvariantViolation("scenario generates no runs at all")
         if any(t < 0 for t in self.trigger_times):
-            raise InvariantViolation("trigger times must be nonnegative")
+            raise InvariantViolation(f"trigger_times must be nonnegative, got {list(self.trigger_times)}")
         if self.horizon is not None and self.horizon < self.min_horizon():
             raise InvariantViolation(
                 f"horizon {self.horizon} too small; observations need at least "
@@ -114,50 +116,25 @@ class ScenarioSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioSpec":
-        json_object(doc, "scenario")
+        """A scenario document, every field read by a `universe.json_*` reader."""
+        doc = json_object(doc, "scenario")
         try:
-            agents = doc["agents"]
-            if not isinstance(agents, list) or not all(isinstance(a, str) for a in agents):
-                raise InvariantViolation(f"agents must be a list of strings, got {agents!r}")
-            agents = tuple(agents)
+            agents = tuple(json_list(doc["agents"], "agents", json_str))
             timing = TimingSpec.from_json_dict(agents, json_object(doc["delta"], "delta"))
-            trigger_times = doc["trigger_times"]
-            if not isinstance(trigger_times, (list, tuple)):
-                raise InvariantViolation(
-                    f"trigger_times must be a list, got {trigger_times!r}"
-                )
-            obs_delay = doc["obs_delay"]
-            if not isinstance(obs_delay, dict):
-                raise InvariantViolation(f"obs_delay must be an object, got {obs_delay!r}")
-            windows = {}
-            for a, window in obs_delay.items():
-                if not isinstance(window, (list, tuple)) or len(window) != 2:
-                    raise InvariantViolation(
-                        f"obs_delay.{a} must be a [lo, hi] pair, got {window!r}"
-                    )
-                windows[a] = tuple(
-                    json_int(v, f"obs_delay.{a}[{n}]") for n, v in enumerate(window)
-                )
-            include_never_run = doc.get("include_never_run", True)
-            if not isinstance(include_never_run, bool):
-                raise InvariantViolation(
-                    f"include_never_run must be true or false, got {include_never_run!r}"
-                )
-            horizon = doc.get("horizon")
-            actions = json_object(doc["actions"], "actions")
-            for a, label in actions.items():
-                if not isinstance(label, str):
-                    raise InvariantViolation(f"actions.{a} must be a string, got {label!r}")
             return cls(
                 agents=agents,
-                trigger_times=tuple(
-                    json_int(t, f"trigger_times[{n}]") for n, t in enumerate(trigger_times)
-                ),
-                obs_delay=windows,
+                trigger_times=tuple(json_list(doc["trigger_times"], "trigger_times", json_int)),
+                obs_delay={
+                    a: tuple(json_list(window, f"obs_delay.{a}", json_int, 2))
+                    for a, window in json_object(doc["obs_delay"], "obs_delay").items()
+                },
                 timing=timing,
-                actions=dict(actions),
-                include_never_run=include_never_run,
-                horizon=None if horizon is None else json_int(horizon, "horizon"),
+                actions={
+                    a: json_str(label, f"actions.{a}")
+                    for a, label in json_object(doc["actions"], "actions").items()
+                },
+                include_never_run=json_bool(doc.get("include_never_run", True), "include_never_run"),
+                horizon=None if doc.get("horizon") is None else json_int(doc["horizon"], "horizon"),
             )
         except KeyError as exc:
             raise InvariantViolation(f"scenario document missing field {exc}") from None
@@ -328,7 +305,7 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     fired = np.array(triggers, dtype=np.int64)
     delay = obs_of[:, :, None] - fired
     in_window = (lo[:, None, None] <= delay) & (delay <= hi[:, None, None])
-    lag = -reach_matrix(instance.timing, u)[:, :, None]
+    lag = -reach_matrix(instance.timing, u.horizon)[:, :, None]
     clock = np.arange(n)
     first_of_suffix = np.concatenate(([never], np.arange(n - 1, -1, -1)))
     cutoff = fired + hi[:, None]  # (k, n_trig): past T + hi, no run of T is unobserved
@@ -559,7 +536,7 @@ def check_response_times(instance: TCRInstance, times, problems: list) -> Soluti
     u, agents = instance.universe, instance.timing.agents
     responds = times.T >= 0  # (k, n_runs), runs innermost
     first = np.where(responds, times.T, 2 * u.n_times)
-    broken = np.argwhere(late_pairs(first, instance.timing, u))
+    broken = np.argwhere(late_pairs(first, instance.timing, u.horizon))
     checks["coordinated"] = not broken.size
     if broken.size:
         cex["coordinated"] = [{"pair": f"{agents[i]}->{agents[j]}"} for i, j in broken]

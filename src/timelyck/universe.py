@@ -14,6 +14,9 @@ state may recur at different times and knowledge then quantifies across time.
 A universe may defer its states (`from_interning`): it keeps the step that
 interns them and runs it, with the validation, at the first state read, so a
 caller that decides everything from its own tables never pays for them.
+
+The `json_*` readers check every document field's JSON type: each returns the
+value or an InvariantViolation whose message begins with the field's path.
 """
 
 from __future__ import annotations
@@ -46,11 +49,34 @@ def json_int(value, field: str) -> int:
     return int(value)
 
 
+def json_str(value, field: str) -> str:
+    """A JSON string, or an InvariantViolation naming its field."""
+    if not isinstance(value, str):
+        raise InvariantViolation(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def json_bool(value, field: str) -> bool:
+    """A JSON true or false, or an InvariantViolation naming its field."""
+    if not isinstance(value, bool):
+        raise InvariantViolation(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def json_object(value, field: str) -> dict:
     """A JSON object, or an InvariantViolation naming the field it came from."""
     if not isinstance(value, dict):
         raise InvariantViolation(f"{field} must be an object, got {type(value).__name__}")
     return value
+
+
+def json_list(value, field: str, item: Callable | None = None, length: int | None = None) -> list:
+    """A JSON array of `length` entries if given, each read by `item(entry,
+    f"{field}[{n}]")` if given, or an InvariantViolation naming its path."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length}"
+        raise InvariantViolation(f"{field} must be a list{size}, got {value!r}")
+    return value if item is None else [item(v, f"{field}[{n}]") for n, v in enumerate(value)]
 
 
 def check_delta(value, field: str = "time difference", *, finite_only: bool = False) -> DeltaValue:

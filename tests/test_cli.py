@@ -276,19 +276,21 @@ def test_scenario_value_of_the_wrong_type_exits_3_naming_its_path(tmp_path, edit
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, path",
     [
-        ("actions", ["x"]),
-        ("delta", []),
-        ("agents", [["a"]]),
-        ("agents", "ab"),
-        ("include_never_run", "false"),
+        ("actions", ["x"], "actions"),
+        ("delta", [], "delta"),
+        ("agents", [["a"]], "agents[0]"),
+        ("agents", "ab", "agents"),
+        ("include_never_run", "false", "include_never_run"),
     ],
+    ids=["actions-value0", "delta-value1", "agents-value2", "agents-value3",
+         "include_never_run-value4"],
 )
-def test_scenario_field_of_the_wrong_type_exits_3_naming_it(tmp_path, field, value):
+def test_scenario_field_of_the_wrong_type_exits_3_naming_it(tmp_path, field, value, path):
     proc = _solve_edited(tmp_path, lambda doc: doc.update({field: value}))
     assert proc.returncode == 3, proc.stderr
-    assert f"{field} must be" in proc.stderr and "Traceback" not in proc.stderr
+    assert f"invariant violation: {path} must be" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,22 @@
-"""Malformed documents end in a documented exit code, never in a traceback.
+"""Malformed documents end in a documented exit code, never in a traceback,
+and an invariant violation names the field it refuses.
 
 Each example takes a bundled scenario, its `solve` output and a `--psi` event
 (the scenario's trigger), replaces one field of one of the three with a value
 from a fixed pool or deletes it, and runs every verb that reads a document on
-the result, in-process through `timelyck.cli.main`.
+the result, in-process through `timelyck.cli.main`.  An exit-3 message must
+begin with a path: a document's name (`scenario`, `result`, `psi`) or one of
+its top-level keys, followed by `.`, `[` or a space.
 """
 
 import copy
 import functools
 import json
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_cli import PKG_DATA, run_cli
@@ -75,8 +79,22 @@ def files(tmp_path_factory):
     return {role: folder / f"{role}.json" for role in ("scenario", "result", "psi")}
 
 
+def _names_a_field(name, stderr):
+    """Whether an exit-3 message begins with the path of a field of one of
+    the scenario's documents."""
+    base = _base(name)
+    heads = {"scenario", "result", "psi", *base["scenario"], *base["result"]}
+    head = re.match(r"invariant violation: (\w+)[.\[ ]", stderr)
+    return head is not None and head[1] in heads
+
+
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(mutation=mutations())
+# messages that named no field: a delta map missing the pairs of a dropped
+# agent, no agent at all, a negative trigger time
+@example(mutation=("ordered_2", "scenario", ("agents", 0), DELETE))
+@example(mutation=("ordered_2", "scenario", ("agents",), []))
+@example(mutation=("ordered_2", "scenario", ("trigger_times", 0), -1))
 def test_a_mutated_document_exits_with_a_documented_code(files, mutation):
     name, role, path, value = mutation
     for r, file in files.items():
@@ -95,3 +113,5 @@ def test_a_mutated_document_exits_with_a_documented_code(files, mutation):
     ):
         proc = run_cli(*argv)
         assert proc.returncode in EXITS, (argv[0], proc.returncode, proc.stderr)
+        if proc.returncode == 3:
+            assert _names_a_field(name, proc.stderr), (argv[0], proc.stderr)

@@ -54,3 +54,10 @@ def test_props_output_bytes_are_pinned(tmp_path):
     assert main(["props", "--seed", "3", "--cases", "40", "-o", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "573e2cb24c47da27b5e884c4e4ea24732c58c47b0572dd44f31ce38e4a8d862c"
+
+
+def test_props_json_digest_is_pinned(tmp_path):
+    out = tmp_path / "props.json"
+    assert main(["props", "--seed", "11", "--cases", "80", "--format", "json", "-o", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "7c75ea6bda3b5832b25326631a4bdbda805171c8d8dd0d3f109f8f03be53a7cc"

@@ -14,7 +14,8 @@ Verbs
 
 Exit codes: 0 ok, 2 unreadable input, 3 invariant violation, 4 size guard,
 5 unsolvable, 6 verification failure, 7 internal inconsistency.  An engine
-error carries its code and stderr label (`errors`); `main` reports any in one clause.
+error carries its code and stderr label (`errors`); `main` reports any in one
+clause.  Verbs return 0 and 6, and `props` 7 for a group that raised.
 
 All emitted JSON is key-sorted and newline-terminated, so identical inputs and
 seeds produce byte-identical files.
@@ -29,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .errors import EngineError, UnreadableInput
+from .errors import EngineError, UnreadableInput, Unsolvable
 from .events import Event
 from .fixpoint import DEFAULT_ORACLE_GUARD_BITS, timely_ck_info
 from .nested import DEFAULT_MAX_PATHS, verify_nested_characterization
@@ -50,7 +51,6 @@ from .scenarios import (
 from .universe import delta_to_json
 
 EXIT_OK = 0
-EXIT_UNSOLVABLE = 5
 EXIT_VERIFY = 6
 EXIT_INTERNAL = 7
 
@@ -166,8 +166,7 @@ def cmd_solve(args) -> int:
     if not solvable:
         doc["runs"] = _runs_block(instance, None)
         _write(_dump(doc), args.output)
-        sys.stderr.write("unsolvable: no coordinated response protocol exists\n")
-        return EXIT_UNSOLVABLE
+        raise Unsolvable("no coordinated response protocol exists")
     result = synthesize_optimal(instance, knowledge=xi)
     report = verify_solution(instance, result)
     doc["runs"] = _runs_block(instance, result)

@@ -79,7 +79,7 @@ class ScenarioSpec:
         if not self.trigger_times and not self.include_never_run:
             raise InvariantViolation("scenario generates no runs at all")
         if any(t < 0 for t in self.trigger_times):
-            raise InvariantViolation(f"trigger_times must be nonnegative, got {list(self.trigger_times)}")
+            raise InvariantViolation(f"trigger_times must be nonnegative, got {self.trigger_times[0]}")
         if self.horizon is not None and self.horizon < self.min_horizon():
             raise InvariantViolation(
                 f"horizon {self.horizon} too small; observations need at least "

@@ -284,8 +284,7 @@ def test_scenario_value_of_the_wrong_type_exits_3_naming_its_path(tmp_path, edit
         ("agents", "ab", "agents"),
         ("include_never_run", "false", "include_never_run"),
     ],
-    ids=["actions-value0", "delta-value1", "agents-value2", "agents-value3",
-         "include_never_run-value4"],
+    ids=["actions-value0", "delta-value1", "agents-value2", "agents-ab", "include_never_run-false"],
 )
 def test_scenario_field_of_the_wrong_type_exits_3_naming_it(tmp_path, field, value, path):
     proc = _solve_edited(tmp_path, lambda doc: doc.update({field: value}))

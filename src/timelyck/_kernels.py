@@ -6,7 +6,7 @@ assignments only up to the last variable that a constraint reads from a later
 one, and counts the free variables after it by interval products, so its
 memory follows the prefixes rather than the solutions.  The test suite checks
 the tuple sweep against a tuple-by-tuple brute-force join and the solution
-sweep against the depth-first reference `naive.n_scan_solutions`.
+sweep against the depth-first reference in `tests/naive_reference.py`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ decides); the predicates take a plain `EventTuple`.  Timing coordination of
 an ensemble says: whenever agent i's coordinate holds, agent j's coordinate
 holds somewhere in the run no later than delta(i, j) steps away.  It is
 decided on first instants; the literal point quantifier is
-`naive.n_delta_coordinated`, which the test and property suites check it
+`props.n_delta_coordinated`, which the test and property suites check it
 against.
 
 `verify_greatest_coordinated_ensemble` checks, by exhaustive enumeration of
@@ -59,7 +59,7 @@ def is_eventually_coordinated(ensemble: EventTuple) -> bool:
 
 def is_epsilon_coordinated(ensemble: EventTuple, eps: int) -> bool:
     """Every occurrence sits in a length-eps window meeting every coordinate;
-    the literal point quantifier is `naive.n_epsilon_coordinated`."""
+    the literal point quantifier is `naive_reference.n_epsilon_coordinated`."""
     tables = ensemble.table
     return not (tables & ~window_cover(tables, eps)).any()
 

@@ -33,8 +33,8 @@ inside its predecessor, so equal sizes mean equal iterates.
 `timely_ck_oracle` provides the independent check: enumerate every tuple in
 the (finite) lattice, keep the ones below their own image, and join them.  It
 takes its operator tables from `PackedSpace.map_tables`, which builds them
-from the definition-direct evaluators in `naive`, so it shares no operator
-code with the iterative engine.
+from the definition-direct `packed.n_within` and the state classes, so it
+shares no operator code with the iterative engine.
 """
 
 from __future__ import annotations
@@ -396,7 +396,7 @@ def common_knowledge(agents: Iterable[str], e: Event) -> Event:
     x -> everyone_knows(e & x), descended from the full event.
 
     It equals the stabilized intersection of iterated everyone-knows, which
-    `naive.n_common_knowledge` computes as the independent reference.
+    the tests' `naive_reference.n_common_knowledge` computes independently.
     """
     agents = tuple(agents)
     if not agents:

@@ -84,9 +84,9 @@ def build_strategy_model(instance: TCRInstance) -> StrategyModel:
     every distinct (p, q) = (var of i, var of j) those runs realize."""
     if not instance.scenario.include_never_run:
         raise InvariantViolation(
-            "optimality sweep needs the never-run: without it responses are "
-            "not pinned to observed states and the strategy space is not "
-            "observation-indexed"
+            "include_never_run is false or --no-never-run is set: the optimality "
+            "sweep needs the never-run, without which responses are not pinned to "
+            "observed states and the strategy space is not observation-indexed"
         )
     agents = instance.timing.agents
     observed = instance.observed_at[instance.trigger_time >= 0]

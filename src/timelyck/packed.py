@@ -3,7 +3,8 @@
 Events become integers with one bit per point (bit = run * n_times + time).
 Operator lookup tables cover every mask and are built without the vectorized
 operators, so results obtained here count as an independent route: `within`
-images come from the definition-direct `naive.n_within` on single points,
+images come from `n_within` on single points, a loop-by-loop transcription of
+the definition over (run_index, time) sets that calls nothing in `events`;
 `knows` images from the state classes, each packed from the universe's
 state-id array with one scatter of bit weights.
 
@@ -21,9 +22,10 @@ coordination filter of the local-ensemble enumeration in `coordination`.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
-from . import naive
 from .errors import InternalConsistencyError, SizeGuardExceeded
 from .events import Event
 from .universe import DeltaValue, Universe, window_reach
@@ -38,6 +40,20 @@ _KNOWS_ROWS = 1 << 12
 # and the window reach of d, so every universe of one shape shares them; keyed
 # by (n_runs, n_times, reach), and MAX_PACKED_POINTS bounds the keys.
 _WITHIN_SINGLES: dict[tuple, list[int]] = {}
+
+PointSet = frozenset[tuple[int, int]]
+
+
+def all_points(u: Universe) -> PointSet:
+    return frozenset(product(range(u.n_runs), range(u.n_times)))
+
+
+def n_within(u: Universe, e: PointSet, eps: DeltaValue) -> PointSet:
+    return frozenset(
+        (r, t)
+        for r, t in all_points(u)
+        if any(t2 <= t + eps and (r, t2) in e for t2 in range(u.n_times))
+    )
 
 
 class PackedSpace:
@@ -86,7 +102,7 @@ class PackedSpace:
             if key not in _WITHIN_SINGLES:
                 points = [frozenset({divmod(b, u.n_times)}) for b in range(self.n_bits)]
                 _WITHIN_SINGLES[key] = [
-                    self._pack_pointset(naive.n_within(u, p, key[2])) for p in points
+                    self._pack_pointset(n_within(u, p, key[2])) for p in points
                 ]
             singles.append(_WITHIN_SINGLES[key])
         singles = np.array(singles, dtype=np.int64).reshape(-1, self.n_bits)

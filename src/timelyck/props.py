@@ -12,6 +12,7 @@ reruns the operator-law groups at higher case counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .fixpoint import (
     timely_ck_g,
     timely_ck_oracle,
 )
-from .naive import n_delta_coordinated, point_set
 from .nested import nested_conjunction, verify_nested_characterization
+from .packed import PointSet
 from .sampling import (
     random_event,
     random_spec,
@@ -52,7 +53,7 @@ from .sampling import (
     random_universe,
 )
 from .scenarios import generate_system, make_scenario, solvability
-from .universe import INF
+from .universe import INF, DeltaValue, Universe
 
 
 @dataclass
@@ -258,6 +259,26 @@ def check_oracle_agreement(rng, cases: int, *, guard_bits: int = 14) -> PropResu
         if timely_ck(psi, spec) != timely_ck_oracle(psi, spec, guard_bits=guard_bits):
             failures.append(f"case {case}: iterative and swept fixed points differ")
     return _result("oracle_agreement", cases, failures)
+
+
+def point_set(e) -> PointSet:
+    """The points of an `events.Event` as (run_index, time) pairs."""
+    runs, times = e.table.nonzero()
+    return frozenset(zip(runs.tolist(), times.tolist()))
+
+
+def n_delta_coordinated(
+    u: Universe, coords: Mapping[str, PointSet], delta: Mapping[tuple, DeltaValue]
+) -> bool:
+    """Every point of coordinate i has a point of coordinate j in its run, at
+    most delta[(i, j)] steps later, for every ordered pair of distinct agents."""
+    return all(
+        any(t2 <= t + delta[(i, j)] and (r, t2) in coords[j] for t2 in range(u.n_times))
+        for i in coords
+        for j in coords
+        if i != j
+        for r, t in coords[i]
+    )
 
 
 def check_coordination_laws(rng, cases: int) -> PropResult:

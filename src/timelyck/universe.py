@@ -354,7 +354,7 @@ class Universe:
         sets of strictly earlier state ids along the respective runs.  Each
         point's set is packed into ceil(classes / 64) words, as a running OR
         along its run, and compared with the set at the first point of its id.
-        `naive.n_perfect_recall` is the point-by-point reference.
+        The tests' `naive_reference.n_perfect_recall` is the pointwise reference.
         """
         rows = np.arange(self.n_points)
         state_ids, _, n_classes = self._states()

@@ -1,37 +1,31 @@
-"""Definition-direct evaluators over explicit point sets.
+"""Definition-direct evaluators over explicit point sets, as test references.
 
 Deliberately slow, loop-based transcriptions of the operator definitions.
 They share nothing with the vectorized implementations in `events` and serve
-as independent oracles in the test suite; the packed brute-force engines also
-build their lookup tables from these.  `n_scan_solutions` is the depth-first
+as independent oracles for the engine: `n_scan_solutions` is the depth-first
 reference for the vectorized solution sweep in `_kernels`,
 `n_perfect_recall` the point-by-point reference for
 `Universe.exhibits_perfect_recall`, and `n_epsilon_coordinated` the literal
 window quantifier behind `coordination.is_epsilon_coordinated`.
+
+The package keeps the three evaluators a verb runs, each beside its only
+caller: `packed.n_within` (with the `all_points` it reads) builds the packed
+`within` tables, and `props.point_set` and `props.n_delta_coordinated` give
+the `coordination_laws` group its literal timing quantifier.  They are
+re-exported here, so the tests read every reference from one place.
 
 Events here are plain frozensets of (run_index, time) pairs.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .universe import DeltaValue, Universe
-
-PointSet = FrozenSet[Tuple[int, int]]
-
-
-def point_set(e) -> PointSet:
-    """The points of an `events.Event` as (run_index, time) pairs."""
-    runs, times = e.table.nonzero()
-    return frozenset(zip(runs.tolist(), times.tolist()))
-
-
-def all_points(u: Universe) -> PointSet:
-    return frozenset(product(range(u.n_runs), range(u.n_times)))
+from timelyck.packed import PointSet, all_points, n_within  # noqa: F401  (re-exported)
+from timelyck.props import n_delta_coordinated, point_set  # noqa: F401  (re-exported)
+from timelyck.universe import Universe
 
 
 def n_eventually(u: Universe, e: PointSet) -> PointSet:
@@ -47,14 +41,6 @@ def n_shift_exact(u: Universe, e: PointSet, eps: int) -> PointSet:
         (r, t)
         for r, t in all_points(u)
         if 0 <= t + eps <= u.horizon and (r, t + eps) in e
-    )
-
-
-def n_within(u: Universe, e: PointSet, eps: DeltaValue) -> PointSet:
-    return frozenset(
-        (r, t)
-        for r, t in all_points(u)
-        if any(t2 <= t + eps and (r, t2) in e for t2 in range(u.n_times))
     )
 
 
@@ -101,20 +87,6 @@ def n_common_knowledge(u: Universe, agents: Iterable[str], e: PointSet) -> Point
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def n_delta_coordinated(
-    u: Universe, coords: Mapping[str, PointSet], delta: Mapping[tuple, DeltaValue]
-) -> bool:
-    """Every point of coordinate i has a point of coordinate j in its run, at
-    most delta[(i, j)] steps later, for every ordered pair of distinct agents."""
-    return all(
-        any(t2 <= t + delta[(i, j)] and (r, t2) in coords[j] for t2 in range(u.n_times))
-        for i in coords
-        for j in coords
-        if i != j
-        for r, t in coords[i]
-    )
 
 
 def n_epsilon_coordinated(u: Universe, coords: Mapping[str, PointSet], eps: int) -> bool:

@@ -3,9 +3,10 @@
 Each reference below is the per-point or per-combination loop the array code
 replaced, kept here so that the two can be compared on random inputs: the
 sampled universes draw by draw, the packed knows tables against
-`naive.n_knows`, the grid tuple sweep against `gfp_bruteforce_oracle`, the
-ensemble enumeration against its old loop, and the solution check on the run
-table against the same check on the response ensemble's events.
+`naive_reference.n_knows`, the grid tuple sweep against
+`gfp_bruteforce_oracle`, the ensemble enumeration against its old loop, and
+the solution check on the run table against the same check on the response
+ensemble's events.
 """
 
 import ast
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import timelyck
-from timelyck import _kernels, naive
+from timelyck import _kernels
 from timelyck import coordination as coord
 from timelyck.coordination import is_delta_coordinated, verify_greatest_coordinated_ensemble
 from timelyck.errors import InvariantViolation, SizeGuardExceeded
@@ -45,6 +46,7 @@ from timelyck.scenarios import (
 from timelyck.sampling import AGENT_POOL, random_event, random_spec, random_tuple, random_universe
 from timelyck.universe import INF, Universe, clamp_delta, window_reach
 
+import naive_reference as naive
 from generic_gfp import gfp_bruteforce_oracle
 
 # -- sampled universes ----------------------------------------------------------

@@ -4,6 +4,7 @@
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -460,6 +461,10 @@ def test_oracle_without_the_never_run_skips_only_the_optimality_sweep(tmp_path):
     run_cli("solve", PKG_DATA["car_wash"], "--no-never-run", "-o", str(res_out))
     proc = run_cli("verify", PKG_DATA["car_wash"], str(res_out), "--optimal", "--no-never-run")
     assert proc.returncode == 3 and "needs the never-run" in proc.stderr
+    # the message begins with the field's path and names the flag that unsets it
+    head = re.match(r"invariant violation: (\w+)[.\[ ]", proc.stderr)
+    assert head is not None and head[1] == "include_never_run", proc.stderr
+    assert "--no-never-run" in proc.stderr and proc.stdout == ""
 
 
 def test_parser_defaults_are_the_library_constants():

@@ -20,9 +20,10 @@ from timelyck.fixpoint import (
     timely_ck,
     tuple_union,
 )
-from timelyck.naive import n_delta_coordinated, n_epsilon_coordinated, point_set
 from timelyck.sampling import random_event, random_spec, random_tuple, random_universe
 from timelyck.universe import INF, Universe
+
+from naive_reference import n_delta_coordinated, n_epsilon_coordinated, point_set
 
 
 def spec2(dab, dba):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from timelyck import naive
 from timelyck.errors import (
     InternalConsistencyError,
     InvariantViolation,
@@ -27,6 +26,7 @@ from timelyck.fixpoint import (
 from timelyck.sampling import random_event, random_spec, random_stable_event, random_universe
 from timelyck.universe import INF
 
+import naive_reference as naive
 from generic_gfp import gfp, gfp_bruteforce_oracle
 
 

@@ -9,12 +9,13 @@ from timelyck import _kernels
 from timelyck.errors import InternalConsistencyError
 from timelyck.events import within
 from timelyck.fixpoint import TimingSpec, timely_ck
-from timelyck.naive import n_scan_solutions
 from timelyck.optimality import build_strategy_model
 from timelyck.packed import PackedSpace
 from timelyck.sampling import random_event, random_spec, random_universe
 from timelyck.scenarios import generate_system, make_scenario
 from timelyck.universe import INF
+
+from naive_reference import n_scan_solutions
 
 
 def test_dispatch_matches_engine_fixed_point():

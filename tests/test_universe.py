@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import timelyck
-from timelyck import naive
 from timelyck.errors import InvariantViolation
 from timelyck.sampling import random_spec, random_universe
 from timelyck.scenarios import ScenarioSpec, generate_system, make_scenario
 from timelyck.universe import INF, Universe, check_delta, clamp_delta
+
+import naive_reference as naive
 
 
 def test_basic_geometry(toy):

@@ -24,9 +24,13 @@ run by run.  That search space is swept three independent ways:
     exhaustively.  A pair's bound reads only its two agents' boxes, so the
     sweep builds one boolean table per pair of agents and grows a feasibility
     tensor of one byte per combination one agent axis at a time, ANDing in
-    the tables that agent closes with the agents before it.  Two reductions,
-    onto the leading and the trailing half of the axes, give each agent's
-    boxes in use.
+    the tables that agent closes with the agents before it.  The tensor is
+    built one block of agent 0's boxes at a time, each block reduced onto the
+    leading half of the axes (its own rows) and the trailing half (ORed over
+    the blocks); those two reductions give each agent's boxes in use.  So the
+    sweep holds at most max(_BOX_BLOCK, one row of agent 0) combinations at
+    once, plus the pair tables and the two reductions, however large the box
+    space.
 
 A protocol is time-optimal iff it is the least solution; necessity holds iff
 every attainable response point lies inside the corresponding coordinate of
@@ -39,6 +43,7 @@ projection of a result and the necessity check are array operations on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,8 +107,11 @@ def build_strategy_model(instance: TCRInstance) -> StrategyModel:
     bound = np.zeros((k, k), dtype=np.int64)
     bound[ai, aj] = d
     # one code p * n + q per realized variable pair of every bounded pair; a
-    # pair of variables names its pair of agents, so the codes sort the constraints
-    p, q = np.divmod(np.unique(var_of[:, ai] * n + var_of[:, aj]), max(n, 1))
+    # pair of variables names its pair of agents, so the codes sort the
+    # constraints.  They are deduplicated by a sort and an adjacent-difference
+    # mask: a bare np.unique takes a hash path that imports numpy.ma
+    codes = np.sort(var_of[:, ai] * n + var_of[:, aj], axis=None)
+    p, q = np.divmod(codes[np.diff(codes, prepend=-1) != 0], max(n, 1))
     agent_of = np.repeat(np.arange(k), np.diff(offsets))
     constraints = list(zip(p.tolist(), q.tolist(), bound[agent_of[p], agent_of[q]].tolist()))
     return StrategyModel(instance, variables, lo, hi, constraints, var_of)
@@ -180,6 +188,7 @@ def is_product_structured(model: StrategyModel) -> bool:
 
 
 BOX_SWEEP_CAP = 3 * 10**7
+_BOX_BLOCK = 1 << 18  # box combinations the sweep holds at once, or one row of agent 0
 
 
 def box_space(model: StrategyModel) -> int:
@@ -231,29 +240,46 @@ def _sweep_boxes(model: StrategyModel):
 
     # feasible[b_0, ..., b_k-1]: every bounded pair holds in that combination.
     # A bound max_j <= min_i + delta(i, j) reads only the boxes of i and j, so
-    # each pair of agents gives one n_i x n_j table, both directions ANDed,
-    # and the tensor grows one agent axis at a time, ANDing in the tables of
-    # the pairs that agent closes with the agents before it
+    # each pair of agents gives one n_i x n_j table, both directions ANDed
     tables = {}  # (earlier agent, later agent) -> the pair's table
     for ai, aj, d in model.instance.timing.bounded_pairs():
         key = (min(ai, aj), max(ai, aj))
         tables[key] = tables.get(key, True) & (along(box_max[aj], aj) <= along(box_min[ai], ai) + d)
-    feasible = np.ones((1,) * k, dtype=bool)
-    for a in range(k):
-        closing = [table for (_, later), table in tables.items() if later == a]
-        first, *rest = closing or [along(np.ones(len(box_min[a]), dtype=bool), a)]
-        feasible = feasible & first  # lays out axis a
-        for table in rest:
-            feasible &= table
 
-    if not feasible.any():
+    # the tensor is built one block of agent 0's boxes at a time.  A block
+    # grows one agent axis at a time, ANDing in the tables of the pairs that
+    # agent closes with the agents before it, agent 0's tables sliced to the
+    # block.  It writes its rows of the reduction onto the leading half of the
+    # axes, which holds agent 0's, and ORs its reduction onto the trailing
+    # half into one accumulator
+    n = [len(b) for b in box_min]
+    half = max(k // 2, 1)
+    lead = np.empty(n[:half], dtype=bool)
+    trail = np.zeros(n[half:], dtype=bool)
+    rows = max(_BOX_BLOCK // math.prod(n[1:]), 1)
+    for lo in range(0, n[0], rows):
+        block = along(np.ones(min(rows, n[0] - lo), dtype=bool), 0)
+        for a in range(1, k):
+            closing = [
+                table[lo : lo + rows] if earlier == 0 else table
+                for (earlier, later), table in tables.items() if later == a
+            ]
+            first, *rest = closing or [along(np.ones(n[a], dtype=bool), a)]
+            block = block & first  # lays out axis a
+            for table in rest:
+                block &= table
+        lead[lo : lo + rows] = block.any(axis=tuple(range(half, k)))
+        trail |= block.any(axis=tuple(range(half)))
+
+    if not lead.any():
         return False, None, None
 
-    # the boxes each agent uses, read off the tensor's reduction onto its half of the axes
-    used = []
-    for half in (range(k // 2), range(k // 2, k)):
-        table = feasible.any(axis=tuple(x for x in range(k) if x not in half))
-        used += [table.any(axis=tuple(y - half.start for y in half if y != x)) for x in half]
+    # the boxes each agent uses, read off the two reductions
+    used = [
+        table.any(axis=tuple(y for y in range(table.ndim) if y != x))
+        for table in (lead, trail)
+        for x in range(table.ndim)
+    ]
 
     mins = np.full(model.n_vars, np.iinfo(np.int64).max, dtype=np.int64)
     attained = np.zeros((model.n_vars, horizon + 1), dtype=bool)

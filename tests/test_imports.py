@@ -1,8 +1,9 @@
 """The package's import graph: every import sits at a module's top, the
 event layer loads nothing of the fixed-point layer, the CLI loads every module
 (so none is reached by tests alone), the test layer's definition-direct
-references import nothing of the engine they check, and the CLI reads result
-documents only through the library's reader."""
+references import nothing of the engine they check, the CLI reads result
+documents only through the library's reader, and certifying and cross-checking
+a scenario never load `numpy.ma`."""
 
 import ast
 import json
@@ -89,3 +90,23 @@ def test_cli_keeps_no_document_shape_rule():
         for alias in node.names
     }
     assert not imported & {"json_object", "json_int"}, imported
+
+
+def test_certify_and_oracle_load_no_numpy_ma(tmp_path):
+    # a bare np.unique takes a hash path that imports numpy.ma, about 1.2 MB
+    # of resident memory that no verb needs
+    scenario = str(timelyck.bundled_scenario_path("car_wash"))
+    result = str(tmp_path / "result.json")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from timelyck.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['solve', {scenario!r}, '-o', {result!r}]),\n"
+        f"             main(['verify', {scenario!r}, {result!r}, '--optimal']),\n"
+        f"             main(['oracle', {scenario!r}, '--cases', '2'])]\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], False]

@@ -2,7 +2,9 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,10 +145,19 @@ def literal_box_sweep(model):
     return (True, mins, attained) if feasible else (False, None, None)
 
 
-def test_box_sweep_matches_literal_combination_loop():
+def assert_same_sweep(got, want):
+    assert got[0] == want[0]
+    if want[0]:
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    else:
+        assert got == (False, None, None)
+
+
+def seeded_box_models():
+    """48 seeded product-structured models of 1 to 5 agents, each of at most
+    50,000 box combinations."""
     rng = np.random.default_rng(23)
-    infeasible = checked = 0
-    feasible_agent_counts = set()
+    checked = 0
     while checked < 48:
         # from 1 to 5 agents, so both halves of the tensor's final reduction
         # are empty, single and multiple; 5 agents at horizon 2 and window
@@ -171,24 +182,56 @@ def test_box_sweep_matches_literal_combination_loop():
         assert is_product_structured(model)
         if box_space(model) > 50_000:
             continue
-        got, want = box_sweep(model), literal_box_sweep(model)
-        assert got[0] == want[0]
-        if want[0]:
-            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-            feasible_agent_counts.add(k)
-        else:
-            assert got == (False, None, None)
-            infeasible += 1
+        yield model
         checked += 1
-    assert infeasible and feasible_agent_counts == {1, 2, 3, 4, 5}
 
-    # a pair that must each respond strictly before the other
+
+def strictly_before_each_other_model():
+    """A pair that must each respond strictly before the other: infeasible."""
     agents = ("a", "b")
     inst = generate_system(
         make_scenario(agents, TimingSpec(agents, {("a", "b"): -1, ("b", "a"): -1}))
     )
-    model = build_strategy_model(inst)
+    return build_strategy_model(inst)
+
+
+def test_box_sweep_matches_literal_combination_loop():
+    infeasible = 0
+    feasible_agent_counts = set()
+    for model in seeded_box_models():
+        want = literal_box_sweep(model)
+        assert_same_sweep(box_sweep(model), want)
+        if want[0]:
+            feasible_agent_counts.add(len(model.instance.timing.agents))
+        else:
+            infeasible += 1
+    assert infeasible and feasible_agent_counts == {1, 2, 3, 4, 5}
+
+    model = strictly_before_each_other_model()
     assert box_sweep(model) == literal_box_sweep(model) == (False, None, None)
+
+
+@pytest.mark.parametrize("block", [1, 3, 17])
+def test_box_sweep_is_the_same_at_every_block_size(monkeypatch, block):
+    # blocks of agent 0's boxes smaller than one row, ending inside the axis
+    # and spanning several rows
+    monkeypatch.setattr(optimality, "_BOX_BLOCK", block)
+    alone = build_strategy_model(
+        generate_system(make_scenario(("a",), TimingSpec(("a",), {}), obs_delay=(0, 2)))
+    )
+    # a universe's horizon is at least 1, which gives every agent at least two
+    # boxes; a stand-in instance at horizon 0 gives agent 0 (and every other)
+    # the single box (0, 0)
+    agents = ("a", "b", "c")
+    timing = TimingSpec(agents, {(i, j): 0 for i in agents for j in agents if i != j})
+    model = build_strategy_model(generate_system(make_scenario(agents, timing, obs_delay=(0, 0))))
+    single_box = replace(
+        model, instance=SimpleNamespace(timing=timing, universe=SimpleNamespace(horizon=0))
+    )
+    assert box_space(single_box) == 1
+    models = [*seeded_box_models(), strictly_before_each_other_model(), alone, single_box]
+    for model in models:
+        assert_same_sweep(box_sweep(model), literal_box_sweep(model))
 
 
 def test_box_sweep_memory_is_about_one_byte_per_combination():
@@ -206,6 +249,25 @@ def test_box_sweep_memory_is_about_one_byte_per_combination():
         tracemalloc.stop()
     assert feasible
     assert peak < 2 * combinations
+
+
+@pytest.mark.parametrize("horizon, combinations", [(8, 3_748_096), (10, 17_850_625)])
+def test_box_sweep_memory_does_not_grow_with_the_box_space(horizon, combinations):
+    # the sweep holds one block of agent 0's boxes at a time, not one byte
+    # per combination
+    agents = ("a", "b", "c", "d")
+    timing = TimingSpec(agents, {(i, j): 1 for i in agents for j in agents if i != j})
+    inst = generate_system(make_scenario(agents, timing, obs_delay=(0, 1), horizon=horizon))
+    model = build_strategy_model(inst)
+    assert box_space(model) == combinations
+    tracemalloc.start()
+    try:
+        feasible, _, _ = box_sweep(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feasible
+    assert peak < 10**6
 
 
 def test_enumeration_matches_propagation_small():

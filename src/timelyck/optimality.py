@@ -246,12 +246,13 @@ def _sweep_boxes(model: StrategyModel):
         key = (min(ai, aj), max(ai, aj))
         tables[key] = tables.get(key, True) & (along(box_max[aj], aj) <= along(box_min[ai], ai) + d)
 
-    # the tensor is built one block of agent 0's boxes at a time.  A block
-    # grows one agent axis at a time, ANDing in the tables of the pairs that
-    # agent closes with the agents before it, agent 0's tables sliced to the
-    # block.  It writes its rows of the reduction onto the leading half of the
-    # axes, which holds agent 0's, and ORs its reduction onto the trailing
-    # half into one accumulator
+    # the tensor is built one block of agent 0's boxes at a time, so the
+    # sweep's memory does not grow with the box space.  A block grows one
+    # agent axis at a time, ANDing in the tables of the pairs that agent
+    # closes with the agents before it, agent 0's tables sliced to the block.
+    # It writes its rows of the reduction onto the leading half of the axes,
+    # which holds agent 0's, and ORs its reduction onto the trailing half
+    # into one accumulator
     n = [len(b) for b in box_min]
     half = max(k // 2, 1)
     lead = np.empty(n[:half], dtype=bool)
@@ -276,9 +277,9 @@ def _sweep_boxes(model: StrategyModel):
 
     # the boxes each agent uses, read off the two reductions
     used = [
-        table.any(axis=tuple(y for y in range(table.ndim) if y != x))
-        for table in (lead, trail)
-        for x in range(table.ndim)
+        reduced.any(axis=tuple(y for y in range(reduced.ndim) if y != x))
+        for reduced in (lead, trail)
+        for x in range(reduced.ndim)
     ]
 
     mins = np.full(model.n_vars, np.iinfo(np.int64).max, dtype=np.int64)

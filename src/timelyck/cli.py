@@ -44,6 +44,7 @@ from .scenarios import (
     generate_system,
     read_runs,
     response_knowledge,
+    row_dict,
     solvability,
     synthesize_optimal,
     verify_solution,
@@ -71,7 +72,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise UnreadableInput(f"cannot read {path}: {exc}") from None
 
 
@@ -100,12 +101,12 @@ def _load_instance(args) -> TCRInstance:
 
 
 def _runs_block(instance: TCRInstance, result: ProtocolResult | None) -> dict:
-    out = {}
-    for info in instance.runs:
-        entry = {"trigger_time": info.trigger_time, "observations": info.observations}
-        if result is not None:
-            entry["responses"] = dict(result.responses[info.name])
-        out[info.name] = entry
+    out = {info.name: {"trigger_time": info.trigger_time, "observations": info.observations}
+           for info in instance.runs}
+    if result is not None:
+        times = result.response_times(instance)[0].tolist()
+        for entry, cells in zip(out.values(), times):
+            entry["responses"] = row_dict(instance.timing.agents, cells)
     return out
 
 

@@ -25,11 +25,12 @@ that coordinate holds.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +152,38 @@ class RunInfo(NamedTuple):
     observations: dict  # agent -> observation time or None
 
 
+def row_dict(keys: tuple, cells: list) -> dict:
+    """One run-table row as keys -> cells, None where it holds -1."""
+    row = dict(zip(keys, cells))
+    if -1 in cells:  # mostly the never-run's row
+        row.update((key, None) for key, cell in zip(keys, cells) if cell < 0)
+    return row
+
+
+class _RunRows(Sequence):
+    """An instance's run table as RunInfo rows in run order, each built when it is read."""
+
+    def __init__(self, instance: TCRInstance):
+        self.instance = instance
+
+    def __len__(self) -> int:
+        return self.instance.universe.n_runs
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._rows(index))
+        r = range(len(self))[index]
+        return next(self._rows(slice(r, r + 1)))
+
+    def __iter__(self):
+        return self._rows(slice(None))
+
+    def _rows(self, span: slice):
+        inst, taus = self.instance, self.instance.trigger_time[span]
+        return map(RunInfo, inst.universe.runs[span], np.where(taus < 0, None, taus).tolist(),
+                   map(partial(row_dict, inst.scenario.agents), inst.observed_at[span].tolist()))
+
+
 @dataclass
 class TCRInstance:
     """A generated universe plus the task parameters acting on it.
@@ -158,6 +191,7 @@ class TCRInstance:
     The runs form a table in the universe's run order: `trigger_time[r]` and
     `observed_at[r, a]` (agents in scenario order) are read-only int arrays
     holding -1 where the trigger never fires, and so is never observed.
+    `runs` reads the table as RunInfo rows, each built when it is read.
     """
 
     scenario: ScenarioSpec
@@ -167,11 +201,7 @@ class TCRInstance:
     timing: TimingSpec  # normalized against the generated horizon
     delta_normalizations: dict = field(default_factory=dict)
 
-    @property
-    def runs(self) -> list:
-        """The run table as RunInfo rows, built afresh on each access."""
-        observations = map(dict, map(zip, repeat(self.scenario.agents), _with_none(self.observed_at)))
-        return list(map(RunInfo, self.universe.runs, _with_none(self.trigger_time), observations))
+    runs = property(_RunRows)
 
     @property
     def trigger(self) -> Event:
@@ -180,13 +210,6 @@ class TCRInstance:
 
     def trigger_history(self) -> Event:
         return within(self.trigger, 0)
-
-
-def _with_none(table: np.ndarray) -> list:
-    """A run-table array as nested lists of ints, None where it holds -1."""
-    cells = table.astype(object)
-    cells[table < 0] = None
-    return cells.tolist()
 
 
 def _intern_states(observed_at: np.ndarray, horizon: int) -> tuple[list, list]:
@@ -367,28 +390,46 @@ def solvability(instance: TCRInstance, *, knowledge: EventTuple | None = None) -
     return _reach_table(instance, knowledge)[2]
 
 
+class _ResponseRows(Mapping):
+    """A synthesized result's (n_runs, k) response array as run name -> read-only
+    {agent -> time or None}, each row built when it is read."""
+
+    def __init__(self, instance: TCRInstance, times: np.ndarray):
+        self.instance, self.times = instance, times
+
+    def __getitem__(self, run):
+        try:
+            r = self.instance.universe.run_index(run)
+        except InvariantViolation:
+            raise KeyError(run) from None
+        return MappingProxyType(row_dict(self.instance.timing.agents, self.times[r].tolist()))
+
+    def __iter__(self):
+        return iter(self.instance.universe.runs)
+
+    def __len__(self) -> int:
+        return self.instance.universe.n_runs
+
+
 @dataclass
 class ProtocolResult:
     """A protocol's responses, run name -> {agent -> response time or None}.
 
     A synthesized result (`from_times`) keeps the (n_runs, k) response array of
-    its instance, and its `responses` is a read-only mapping derived from that
-    array, so the two cannot drift apart.  Any other result, a parsed document
+    its instance, and its `responses` is a read-only mapping over that array
+    that builds a run's row each time it is read, so the two cannot drift apart
+    and no per-run object is kept.  Any other result, a parsed document
     included, is read by walking its mapping.
     """
 
     responses: Mapping
-    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_times(cls, instance: TCRInstance, times: np.ndarray) -> "ProtocolResult":
         """The result responding at `times[r, a]` (-1 for never) in the
         instance's run and agent order; the array is made read-only."""
         times.setflags(write=False)
-        rows = map(dict, map(zip, repeat(instance.timing.agents), _with_none(times)))
-        out = cls(MappingProxyType(dict(zip(instance.universe.runs, map(MappingProxyType, rows)))))
-        out._source = (instance, times)
-        return out
+        return cls(_ResponseRows(instance, times))
 
     def response_times(self, instance: TCRInstance) -> tuple[np.ndarray, list]:
         """The responses as an (n_runs, k) array in the instance's run and agent
@@ -396,8 +437,8 @@ class ProtocolResult:
         runs and agents, times that are not JSON integers or null, and times
         outside the horizon.  An entry with a problem stays -1.  A synthesized
         result returns its own array for its own instance."""
-        if self._source is not None and self._source[0] is instance:
-            return self._source[1], []
+        if isinstance(self.responses, _ResponseRows) and self.responses.instance is instance:
+            return self.responses.times, []
         u, k = instance.universe, len(instance.timing.agents)
         column = {a: c for c, a in enumerate(instance.timing.agents)}
         offset = {run: r * k for r, run in enumerate(u.runs)}

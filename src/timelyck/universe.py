@@ -114,9 +114,9 @@ def delta_to_json(value: DeltaValue):
 
 
 def delta_from_json(raw, field: str) -> DeltaValue:
-    """A bound as JSON writes it, an integer or "inf"; a bad value is an
-    InvariantViolation naming `field`."""
-    return INF if raw == "inf" else check_delta(raw, field)
+    """A bound as JSON writes it, an integer or "inf"; a bad value, even a float
+    that overflows to inf (`1e999`), is an InvariantViolation naming `field`."""
+    return INF if raw == "inf" else json_int(raw, f'{field}, if not "inf",')
 
 
 StateMap = Union[

@@ -25,6 +25,7 @@ from timelyck.scenarios import (
     generate_system,
     make_scenario,
     response_knowledge,
+    simultaneous_delta,
     solvability,
     synthesize_optimal,
     verify_solution,
@@ -221,6 +222,30 @@ def test_synthesized_result_is_read_only_and_matches_its_walk():
             result.responses[run] = {}
         with pytest.raises(TypeError):
             del result.responses[run]
+        # the Mapping protocol: an unknown run is a KeyError, so .get and in work
+        assert result.responses.get("ghost") is None and "ghost" not in result.responses
+        assert run in result.responses
+        assert len(result.responses) == instance.universe.n_runs
+        assert list(result.responses) == list(instance.universe.runs)
+
+
+def test_synthesized_result_keeps_no_per_run_object():
+    # shaped like the benchmark's simultaneous-4x1876: the result's array is
+    # 1,876 x 4 int64 (60 KB); one dict and one proxy per run would add ~0.5 MB
+    agents = ("a", "b", "c", "d")
+    scenario = make_scenario(agents, simultaneous_delta(agents), obs_delay=(0, 4),
+                             trigger_times=(0, 1, 2))
+    instance = generate_system(scenario)
+    xi = response_knowledge(instance)
+    assert instance.universe.n_runs == 1876
+    tracemalloc.start()
+    try:
+        result = synthesize_optimal(instance, knowledge=xi)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.response_times(instance)[0].nbytes == 1876 * 4 * 8
+    assert kept < 100_000, kept
 
 
 def test_synthesized_result_on_another_instance_walks_its_mapping():

@@ -209,11 +209,25 @@ def test_props_verb():
     assert "knowledge_axioms" in proc.stdout
 
 
-def test_parse_error_exit_code(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b'\xff\xfe{"agents": []}', b"[" * 200_000 + b"]" * 200_000],
+    ids=["not-json", "not-utf8", "too-deep"],
+)
+@pytest.mark.parametrize("read_as", ["scenario", "result", "psi"])
+def test_parse_error_exit_code(tmp_path, content, read_as):
+    # `_load_json` reads the scenario of every verb, the result of `verify`
+    # and the event of `gfp --psi`
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    proc = run_cli("solve", str(bad))
-    assert proc.returncode == 2
+    bad.write_bytes(content)
+    argv = {
+        "scenario": ("solve", str(bad)),
+        "result": ("verify", PKG_DATA["ordered_2"], str(bad)),
+        "psi": ("gfp", PKG_DATA["ordered_2"], "--psi", str(bad)),
+    }[read_as]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert f"cannot read {bad}" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_invariant_violation_exit_code(tmp_path):
@@ -245,15 +259,21 @@ def test_short_obs_delay_window_exits_3_naming_the_field(tmp_path):
     assert "obs_delay.first" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_string_delta_exits_3_naming_the_pair(tmp_path):
+@pytest.mark.parametrize(
+    "raw, shown",
+    [('"abc"', "'abc'"), ("1e999", "got inf"), ("Infinity", "got inf")],
+    ids=["string", "overflow", "infinity"],
+)
+def test_string_delta_exits_3_naming_the_pair(tmp_path, raw, shown):
+    # a float that overflows to infinity is not the documented "inf"
     doc = json.loads(open(PKG_DATA["car_wash"]).read())
-    doc["delta"]["L->R"] = "abc"
+    doc["delta"]["L->R"] = "RAW"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc).replace('"RAW"', raw))
     proc = run_cli("solve", str(bad))
     assert proc.returncode == 3, proc.stderr
     assert "delta.L->R" in proc.stderr and '"inf"' in proc.stderr
-    assert "'abc'" in proc.stderr and "Traceback" not in proc.stderr
+    assert shown in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_string_trigger_time_exits_3_naming_the_field(tmp_path):

@@ -25,6 +25,7 @@ from timelyck.optimality import (
 )
 from timelyck.scenarios import (
     ProtocolResult,
+    RunInfo,
     generate_system,
     make_scenario,
     response_knowledge,
@@ -169,6 +170,18 @@ def test_run_table_and_model_match_the_literal_construction():
         # the run table
         assert list(instance.universe.runs) == [name for name, _, _ in runs], case
         assert [(r.name, r.trigger_time, r.observations) for r in instance.runs] == runs
+        rebuilt = [  # the rows rebuilt from the arrays
+            RunInfo(name, None if tau < 0 else tau,
+                    {a: None if o < 0 else o for a, o in zip(scenario.agents, obs)})
+            for name, tau, obs in zip(instance.universe.runs, instance.trigger_time.tolist(),
+                                      instance.observed_at.tolist())
+        ]
+        rows = instance.runs
+        assert list(rows) == rebuilt and len(rows) == len(rebuilt), case
+        assert rows[-1] == rebuilt[-1] and rows[0] == rebuilt[0]
+        assert rows[1:3] == rebuilt[1:3] and rows[::-2] == rebuilt[::-2]
+        with pytest.raises(IndexError):
+            rows[len(rebuilt)]
         assert instance.trigger_time.tolist() == [
             -1 if tau is None else tau for _, tau, _ in runs
         ]

@@ -104,8 +104,7 @@ def _runs_block(instance: TCRInstance, result: ProtocolResult | None) -> dict:
     out = {info.name: {"trigger_time": info.trigger_time, "observations": info.observations}
            for info in instance.runs}
     if result is not None:
-        times = result.response_times(instance)[0].tolist()
-        for entry, cells in zip(out.values(), times):
+        for entry, cells in zip(out.values(), result.response_times(instance)[0].tolist()):
             entry["responses"] = row_dict(instance.timing.agents, cells)
     return out
 
@@ -260,10 +259,7 @@ def cmd_report(args) -> int:
         row += [_cell(responses.get(a)) for a in agents]
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    ]
+    lines = ("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
     _write("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

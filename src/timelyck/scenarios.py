@@ -28,7 +28,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -154,10 +153,9 @@ class RunInfo(NamedTuple):
 
 def row_dict(keys: tuple, cells: list) -> dict:
     """One run-table row as keys -> cells, None where it holds -1."""
-    row = dict(zip(keys, cells))
     if -1 in cells:  # mostly the never-run's row
-        row.update((key, None) for key, cell in zip(keys, cells) if cell < 0)
-    return row
+        cells = [None if cell < 0 else cell for cell in cells]
+    return dict(zip(keys, cells))
 
 
 class _RunRows(Sequence):
@@ -172,8 +170,7 @@ class _RunRows(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self._rows(index))
-        r = range(len(self))[index]
-        return next(self._rows(slice(r, r + 1)))
+        return self[index : index + 1 or None][0]  # an empty slice is an IndexError
 
     def __iter__(self):
         return self._rows(slice(None))
@@ -190,8 +187,8 @@ class TCRInstance:
 
     The runs form a table in the universe's run order: `trigger_time[r]` and
     `observed_at[r, a]` (agents in scenario order) are read-only int arrays
-    holding -1 where the trigger never fires, and so is never observed.
-    `runs` reads the table as RunInfo rows, each built when it is read.
+    holding -1 where the trigger never fires, and so is never observed.  `runs`
+    reads the table as RunInfo rows, each built when it is read.
     """
 
     scenario: ScenarioSpec
@@ -391,8 +388,7 @@ def solvability(instance: TCRInstance, *, knowledge: EventTuple | None = None) -
 
 
 class _ResponseRows(Mapping):
-    """A synthesized result's (n_runs, k) response array as run name -> read-only
-    {agent -> time or None}, each row built when it is read."""
+    """A response array as run -> read-only {agent -> time or None}, built on read."""
 
     def __init__(self, instance: TCRInstance, times: np.ndarray):
         self.instance, self.times = instance, times
@@ -416,10 +412,9 @@ class ProtocolResult:
     """A protocol's responses, run name -> {agent -> response time or None}.
 
     A synthesized result (`from_times`) keeps the (n_runs, k) response array of
-    its instance, and its `responses` is a read-only mapping over that array
-    that builds a run's row each time it is read, so the two cannot drift apart
-    and no per-run object is kept.  Any other result, a parsed document
-    included, is read by walking its mapping.
+    its instance, and its `responses` is a read-only view of that array that
+    builds a run's row when it is read, so the two cannot drift apart.  Any
+    other result, a parsed document included, is read by walking its mapping.
     """
 
     responses: Mapping
@@ -662,10 +657,7 @@ def make_scenario(
     action: str = "respond",
 ) -> ScenarioSpec:
     agents = tuple(agents)
-    if isinstance(obs_delay, dict):
-        per_agent = {a: tuple(obs_delay[a]) for a in agents}
-    else:
-        per_agent = {a: tuple(obs_delay) for a in agents}
+    per_agent = {a: tuple(obs_delay[a] if isinstance(obs_delay, dict) else obs_delay) for a in agents}
     return ScenarioSpec(
         agents=agents,
         trigger_times=tuple(trigger_times),

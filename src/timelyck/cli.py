@@ -2,7 +2,8 @@
 
 Verbs
     generate   emit the generated universe, runs and trigger for a scenario
-    gfp        emit the timely-common-knowledge tuple for a scenario
+    gfp        emit the timely-common-knowledge tuple for a scenario: of the
+               trigger's history on classes, as `solve`; of `--psi` on points
     solve      check solvability, synthesize the earliest protocol, verify it
     verify     re-check a previously produced protocol result
     oracle     run the brute-force cross-checks: the `props` groups
@@ -44,6 +45,7 @@ from .scenarios import (
     generate_system,
     read_runs,
     response_knowledge,
+    response_knowledge_info,
     row_dict,
     solvability,
     synthesize_optimal,
@@ -136,9 +138,9 @@ def cmd_gfp(args) -> int:
     instance = _load_instance(args)
     if args.psi:
         psi = Event.from_json_list(instance.universe, _load_json(args.psi), "psi")
-    else:
-        psi = instance.trigger_history()
-    info = timely_ck_info(psi, instance.timing)
+        info = timely_ck_info(psi, instance.timing)
+    else:  # the trigger's history, on observation classes
+        psi, info = instance.trigger_history(), response_knowledge_info(instance)
     doc = {
         "psi": psi.to_json_list(),
         "coordinates": info.value.to_json_dict(),

@@ -87,22 +87,12 @@ class Event(_PointTable):
     def full(cls, universe: Universe) -> "Event":
         return cls(universe, np.ones((universe.n_runs, universe.n_times), dtype=bool))
 
-    @classmethod
-    def from_points(cls, universe: Universe, points: Iterable) -> "Event":
-        table = np.zeros((universe.n_runs, universe.n_times), dtype=bool)
-        for run, t in points:
-            table[universe.run_index(run), universe.check_time(t)] = True
-        return cls(universe, table)
-
     def __sub__(self, other: "Event") -> "Event":
         self._same(other)
         return Event(self.universe, self.table & ~other.table)
 
     def __invert__(self) -> "Event":
         return Event(self.universe, ~self.table)
-
-    def is_empty(self) -> bool:
-        return not self.table.any()
 
     @property
     def size(self) -> int:
@@ -185,12 +175,6 @@ class EventTuple(_PointTable):
         if self.agents != agents:
             raise InvariantViolation(f"{what} agents {self.agents} are not {agents}")
         return self
-
-    @classmethod
-    def bottom(cls, universe: Universe, agents: Iterable[str]) -> "EventTuple":
-        agents = tuple(agents)
-        shape = (len(agents), universe.n_runs, universe.n_times)
-        return cls.of(universe, agents, np.zeros(shape, dtype=bool))
 
     @classmethod
     def top(cls, universe: Universe, agents: Iterable[str]) -> "EventTuple":

@@ -24,11 +24,11 @@ characterisation reconstructs path by path.  Its step gathers every partner's
 coordinate at the shifted time, and `apply_g` is one such step.  Both fixed
 points, the single-event fixed points (`event_gfp`: common, eventual and
 window common knowledge) and the class-table descent of
-`scenarios.response_knowledge` run through one descent loop (`_descend`) with
-one descent check, iteration bound and trace.
-Each iteration makes one descent test, `nxt > cur`, and the loop stops when
-the coordinate sizes it records for the trace repeat: every accepted step lies
-inside its predecessor, so equal sizes mean equal iterates.
+`scenarios.response_knowledge_info` run through one descent loop (`_descend`)
+with one descent check, iteration bound and trace.  Of the verbs, `gfp --psi`
+and the `oracle` fixed-point sweep and nested characterisation run the point
+descent; `gfp` without `--psi`, `solve`, `verify --optimal` and the `oracle`
+optimality sweep run the class descent on the trigger's history.
 
 `timely_ck_oracle` provides the independent check: enumerate every tuple in
 the (finite) lattice, keep the ones below their own image, and join them.  It
@@ -268,11 +268,13 @@ class GfpResult:
     trace: list  # per-iteration coordinate sizes
 
 
-def _descend(step, start: np.ndarray, agents: tuple, sizes: list | None = None) -> tuple:
+def _descend(step, start: np.ndarray, agents: tuple,
+             count=lambda x: x.reshape(len(x), -1).sum(axis=1).tolist()) -> tuple:
     """Iterate a monotone map on boolean tables of shape (k, ...), row n for
-    ``agents[n]``, from `start` until two iterates coincide; `sizes`, when
-    given, are start's row counts.  Returns the value table, the iteration
-    count and the trace.
+    ``agents[n]``, from `start` until two iterates coincide.  `count` maps a
+    table to its per-row sizes, by default its row counts; another count must
+    weigh every entry an iterate can lose.  Returns the value table, the
+    iteration count and the trace.
 
     On a finite lattice the stabilized value of a descending Kleene iteration
     from the top is the greatest fixed point.  Each strict step must remove at
@@ -280,13 +282,11 @@ def _descend(step, start: np.ndarray, agents: tuple, sizes: list | None = None) 
     the table size; exceeding the bound, or any non-descending step, means the
     supplied map was not monotone and is reported as an internal error.  Since
     every accepted step lies inside its predecessor, two iterates coincide
-    exactly when their row counts, recorded for the trace, do.
+    exactly when their sizes, recorded for the trace, do.
     """
-    k = len(agents)
     bound = start.size + 1
     cur = start
-    if sizes is None:
-        sizes = cur.reshape(k, -1).sum(axis=1).tolist()
+    sizes = count(cur)
     trace = [dict(zip(agents, sizes))]
     for iteration in range(1, bound + 1):
         nxt = step(cur)
@@ -294,7 +294,7 @@ def _descend(step, start: np.ndarray, agents: tuple, sizes: list | None = None) 
             raise InternalConsistencyError(
                 "fixed-point iteration did not descend; the map is not monotone"
             )
-        new_sizes = nxt.reshape(k, -1).sum(axis=1).tolist()
+        new_sizes = count(nxt)
         trace.append(dict(zip(agents, new_sizes)))
         if new_sizes == sizes:
             return nxt, iteration, trace
@@ -307,9 +307,8 @@ def _descend(step, start: np.ndarray, agents: tuple, sizes: list | None = None) 
 def _descend_from_top(step, universe: Universe, agents: tuple) -> GfpResult:
     """`_descend` on (k, n_runs, n_times) tuple tables from the all-full one;
     the tuple is built only for the final value."""
-    k = len(agents)
-    start = np.ones((k, universe.n_runs, universe.n_times), dtype=bool)
-    table, iterations, trace = _descend(step, start, agents, [universe.n_points] * k)
+    start = np.ones((len(agents), universe.n_runs, universe.n_times), dtype=bool)
+    table, iterations, trace = _descend(step, start, agents)
     return GfpResult(EventTuple.of(universe, agents, table), iterations, trace)
 
 

@@ -40,7 +40,7 @@ from .errors import (
     Unsolvable,
 )
 from .events import Event, EventTuple, within
-from .fixpoint import TimingSpec, _descend, late_pairs, reach_matrix
+from .fixpoint import GfpResult, TimingSpec, _descend, late_pairs, reach_matrix
 from .universe import (
     INF, Universe, json_bool, json_int, json_list, json_object, json_str,
 )
@@ -287,10 +287,10 @@ def generate_system(scenario: ScenarioSpec, *, synchronous: bool = True) -> TCRI
 # -- solvability and synthesis ---------------------------------------------------
 
 
-def response_knowledge(instance: TCRInstance) -> EventTuple:
+def response_knowledge_info(instance: TCRInstance) -> GfpResult:
     """Timely common knowledge of the trigger's history, per agent, decided on
-    the agents' observation classes; `timely_ck` on the trigger history is the
-    point route it equals.
+    the agents' observation classes, with its iteration trace; `timely_ck_info`
+    on the trigger history is the point route it equals, count and trace too.
 
     Agent i's state at (r, t) is (t, o) once it has observed the trigger at o
     and (t, None) before, so each coordinate is a union of classes.  The
@@ -310,6 +310,11 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
     unobserved at t (T + i's latest delay > t) has T <= t and meets the same
     bounds.  The descent runs through `_descend`, and a `searchsorted` per
     agent then finds each run's column, giving the (k, n_runs, n_times) tuple.
+
+    The trace counts points: agent a's size sums runs(a, c) * |row(a, c)| over
+    columns c, the rows as the final gather builds them.  An entry no run reads
+    (padding, a column before its time, the unobserved column from a's last
+    observation on without the never-run) keeps its value from the top on.
     """
     scenario, u, agents = instance.scenario, instance.universe, instance.timing.agents
     triggers = scenario.trigger_times
@@ -345,15 +350,25 @@ def response_knowledge(instance: TCRInstance) -> EventTuple:
         return clock >= start[:, :, None]
 
     observed = clock >= obs_of[:, :, None]
-    top = observed.copy()
-    top[:, unobserved] = True
-    value = _descend(step, top, agents)[0]
-    # row (a, c): a's value in the runs observing at column c's time, the
-    # unobserved column's before that time and column c's from it on
-    rows = np.where(observed, value, value[:, unobserved:])
     obs = instance.observed_at.T
     column = np.where(obs >= 0, [np.searchsorted(times, o) for times, o in zip(seen, obs)], unobserved)
-    return EventTuple.of(u, agents, rows[np.arange(k)[:, None], column])
+    runs = np.stack([np.bincount(col, minlength=unobserved + 1) for col in column])
+
+    def rows(x):
+        # row (a, c): a's value in the runs observing at column c's time, the
+        # unobserved column's before that time and column c's from it on
+        return np.where(observed, x, x[:, unobserved:])
+
+    top = observed.copy()
+    top[:, unobserved] = True
+    value, iterations, trace = _descend(
+        step, top, agents, lambda x: (rows(x).sum(axis=2) * runs).sum(axis=1).tolist())
+    value = EventTuple.of(u, agents, rows(value)[np.arange(k)[:, None], column])
+    return GfpResult(value, iterations, trace)
+
+
+def response_knowledge(instance: TCRInstance) -> EventTuple:
+    return response_knowledge_info(instance).value
 
 
 def knowledge_for(instance: TCRInstance, knowledge: EventTuple | None) -> EventTuple:

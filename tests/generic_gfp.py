@@ -51,7 +51,8 @@ def gfp_bruteforce_oracle(
     _oracle_bits(universe, len(agents), guard_bits)
     space = PackedSpace(universe)
 
-    join = EventTuple.bottom(universe, agents)
+    shape = (len(agents), universe.n_runs, universe.n_times)
+    join = EventTuple.of(universe, agents, np.zeros(shape, dtype=bool))
     for packed in range(1 << (p * len(agents))):
         masks = [(packed >> (p * n)) & ((1 << p) - 1) for n in range(len(agents))]
         x = EventTuple.of(universe, agents, space.tables(masks))

@@ -486,7 +486,8 @@ def test_ensemble_report_matches_the_combination_loop(monkeypatch):
         kind = case % 4
         candidate = None
         if kind == 1 or (kind == 2 and rng.random() < 0.5):
-            bottom = EventTuple.bottom(u, u.agents)
+            shape = (len(u.agents), u.n_runs, u.n_times)
+            bottom = EventTuple.of(u, u.agents, np.zeros(shape, dtype=bool))
             candidate = random_tuple(rng, u) if rng.random() < 0.5 else bottom
         drop.clear()
         samples, seed = 4, int(rng.integers(0, 2**31))
@@ -540,8 +541,8 @@ def _verify_solution_by_points(instance, result) -> SolutionReport:
         cex["coordinated"] = [{"pair": f"{i}->{j}"} for i, j in broken]
 
     stray = tuple_union(ensemble) - instance.trigger_history()
-    checks["follows_trigger"] = stray.is_empty()
-    if not stray.is_empty():
+    checks["follows_trigger"] = not stray.table.any()
+    if stray.table.any():
         cex["follows_trigger"] = [
             {"run": p.run, "time": p.time} for p in stray.points()[:5]
         ]

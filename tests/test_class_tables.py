@@ -17,7 +17,7 @@ from timelyck.errors import (
     Unsolvable,
 )
 from timelyck.events import Event, is_local, within
-from timelyck.fixpoint import EventTuple, TimingSpec, timely_ck
+from timelyck.fixpoint import EventTuple, TimingSpec, timely_ck_info
 from timelyck.optimality import verify_optimal
 from timelyck.scenarios import (
     ProtocolResult,
@@ -25,6 +25,7 @@ from timelyck.scenarios import (
     generate_system,
     make_scenario,
     response_knowledge,
+    response_knowledge_info,
     simultaneous_delta,
     solvability,
     synthesize_optimal,
@@ -78,11 +79,15 @@ def test_class_knowledge_matches_the_point_descent():
     )
     scenarios_ = [draw_scenario(rng, min_triggers=0) for _ in range(320)] + _bundled()
     for case, scenario in enumerate(scenarios_):
-        instance = generate_system(scenario)
-        got = response_knowledge(instance)
-        want = timely_ck(instance.trigger_history(), instance.timing)
-        assert got.agents == want.agents and got.universe is instance.universe
-        assert np.array_equal(got.table, want.table), (case, scenario.to_json_dict())
+        for synchronous in (False, True):  # the counters read the synchronous instance
+            instance = generate_system(scenario, synchronous=synchronous)
+            info = response_knowledge_info(instance)
+            want = timely_ck_info(instance.trigger_history(), instance.timing)
+            got = info.value
+            assert got.agents == want.value.agents and got.universe is instance.universe
+            assert np.array_equal(got.table, want.value.table), (case, scenario.to_json_dict())
+            assert (info.iterations, info.trace) == (want.iterations, want.trace), case
+            assert response_knowledge(instance) == got
 
         pending = instance.observed_at.T[:, :, None] > np.arange(instance.universe.n_times)
         seen["multi_trigger"] += len(scenario.trigger_times) > 1
@@ -363,7 +368,7 @@ def test_reach_table_consistency_checks_refuse_crafted_knowledge():
         synthesize_optimal(instance, knowledge=stray)
 
     # coordinates no agent ever reaches
-    nowhere = EventTuple.bottom(u, agents)
+    nowhere = EventTuple.of(u, agents, np.zeros(xi.table.shape, dtype=bool))
     assert not solvability(instance, knowledge=nowhere)
     with pytest.raises(Unsolvable):
         synthesize_optimal(instance, knowledge=nowhere)

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import timelyck
-from timelyck import props
+from timelyck import fixpoint, props
 from timelyck.cli import main
 from timelyck.fixpoint import EventTuple
 from timelyck.nested import verify_nested_characterization
 from timelyck.scenarios import ScenarioSpec, generate_system
 
-from test_class_tables import draw_scenario
+from test_class_tables import _bundled, _spied_instance, draw_scenario
 
 PKG_DATA = {
     name: str(timelyck.bundled_scenario_path(name))
@@ -675,6 +675,39 @@ def test_cli_output_matches_golden_hashes(tmp_path, name):
         assert code == GOLDEN["exit"][name][verb], (name, verb)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == GOLDEN["sha256"][name][verb], (name, verb)
+
+
+class PointDescentRan(Exception):
+    pass
+
+
+def test_gfp_of_the_trigger_history_runs_on_observation_classes(tmp_path, monkeypatch):
+    """`gfp` without `--psi` writes its golden bytes with the point descent's
+    step made to raise and without interning a point state; `gfp --psi`
+    still runs that step."""
+
+    def refuse(*args):
+        raise PointDescentRan
+
+    monkeypatch.setattr(fixpoint, "_window_step", refuse)
+    _, calls = _spied_instance(monkeypatch, _bundled()[0])
+    verbs = [verb for verb in GOLDEN["verbs"] if verb.startswith("gfp")]
+    assert len(verbs) == 5
+    for name in sorted(GOLDEN["sha256"]):
+        scenario = str(timelyck.bundled_scenario_path(name))
+        for verb in verbs:
+            out = tmp_path / f"{name}-{verb.replace(' ', '_')}.json"
+            assert main([*verb.split(), scenario, "-o", str(out)]) == GOLDEN["exit"][name][verb]
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == GOLDEN["sha256"][name][verb], (name, verb)
+    assert calls == []
+
+    for name in sorted(GOLDEN["sha256"]):
+        psi = tmp_path / f"{name}-psi.json"
+        psi.write_text(json.dumps(json.loads((tmp_path / f"{name}-gfp.json").read_text())["psi"]))
+        with pytest.raises(PointDescentRan):
+            main(["gfp", str(timelyck.bundled_scenario_path(name)), "--psi", str(psi)])
+    assert len(calls) == 8  # the point descent interns each universe's states first
 
 
 RANDOM_VERBS = ("generate", "solve", "gfp --diagnostics", "verify --optimal")

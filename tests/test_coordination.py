@@ -38,8 +38,8 @@ def test_delta_coordination_examples(toy):
     empty = tup(toy, Event.empty(toy), Event.empty(toy))
     assert is_delta_coordinated(empty, spec2(0, 0))
 
-    ea = Event.from_points(toy, [("r1", 1)])
-    eb = Event.from_points(toy, [("r1", 2)])
+    ea = Event.from_json_list(toy, [["r1", 1]])
+    eb = Event.from_json_list(toy, [["r1", 2]])
     assert is_delta_coordinated(tup(toy, ea, eb), spec2(1, 0))
     assert not is_delta_coordinated(tup(toy, ea, eb), spec2(0, 0))
 
@@ -83,19 +83,19 @@ def test_infinite_bound_needs_a_response_in_the_run():
     # regression: j's coordinate is empty in run r1 where i's holds; an infinite
     # bound must not count the missing first instant as a witness
     u = Universe(["a", "b"], ["r0", "r1"], 2, lambda agent, run, t: (t, run))
-    ea = Event.from_points(u, [("r0", 0), ("r1", 1)])
-    eb = Event.from_points(u, [("r0", 2)])
+    ea = Event.from_json_list(u, [["r0", 0], ["r1", 1]])
+    eb = Event.from_json_list(u, [["r0", 2]])
     spec = spec2(INF, INF)
     assert not _literal(tup(u, ea, eb), spec)
     assert not is_delta_coordinated(tup(u, ea, eb), spec)
-    assert is_delta_coordinated(tup(u, ea, eb | Event.from_points(u, [("r1", 0)])), spec)
+    assert is_delta_coordinated(tup(u, ea, eb | Event.from_json_list(u, [["r1", 0]])), spec)
 
 
 def test_huge_finite_bound_is_clamped_not_overflowed():
     # bounds of +-10^30 do not fit int64: they act like H and -(H+1)
     u = Universe(["a", "b"], ["r0", "r1"], 2, lambda agent, run, t: (t, run))
-    ea = Event.from_points(u, [("r0", 0), ("r1", 1)])
-    eb = Event.from_points(u, [("r0", 2), ("r1", 0)])
+    ea = Event.from_json_list(u, [["r0", 0], ["r1", 1]])
+    eb = Event.from_json_list(u, [["r0", 2], ["r1", 0]])
     for dab, dba in ((10**30, 10**30), (-(10**30), 10**30), (10**30, -(10**30))):
         spec = spec2(dab, dba)
         assert is_delta_coordinated(tup(u, ea, eb), spec) == _literal(tup(u, ea, eb), spec)
@@ -108,18 +108,18 @@ def test_perfect_and_eventual(toy, rng):
     assert is_perfectly_coordinated(empty)
     e = random_event(rng, toy)
     assert is_perfectly_coordinated(tup(toy, e, e))
-    ea = Event.from_points(toy, [("r1", 1)])
-    eb = Event.from_points(toy, [("r1", 2)])
+    ea = Event.from_json_list(toy, [["r1", 1]])
+    eb = Event.from_json_list(toy, [["r1", 2]])
     assert not is_perfectly_coordinated(tup(toy, ea, eb))
     assert is_eventually_coordinated(tup(toy, ea, eb))
     assert not is_eventually_coordinated(
-        tup(toy, Event.from_points(toy, [("r0", 0)]), Event.empty(toy))
+        tup(toy, Event.from_json_list(toy, [["r0", 0]]), Event.empty(toy))
     )
 
 
 def test_epsilon_coordination(toy):
-    ea = Event.from_points(toy, [("r0", 0)])
-    eb = Event.from_points(toy, [("r0", 3)])
+    ea = Event.from_json_list(toy, [["r0", 0]])
+    eb = Event.from_json_list(toy, [["r0", 3]])
     assert not is_epsilon_coordinated(tup(toy, ea, eb), 1)
     assert is_epsilon_coordinated(tup(toy, ea, eb), 3)
     empty = tup(toy, Event.empty(toy), Event.empty(toy))
@@ -216,7 +216,7 @@ def test_correspondence_report_toy(toy, rng):
 
 
 def test_correspondence_detects_corruption(toy, rng):
-    psi = within(random_event(rng, toy), 0) | Event.from_points(toy, [("r1", 1)])
+    psi = within(random_event(rng, toy), 0) | Event.from_json_list(toy, [["r1", 1]])
     s = spec2(1, 1)
     xi = timely_ck(psi, s)
     table = xi["a"].table.copy()

@@ -27,11 +27,11 @@ import naive_reference as naive
 
 
 def pts(u, *pairs):
-    return Event.from_points(u, pairs)
+    return Event.from_json_list(u, [list(p) for p in pairs])
 
 
 def run_points(u, run, lo=0):
-    return Event.from_points(u, [(run, t) for t in range(lo, u.n_times)])
+    return Event.from_json_list(u, [[run, t] for t in range(lo, u.n_times)])
 
 
 # -- temporal operators ------------------------------------------------------

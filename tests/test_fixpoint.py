@@ -30,6 +30,11 @@ import naive_reference as naive
 from generic_gfp import gfp, gfp_bruteforce_oracle
 
 
+def nowhere(u, agents):
+    """The tuple that holds at no point."""
+    return EventTuple.of(u, agents, np.zeros((len(agents), u.n_runs, u.n_times), dtype=bool))
+
+
 def spec2(dab=1, dba=1):
     return TimingSpec(("a", "b"), {("a", "b"): dab, ("b", "a"): dba})
 
@@ -106,7 +111,7 @@ def test_spec_json_round_trip():
 
 
 def test_tuple_lattice_laws(toy, rng):
-    bot = EventTuple.bottom(toy, ("a", "b"))
+    bot = nowhere(toy, ("a", "b"))
     for _ in range(20):
         x = random_tuple(rng, toy, ("a", "b"))
         y = random_tuple(rng, toy, ("a", "b"))
@@ -117,15 +122,15 @@ def test_tuple_lattice_laws(toy, rng):
 
 
 def test_tuple_union(toy):
-    bot = EventTuple.bottom(toy, ("a", "b"))
+    bot = nowhere(toy, ("a", "b"))
     assert tuple_union(bot) == Event.empty(toy)
-    e = Event.from_points(toy, [("r1", 1)])
+    e = Event.from_json_list(toy, [["r1", 1]])
     assert tuple_union(EventTuple(toy, {"a": e, "b": e})) == e
 
 
 def test_tuple_agent_mismatch(toy):
-    x = EventTuple.bottom(toy, ("a", "b"))
-    y = EventTuple.bottom(toy, ("a",))
+    x = nowhere(toy, ("a", "b"))
+    y = nowhere(toy, ("a",))
     with pytest.raises(InvariantViolation):
         x <= y
 
@@ -139,7 +144,7 @@ def test_apply_f_trivial(toy):
     out = apply_f(Event.full(toy), spec2(1, 0), top)
     assert out == top
     out = apply_f(Event.empty(toy), spec2(), top)
-    assert out == EventTuple.bottom(toy, ("a", "b"))
+    assert out == nowhere(toy, ("a", "b"))
 
 
 def test_apply_f_monotone(toy, rng):
@@ -158,7 +163,7 @@ def test_apply_g_unconstrained_pairs(toy, rng):
     out = apply_g(psi, s, x)
     assert out["a"] == knows("a", psi)
     assert out["b"] == knows("b", psi)
-    assert apply_g(Event.empty(toy), spec2(), x) == EventTuple.bottom(toy, ("a", "b"))
+    assert apply_g(Event.empty(toy), spec2(), x) == nowhere(toy, ("a", "b"))
 
 
 def test_apply_g_meet_commutation(toy, rng):
@@ -177,14 +182,14 @@ def test_apply_g_meet_commutation(toy, rng):
 
 def test_gfp_identity_and_constant(toy):
     top = EventTuple.top(toy, ("a", "b"))
-    bot = EventTuple.bottom(toy, ("a", "b"))
+    bot = nowhere(toy, ("a", "b"))
     assert gfp(lambda x: x, top).value == top
     assert gfp(lambda x: bot, top).value == bot
 
 
 def test_gfp_rejects_non_monotone(toy):
     top = EventTuple.top(toy, ("a", "b"))
-    bot = EventTuple.bottom(toy, ("a", "b"))
+    bot = nowhere(toy, ("a", "b"))
 
     def flip(x):
         return bot if x == top else top
@@ -196,7 +201,7 @@ def test_gfp_rejects_non_monotone(toy):
 def test_generic_oracle_trivials():
     u = random_universe(np.random.default_rng(1), n_agents=2, max_runs=1, max_times=3)
     top = EventTuple.top(u, u.agents)
-    bot = EventTuple.bottom(u, u.agents)
+    bot = nowhere(u, u.agents)
     assert gfp_bruteforce_oracle(lambda x: x, u, u.agents, guard_bits=8) == top
     assert gfp_bruteforce_oracle(lambda x: bot, u, u.agents, guard_bits=8) == bot
 
@@ -231,8 +236,8 @@ def test_packed_oracle_matches_engine(toy, rng):
 
 
 def test_timely_ck_empty_is_bottom(toy):
-    assert timely_ck(Event.empty(toy), spec2()) == EventTuple.bottom(toy, ("a", "b"))
-    assert timely_ck_g(Event.empty(toy), spec2()) == EventTuple.bottom(toy, ("a", "b"))
+    assert timely_ck(Event.empty(toy), spec2()) == nowhere(toy, ("a", "b"))
+    assert timely_ck_g(Event.empty(toy), spec2()) == nowhere(toy, ("a", "b"))
 
 
 def test_timely_ck_single_run_full(single_run):
@@ -241,7 +246,7 @@ def test_timely_ck_single_run_full(single_run):
     assert xi == EventTuple.top(single_run, ("a", "b"))
     # a hard negative window cuts early times off coordinate a
     xi = timely_ck(Event.full(single_run), spec2(-2, 2))
-    assert xi["a"] == Event.from_points(single_run, [("r0", 2), ("r0", 3)])
+    assert xi["a"] == Event.from_json_list(single_run, [["r0", 2], ["r0", 3]])
     oracle = timely_ck_oracle(Event.full(single_run), spec2(-2, 2))
     assert xi == oracle
 
@@ -334,7 +339,7 @@ def test_array_descent_matches_within_composed_map():
         seen["inf_pair"] += len(finite) < len(delta)
         seen["beyond_horizon"] += any(abs(d) > H for d in finite)
         seen["huge"] += any(abs(d) == 10**30 for d in finite)
-        seen["empty_psi"] += psi.is_empty()
+        seen["empty_psi"] += not psi.table.any()
         seen["emptied_run"] += any(
             psi.table[r].any() and not got.value[a].table[r].any()
             for a in u.agents
@@ -426,7 +431,7 @@ def test_shift_descent_matches_shift_composed_map():
         seen["inf_pair"] += len(finite) < len(delta)
         seen["beyond_horizon"] += any(abs(d) > H for d in finite)
         seen["huge"] += any(abs(d) == 10**30 for d in finite)
-        seen["empty_psi"] += psi.is_empty()
+        seen["empty_psi"] += not psi.table.any()
     assert all(n >= 10 for n in seen.values()), seen
 
 
@@ -443,7 +448,7 @@ def test_induction_rule(toy, rng):
     s = random_spec(rng, ("a", "b"))
     xi = timely_ck(psi, s)
     assert check_induction_rule(psi, s, xi)
-    assert check_induction_rule(psi, s, EventTuple.bottom(toy, ("a", "b")))
+    assert check_induction_rule(psi, s, nowhere(toy, ("a", "b")))
 
 
 # -- degenerate variants -----------------------------------------------------------

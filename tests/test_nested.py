@@ -123,7 +123,7 @@ def test_characterization_report_gates(toy, toy_forgetful, rng):
         assert rep.per_agent[agent]["equals_window_fixed_point"]
 
     # non-stable psi: the gate stays open, nothing asserted beyond the core
-    point = Event.from_points(toy, [("r1", 1)])
+    point = Event.from_json_list(toy, [["r1", 1]])
     rep = verify_nested_characterization(point, spec2(0, 0))
     assert not rep.preconditions["stable_psi"]
     assert not rep.asserted_full_equality
@@ -186,12 +186,12 @@ def test_mixed_bounds_can_make_fixed_points_incomparable(toy):
     from timelyck.fixpoint import timely_ck
 
     s = spec2(INF, 0)
-    psi = Event.from_points(toy, [("r1", 1)])
+    psi = Event.from_json_list(toy, [["r1", 1]])
     f_fix = timely_ck(psi, s)
     g_fix = timely_ck_g(psi, s)
-    assert f_fix["a"].is_empty() and f_fix["b"].is_empty()
-    assert g_fix["a"] == Event.from_points(toy, [("r1", 1)])
-    assert g_fix["b"].is_empty()
+    assert not f_fix["a"].table.any() and not f_fix["b"].table.any()
+    assert g_fix["a"] == Event.from_json_list(toy, [["r1", 1]])
+    assert not g_fix["b"].table.any()
     rep = verify_nested_characterization(psi, s)
     assert not rep.exact_shift_below_window
     assert not rep.asserted_full_equality

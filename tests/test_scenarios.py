@@ -378,7 +378,7 @@ def test_reductions_hold_on_random_instances():
 
 def test_trigger_instant_never_common_knowledge():
     inst = carwash_instance()
-    assert common_knowledge(("L", "R", "D"), inst.trigger).is_empty()
+    assert not common_knowledge(("L", "R", "D"), inst.trigger).table.any()
 
 
 def test_trigger_history_common_knowledge_attained():
@@ -386,7 +386,7 @@ def test_trigger_history_common_knowledge_attained():
     # windows have certainly closed; the contrast with the instant is the point
     inst = carwash_instance()
     ck = common_knowledge(("L", "R", "D"), inst.trigger_history())
-    assert not ck.is_empty()
+    assert ck.table.any()
 
 
 def test_never_run_flag_removes_run():

@@ -80,10 +80,6 @@ class Event(_PointTable):
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def empty(cls, universe: Universe) -> "Event":
-        return cls(universe, np.zeros((universe.n_runs, universe.n_times), dtype=bool))
-
-    @classmethod
     def full(cls, universe: Universe) -> "Event":
         return cls(universe, np.ones((universe.n_runs, universe.n_times), dtype=bool))
 

@@ -331,17 +331,11 @@ class OptimalityReport:
         }
 
 
-def result_assignment(model: StrategyModel, result: ProtocolResult) -> np.ndarray:
-    """Project a protocol result onto the strategy variables.
-
-    Requires the result to be observation-indexed: a response by every agent in
-    every triggered run, the same in every run sharing an observation class.
-    """
-    return _assignment(model, *result.response_times(model.instance))
-
-
 def _assignment(model: StrategyModel, times: np.ndarray, problems: list) -> np.ndarray:
-    """`result_assignment` on what `ProtocolResult.response_times` returns."""
+    """Project a protocol result, as `ProtocolResult.response_times` returns
+    it, onto the strategy variables.  The result must be observation-indexed:
+    a response by every agent in every triggered run, the same in every run
+    sharing an observation class."""
     instance = model.instance
     if problems:
         raise InvariantViolation(f"malformed response: {problems[0]}")

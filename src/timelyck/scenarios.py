@@ -8,7 +8,8 @@ combination of trigger time and delay vector; local states are
 full-information records (current time plus the observation time, once seen),
 so generated universes are synchronous and never forget.  An instance keeps
 its runs as a table (a trigger-time vector and an (n_runs, k) observation
-matrix, -1 for never), counted against the run cap before it is built.
+matrix, -1 for never), counted against the run cap before it is built; its
+`runs` is that table as a list of rows, built afresh on each read.
 Solving works on that table and builds no point event: knowledge is decided
 on per-agent observation classes, solvability and synthesis read one (k,
 n_runs) table of the runs each coordinate reaches, a synthesized result keeps
@@ -25,7 +26,7 @@ that coordinate holds.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from types import MappingProxyType
@@ -158,29 +159,6 @@ def row_dict(keys: tuple, cells: list) -> dict:
     return dict(zip(keys, cells))
 
 
-class _RunRows(Sequence):
-    """An instance's run table as RunInfo rows in run order, each built when it is read."""
-
-    def __init__(self, instance: TCRInstance):
-        self.instance = instance
-
-    def __len__(self) -> int:
-        return self.instance.universe.n_runs
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._rows(index))
-        return self[index : index + 1 or None][0]  # an empty slice is an IndexError
-
-    def __iter__(self):
-        return self._rows(slice(None))
-
-    def _rows(self, span: slice):
-        inst, taus = self.instance, self.instance.trigger_time[span]
-        return map(RunInfo, inst.universe.runs[span], np.where(taus < 0, None, taus).tolist(),
-                   map(partial(row_dict, inst.scenario.agents), inst.observed_at[span].tolist()))
-
-
 @dataclass
 class TCRInstance:
     """A generated universe plus the task parameters acting on it.
@@ -188,7 +166,7 @@ class TCRInstance:
     The runs form a table in the universe's run order: `trigger_time[r]` and
     `observed_at[r, a]` (agents in scenario order) are read-only int arrays
     holding -1 where the trigger never fires, and so is never observed.  `runs`
-    reads the table as RunInfo rows, each built when it is read.
+    is the table as a list of RunInfo rows, built afresh on each read.
     """
 
     scenario: ScenarioSpec
@@ -198,7 +176,12 @@ class TCRInstance:
     timing: TimingSpec  # normalized against the generated horizon
     delta_normalizations: dict = field(default_factory=dict)
 
-    runs = property(_RunRows)
+    @property
+    def runs(self) -> list[RunInfo]:
+        """The run table as RunInfo rows in run order, a new list on each read."""
+        taus = np.where(self.trigger_time < 0, None, self.trigger_time).tolist()
+        return list(map(RunInfo, self.universe.runs, taus,
+                        map(partial(row_dict, self.scenario.agents), self.observed_at.tolist())))
 
     @property
     def trigger(self) -> Event:

@@ -342,11 +342,6 @@ class Universe:
     def n_state_classes(self, agent: str) -> int:
         return self._states()[2][self.agent_index(agent)]
 
-    def state_label(self, agent: str, run: str, t: int) -> Hashable:
-        ai = self.agent_index(agent)
-        ids, labels, _ = self._states()
-        return labels[ai][int(ids[ai][self.run_index(run), self.check_time(t)])]
-
     def exhibits_perfect_recall(self) -> bool:
         """Whether every agent's current state determines its set of past states.
 

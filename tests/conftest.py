@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
+from timelyck.events import Event
 from timelyck.universe import Universe
 
 BOT = "-"  # nothing observed yet
+
+
+def state_label(u: Universe, agent: str, run: str, t: int):
+    """The label of `agent`'s interned local state at (run, t)."""
+    ids, labels, _ = u._states()
+    ai = u.agent_index(agent)
+    return labels[ai][int(ids[ai][u.run_index(run), u.check_time(t)])]
+
+
+def empty_event(u: Universe) -> Event:
+    """The event that holds at no point of `u`."""
+    return Event(u, np.zeros((u.n_runs, u.n_times), dtype=bool))
 
 
 def _toy_states(b_sees_at: int = 2, a_forgets: bool = False):

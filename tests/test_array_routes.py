@@ -24,7 +24,7 @@ from timelyck import _kernels
 from timelyck import coordination as coord
 from timelyck.coordination import is_delta_coordinated, verify_greatest_coordinated_ensemble
 from timelyck.errors import InvariantViolation, SizeGuardExceeded
-from timelyck.events import Event, is_local
+from timelyck.events import is_local
 from timelyck.fixpoint import (
     EventTuple,
     TimingSpec,
@@ -47,6 +47,7 @@ from timelyck.sampling import AGENT_POOL, random_event, random_spec, random_tupl
 from timelyck.universe import INF, Universe, clamp_delta, window_reach
 
 import naive_reference as naive
+from conftest import empty_event, state_label
 from generic_gfp import gfp_bruteforce_oracle
 
 # -- sampled universes ----------------------------------------------------------
@@ -106,7 +107,8 @@ def test_one_draw_universe_matches_point_by_point_draws():
             assert np.array_equal(u.state_ids(agent), ref.state_ids(agent)), (seed, settings)
             for run in u.runs:
                 for t in range(u.n_times):
-                    label, ref_label = u.state_label(agent, run, t), ref.state_label(agent, run, t)
+                    label = state_label(u, agent, run, t)
+                    ref_label = state_label(ref, agent, run, t)
                     assert label == ref_label and repr(label) == repr(ref_label)
         assert u.to_json_dict() == ref.to_json_dict()
 
@@ -213,7 +215,7 @@ def _oracle_case(rng, n_agents, bit_budget):
         delta = {p: (10**30 if rng.random() < 0.5 else -(10**30)) if rng.random() < 0.5
                  else spec.delta(*p) for p in spec.pairs()}
         spec = TimingSpec(spec.agents, delta)
-    psi = Event.empty(u) if kind == 2 else random_event(rng, u)
+    psi = empty_event(u) if kind == 2 else random_event(rng, u)
     return u, spec, psi, kind
 
 

@@ -23,6 +23,7 @@ from timelyck.fixpoint import (
 from timelyck.sampling import random_event, random_spec, random_tuple, random_universe
 from timelyck.universe import INF, Universe
 
+from conftest import empty_event
 from naive_reference import n_delta_coordinated, n_epsilon_coordinated, point_set
 
 
@@ -35,7 +36,7 @@ def tup(u, ea, eb):
 
 
 def test_delta_coordination_examples(toy):
-    empty = tup(toy, Event.empty(toy), Event.empty(toy))
+    empty = tup(toy, empty_event(toy), empty_event(toy))
     assert is_delta_coordinated(empty, spec2(0, 0))
 
     ea = Event.from_json_list(toy, [["r1", 1]])
@@ -104,7 +105,7 @@ def test_huge_finite_bound_is_clamped_not_overflowed():
 
 
 def test_perfect_and_eventual(toy, rng):
-    empty = tup(toy, Event.empty(toy), Event.empty(toy))
+    empty = tup(toy, empty_event(toy), empty_event(toy))
     assert is_perfectly_coordinated(empty)
     e = random_event(rng, toy)
     assert is_perfectly_coordinated(tup(toy, e, e))
@@ -113,7 +114,7 @@ def test_perfect_and_eventual(toy, rng):
     assert not is_perfectly_coordinated(tup(toy, ea, eb))
     assert is_eventually_coordinated(tup(toy, ea, eb))
     assert not is_eventually_coordinated(
-        tup(toy, Event.from_json_list(toy, [["r0", 0]]), Event.empty(toy))
+        tup(toy, Event.from_json_list(toy, [["r0", 0]]), empty_event(toy))
     )
 
 
@@ -122,7 +123,7 @@ def test_epsilon_coordination(toy):
     eb = Event.from_json_list(toy, [["r0", 3]])
     assert not is_epsilon_coordinated(tup(toy, ea, eb), 1)
     assert is_epsilon_coordinated(tup(toy, ea, eb), 3)
-    empty = tup(toy, Event.empty(toy), Event.empty(toy))
+    empty = tup(toy, empty_event(toy), empty_event(toy))
     assert is_epsilon_coordinated(empty, 0)
     with pytest.raises(InvariantViolation):
         is_epsilon_coordinated(empty, -1)
@@ -202,7 +203,7 @@ def test_enumerated_ensembles_are_local(toy):
 
 
 def test_correspondence_report_trivial_psi(toy):
-    report = verify_greatest_coordinated_ensemble(Event.empty(toy), spec2(1, 1))
+    report = verify_greatest_coordinated_ensemble(empty_event(toy), spec2(1, 1))
     assert report.ok()
 
 

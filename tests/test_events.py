@@ -24,6 +24,7 @@ from timelyck.sampling import random_event, random_universe
 from timelyck.universe import INF
 
 import naive_reference as naive
+from conftest import empty_event
 
 
 def pts(u, *pairs):
@@ -38,7 +39,7 @@ def run_points(u, run, lo=0):
 
 
 def test_eventually_trivial(toy):
-    assert eventually(Event.empty(toy)) == Event.empty(toy)
+    assert eventually(empty_event(toy)) == empty_event(toy)
     assert eventually(Event.full(toy)) == Event.full(toy)
 
 
@@ -53,7 +54,7 @@ def test_shift_exact_identity_and_moves(toy):
     assert shift_exact(e, 2) == pts(toy, ("r0", 1))
     assert shift_exact(pts(toy, ("r0", 0)), -1) == pts(toy, ("r0", 1))
     # shifted time leaving 0..H drops the point
-    assert shift_exact(pts(toy, ("r0", 0)), -4) == Event.empty(toy)
+    assert shift_exact(pts(toy, ("r0", 0)), -4) == empty_event(toy)
 
 
 def test_shift_requires_finite(toy):
@@ -116,7 +117,7 @@ def test_common_knowledge_toy(toy):
     psi = run_points(toy, "r1")
     assert common_knowledge(["a", "b"], psi) == run_points(toy, "r1", lo=2)
     assert common_knowledge(["a", "b"], Event.full(toy)) == Event.full(toy)
-    assert common_knowledge(["a", "b"], Event.empty(toy)) == Event.empty(toy)
+    assert common_knowledge(["a", "b"], empty_event(toy)) == empty_event(toy)
 
 
 def test_empty_agent_sets_rejected(toy):
@@ -184,7 +185,7 @@ def test_zero_horizon_universe():
     e = pts(u, ("r0", 0))
     assert eventually(e) == e
     assert within(e, 0) == e
-    assert shift_exact(e, 1) == Event.empty(u)
+    assert shift_exact(e, 1) == empty_event(u)
     assert knows("a", e) == e  # states fully distinguish the runs here
     spec = TimingSpec(("a", "b"), {("a", "b"): 0, ("b", "a"): 0})
     assert timely_ck(Event.full(u), spec) == timely_ck(Event.full(u), spec)
@@ -200,7 +201,7 @@ def test_async_knowledge_quantifies_across_times():
         synchronous=False,
     )
     half = pts(u, ("r0", 0))
-    assert knows("a", half) == Event.empty(u)
+    assert knows("a", half) == empty_event(u)
     assert knows("a", Event.full(u)) == Event.full(u)
 
 

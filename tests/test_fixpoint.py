@@ -27,6 +27,7 @@ from timelyck.sampling import random_event, random_spec, random_stable_event, ra
 from timelyck.universe import INF
 
 import naive_reference as naive
+from conftest import empty_event
 from generic_gfp import gfp, gfp_bruteforce_oracle
 
 
@@ -123,7 +124,7 @@ def test_tuple_lattice_laws(toy, rng):
 
 def test_tuple_union(toy):
     bot = nowhere(toy, ("a", "b"))
-    assert tuple_union(bot) == Event.empty(toy)
+    assert tuple_union(bot) == empty_event(toy)
     e = Event.from_json_list(toy, [["r1", 1]])
     assert tuple_union(EventTuple(toy, {"a": e, "b": e})) == e
 
@@ -143,7 +144,7 @@ def test_apply_f_trivial(toy):
     # with nonnegative deltas every within-window is satisfiable everywhere
     out = apply_f(Event.full(toy), spec2(1, 0), top)
     assert out == top
-    out = apply_f(Event.empty(toy), spec2(), top)
+    out = apply_f(empty_event(toy), spec2(), top)
     assert out == nowhere(toy, ("a", "b"))
 
 
@@ -163,7 +164,7 @@ def test_apply_g_unconstrained_pairs(toy, rng):
     out = apply_g(psi, s, x)
     assert out["a"] == knows("a", psi)
     assert out["b"] == knows("b", psi)
-    assert apply_g(Event.empty(toy), spec2(), x) == nowhere(toy, ("a", "b"))
+    assert apply_g(empty_event(toy), spec2(), x) == nowhere(toy, ("a", "b"))
 
 
 def test_apply_g_meet_commutation(toy, rng):
@@ -236,8 +237,8 @@ def test_packed_oracle_matches_engine(toy, rng):
 
 
 def test_timely_ck_empty_is_bottom(toy):
-    assert timely_ck(Event.empty(toy), spec2()) == nowhere(toy, ("a", "b"))
-    assert timely_ck_g(Event.empty(toy), spec2()) == nowhere(toy, ("a", "b"))
+    assert timely_ck(empty_event(toy), spec2()) == nowhere(toy, ("a", "b"))
+    assert timely_ck_g(empty_event(toy), spec2()) == nowhere(toy, ("a", "b"))
 
 
 def test_timely_ck_single_run_full(single_run):
@@ -316,7 +317,7 @@ def test_array_descent_matches_within_composed_map():
                     else:
                         delta[(i, j)] = int(rng.integers(-H - 3, H + 4))
         spec = TimingSpec(u.agents, delta)
-        psi = Event.empty(u) if rng.random() < 0.1 else random_event(rng, u)
+        psi = empty_event(u) if rng.random() < 0.1 else random_event(rng, u)
         got = timely_ck_info(psi, spec)
         top = EventTuple.top(u, u.agents)
         for step in (lambda x: _apply_f_by_within(psi, spec, x), lambda x: apply_f(psi, spec, x)):
@@ -409,7 +410,7 @@ def test_shift_descent_matches_shift_composed_map():
                     else:
                         delta[(i, j)] = int(rng.integers(-H - 3, H + 4))
         spec = TimingSpec(u.agents, delta)
-        psi = Event.empty(u) if rng.random() < 0.1 else random_event(rng, u)
+        psi = empty_event(u) if rng.random() < 0.1 else random_event(rng, u)
         got = timely_ck_g_info(psi, spec)
         want = gfp(lambda x: _apply_g_by_shift(psi, spec, x), EventTuple.top(u, u.agents))
         assert got.value == want.value

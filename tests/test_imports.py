@@ -1,6 +1,7 @@
 """The package's import graph: every import sits at a module's top, the
 event layer loads nothing of the fixed-point layer, the CLI loads every module
-(so none is reached by tests alone), the test layer's definition-direct
+(so none is reached by tests alone), the library the benchmark loads leaves
+the property suite and the CLI unloaded, the test layer's definition-direct
 references import nothing of the engine they check, the CLI reads result
 documents only through the library's reader, and certifying and cross-checking
 a scenario never load `numpy.ma`."""
@@ -59,6 +60,26 @@ def test_cli_loads_every_module():
     modules = {f"timelyck.{path.stem}" for path in PACKAGE.glob("*.py")} - {"timelyck.__init__"}
     loaded = set(_loaded_by("timelyck.cli"))
     assert loaded == modules, sorted(modules ^ loaded)
+
+
+def test_the_library_loads_neither_the_property_suite_nor_the_cli():
+    # the benchmark's set-up compiles every module the library loads; the
+    # property suite and the CLI are for the command line alone
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    code = (
+        "import importlib, json, sys\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "from workloads import MODULES\n"
+        "import timelyck\n"
+        "for name in MODULES:\n"
+        "    importlib.import_module(f'timelyck.{name}')\n"
+        "print(json.dumps([len(MODULES), 'timelyck.props' in sys.modules,\n"
+        "                  'timelyck.cli' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [8, False, False]
 
 
 def test_naive_references_import_nothing_of_the_engine():

@@ -15,6 +15,7 @@ from timelyck.errors import InvariantViolation, SizeGuardExceeded, UniverseMisma
 from timelyck.events import EventTuple
 from timelyck.fixpoint import TimingSpec
 from timelyck.optimality import (
+    _assignment,
     box_space,
     box_sweep,
     build_strategy_model,
@@ -23,7 +24,6 @@ from timelyck.optimality import (
     is_product_structured,
     StrategyModel,
     least_solution,
-    result_assignment,
     verify_optimal,
 )
 from timelyck.scenarios import (
@@ -392,7 +392,7 @@ def test_result_assignment_requires_class_constancy():
     res = editable(synthesize_optimal(inst))
     res.responses["t0_a0_b0"]["a"] = 2  # same observation class as t0_a0_b1
     with pytest.raises(InvariantViolation):
-        result_assignment(model, res)
+        _assignment(model, *res.response_times(model.instance))
 
 
 def test_triggerless_instance_is_trivially_optimal():

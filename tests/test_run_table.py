@@ -16,11 +16,11 @@ from timelyck.errors import InvariantViolation, SizeGuardExceeded
 from timelyck.events import Event
 from timelyck.fixpoint import EventTuple, TimingSpec
 from timelyck.optimality import (
+    _assignment,
     build_strategy_model,
     greatest_solution,
     is_product_structured,
     least_solution,
-    result_assignment,
     verify_optimal,
 )
 from timelyck.scenarios import (
@@ -210,7 +210,8 @@ def test_run_table_and_model_match_the_literal_construction():
             continue
         seen["solvable"] += 1
         result = synthesize_optimal(instance)
-        assert _refusal(result_assignment, model, result) == literal.assignment(result)
+        assigned = _refusal(_assignment, model, *result.response_times(model.instance))
+        assert assigned == literal.assignment(result)
 
         # both refusals: a missing response, and two responses in one class
         fired = [(name, obs) for name, tau, obs in runs if tau is not None]
@@ -221,7 +222,8 @@ def test_run_table_and_model_match_the_literal_construction():
                 edited = ProtocolResult({r: dict(per) for r, per in result.responses.items()})
                 edited.responses[name][agent] = value
                 want = _refusal(literal.assignment, edited)
-                assert _refusal(result_assignment, model, edited) == want, case
+                assigned = _refusal(_assignment, model, *edited.response_times(model.instance))
+                assert assigned == want, case
                 if isinstance(want, str):
                     seen["split_refusal" if value is not None else "missing_refusal"] += 1
 
@@ -239,6 +241,25 @@ def test_run_table_and_model_match_the_literal_construction():
             assert report.to_json_dict()["violations"].get("necessity", []) == misses[:5]
             seen["necessity_miss"] += bool(misses)
     assert all(seen.values()), seen
+
+
+def test_each_read_of_the_run_table_is_a_fresh_list():
+    scenario = make_scenario(("a", "b"), simultaneous_delta(("a", "b")),
+                             obs_delay={"a": (0, 1), "b": (0, 2)}, trigger_times=(0, 1))
+    instance = generate_system(scenario)
+    rebuilt = [
+        RunInfo(name, None if tau < 0 else tau,
+                {a: None if o < 0 else o for a, o in zip(scenario.agents, obs)})
+        for name, tau, obs in zip(instance.universe.runs, instance.trigger_time.tolist(),
+                                  instance.observed_at.tolist())
+    ]
+    rows = instance.runs
+    assert rows == rebuilt and rows is not instance.runs
+    rows.append(rows[0])
+    assert instance.runs == rebuilt
+    instance.runs[0].observations["a"] = 99
+    rows[1].observations["b"] = None
+    assert instance.runs == rebuilt
 
 
 @pytest.mark.parametrize("hi, n_runs", [(20, 194_482), (999, 10**12 + 1)])

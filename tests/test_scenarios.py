@@ -26,6 +26,7 @@ from timelyck.scenarios import (
 )
 from timelyck.universe import INF
 
+from conftest import state_label
 from reductions import (
     verify_joint_reduction,
     verify_ordered_reduction,
@@ -96,9 +97,9 @@ def test_generated_states_are_full_information():
         make_scenario(("a", "b"), simultaneous_delta(("a", "b")), obs_delay=(0, 1))
     )
     u = inst.universe
-    assert u.state_label("a", "t0_a1_b0", 0) == (0, None)
-    assert u.state_label("a", "t0_a1_b0", 1) == (1, 1)
-    assert u.state_label("a", "never", 2) == (2, None)
+    assert state_label(u, "a", "t0_a1_b0", 0) == (0, None)
+    assert state_label(u, "a", "t0_a1_b0", 1) == (1, 1)
+    assert state_label(u, "a", "never", 2) == (2, None)
 
 
 def test_trigger_history_is_stable():

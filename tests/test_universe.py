@@ -10,6 +10,7 @@ from timelyck.scenarios import ScenarioSpec, generate_system, make_scenario
 from timelyck.universe import INF, Universe, check_delta, clamp_delta
 
 import naive_reference as naive
+from conftest import state_label
 
 
 def test_basic_geometry(toy):
@@ -20,9 +21,9 @@ def test_basic_geometry(toy):
 
 
 def test_state_lookup(toy):
-    assert toy.state_label("a", "r1", 0) == (0, "-")
-    assert toy.state_label("a", "r1", 1) == (1, 1)
-    assert toy.state_label("b", "r1", 1) == (1, "-")
+    assert state_label(toy, "a", "r1", 0) == (0, "-")
+    assert state_label(toy, "a", "r1", 1) == (1, 1)
+    assert state_label(toy, "b", "r1", 1) == (1, "-")
 
 
 def test_states_must_be_total():
@@ -49,7 +50,7 @@ def test_time_ambiguity_names_agent_and_both_times():
     with pytest.raises(InvariantViolation, match=r"agent 'b' .* times 0 and 1"):
         Universe.from_state_ids(["a", "b"], ["r0", "r1"], 2, ids, labels)
     u = Universe.from_state_ids(["a", "b"], ["r0", "r1"], 2, ids, labels, synchronous=False)
-    assert u.state_label("b", "r1", 0) == "v"
+    assert state_label(u, "b", "r1", 0) == "v"
 
 
 def test_time_check_matches_point_by_point_reference():
@@ -146,7 +147,7 @@ def test_generated_universe_matches_callback_universe():
             assert u.n_state_classes(agent) == ref.n_state_classes(agent)
             for run in u.runs:
                 for t in range(u.n_times):
-                    assert u.state_label(agent, run, t) == ref.state_label(agent, run, t)
+                    assert state_label(u, agent, run, t) == state_label(ref, agent, run, t)
         assert u.to_json_dict() == ref.to_json_dict()
 
 

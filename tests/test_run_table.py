@@ -124,6 +124,16 @@ def _refusal(fn, *args):
         return str(exc)
 
 
+def _rebuilt_rows(instance):
+    """The run table's rows rebuilt from its arrays."""
+    return [
+        RunInfo(name, None if tau < 0 else tau,
+                {a: None if o < 0 else o for a, o in zip(instance.scenario.agents, obs)})
+        for name, tau, obs in zip(instance.universe.runs, instance.trigger_time.tolist(),
+                                  instance.observed_at.tolist())
+    ]
+
+
 def _draw_scenario(rng):
     k = int(rng.integers(1, 4))
     agents = tuple("abc"[:k])
@@ -170,12 +180,7 @@ def test_run_table_and_model_match_the_literal_construction():
         # the run table
         assert list(instance.universe.runs) == [name for name, _, _ in runs], case
         assert [(r.name, r.trigger_time, r.observations) for r in instance.runs] == runs
-        rebuilt = [  # the rows rebuilt from the arrays
-            RunInfo(name, None if tau < 0 else tau,
-                    {a: None if o < 0 else o for a, o in zip(scenario.agents, obs)})
-            for name, tau, obs in zip(instance.universe.runs, instance.trigger_time.tolist(),
-                                      instance.observed_at.tolist())
-        ]
+        rebuilt = _rebuilt_rows(instance)
         rows = instance.runs
         assert list(rows) == rebuilt and len(rows) == len(rebuilt), case
         assert rows[-1] == rebuilt[-1] and rows[0] == rebuilt[0]
@@ -247,12 +252,7 @@ def test_each_read_of_the_run_table_is_a_fresh_list():
     scenario = make_scenario(("a", "b"), simultaneous_delta(("a", "b")),
                              obs_delay={"a": (0, 1), "b": (0, 2)}, trigger_times=(0, 1))
     instance = generate_system(scenario)
-    rebuilt = [
-        RunInfo(name, None if tau < 0 else tau,
-                {a: None if o < 0 else o for a, o in zip(scenario.agents, obs)})
-        for name, tau, obs in zip(instance.universe.runs, instance.trigger_time.tolist(),
-                                  instance.observed_at.tolist())
-    ]
+    rebuilt = _rebuilt_rows(instance)
     rows = instance.runs
     assert rows == rebuilt and rows is not instance.runs
     rows.append(rows[0])

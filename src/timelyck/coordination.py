@@ -14,7 +14,8 @@ against.
 `verify_greatest_coordinated_ensemble` checks, by exhaustive enumeration of
 local ensembles on small universes, that the timely-common-knowledge tuple is
 exactly the greatest coordinated ensemble whose union implies the target
-event.
+event.  Its report keeps the parts, the counterexamples and the enumerated
+count; the `oracle` verb writes only the counts of its `props` group.
 """
 
 from __future__ import annotations
@@ -110,17 +111,10 @@ class CorrespondenceReport:
     def ok(self) -> bool:
         return all(self.parts.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "parts": dict(self.parts),
-            "counterexamples": {k: v for k, v in self.counterexamples.items() if v},
-            "enumerated_ensembles": self.enumerated,
-        }
 
-
-def _first_points(space: PackedSpace, mask: int, agent: str, cap: int = 4):
+def _first_points(space: PackedSpace, mask: int, agent: str):
     return [
-        {"agent": agent, "run": p.run, "time": p.time} for p in space.unpack(mask).points()[:cap]
+        {"agent": agent, "run": p.run, "time": p.time} for p in space.unpack(mask).points()[:4]
     ]
 
 

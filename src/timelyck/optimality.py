@@ -372,15 +372,14 @@ def verify_optimal(
 
     The supplied result must pass `verify_solution`; pass that call's report
     as `report` to skip checking the result again.  The result is read once,
-    for the check and for the projection onto the strategy variables.
+    for the check and for the projection onto the strategy variables; so is
+    `knowledge` (by default the response knowledge), before any sweep runs.
     """
     responses, problems = result.response_times(instance)
     if report is None:
         report = check_response_times(instance, responses, problems)
     if not report.ok():
         raise InvariantViolation(f"result is not a solution: {report.to_json_dict()}")
-    if knowledge is not None:  # refuse a tuple it cannot read before the sweeps
-        knowledge_for(instance, knowledge)
 
     model = build_strategy_model(instance)
     if model.n_vars == 0:  # no triggered runs: the empty protocol is the answer
@@ -393,6 +392,7 @@ def verify_optimal(
             earliest={},
             latest={},
         )
+    xi = knowledge_for(instance, knowledge)
     assignment = _assignment(model, responses, problems)
     if not is_valid_assignment(model, assignment):
         raise InternalConsistencyError(
@@ -441,7 +441,6 @@ def verify_optimal(
 
     # necessity: every attainable response point sits inside the corresponding
     # coordinate of timely common knowledge, in every run of its class
-    xi = knowledge_for(instance, knowledge)
     agents = instance.timing.agents
     fired = np.flatnonzero(instance.trigger_time >= 0)
     a, r, t = np.nonzero(expected[model.var_of.T] & ~xi.table[:, fired])

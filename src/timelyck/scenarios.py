@@ -463,12 +463,6 @@ class ProtocolResult:
         u = instance.universe  # agent a's event holds at (r, times[r, a])
         return EventTuple.of(u, instance.timing.agents, times.T[..., None] == np.arange(u.n_times))
 
-    def to_json_dict(self) -> dict:
-        return {
-            run: {a: t for a, t in sorted(per.items())}
-            for run, per in sorted(self.responses.items())
-        }
-
     @classmethod
     def from_json_dict(cls, doc) -> "ProtocolResult":
         """The responses of a result document as `read_runs` reads it; a run
@@ -652,8 +646,8 @@ def make_scenario(
     trigger_times=(0,),
     include_never_run: bool = True,
     horizon: int | None = None,
-    action: str = "respond",
 ) -> ScenarioSpec:
+    """A scenario in which every agent's action is "respond"."""
     agents = tuple(agents)
     per_agent = {a: tuple(obs_delay[a] if isinstance(obs_delay, dict) else obs_delay) for a in agents}
     return ScenarioSpec(
@@ -661,7 +655,7 @@ def make_scenario(
         trigger_times=tuple(trigger_times),
         obs_delay=per_agent,
         timing=timing,
-        actions={a: action for a in agents},
+        actions=dict.fromkeys(agents, "respond"),
         include_never_run=include_never_run,
         horizon=horizon,
     )

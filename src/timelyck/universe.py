@@ -79,14 +79,14 @@ def json_list(value, field: str, item: Callable | None = None, length: int | Non
     return value if item is None else [item(v, f"{field}[{n}]") for n, v in enumerate(value)]
 
 
-def check_delta(value, field: str = "time difference", *, finite_only: bool = False) -> DeltaValue:
+def check_delta(value, *, finite_only: bool = False) -> DeltaValue:
     """Validate a time difference: an int, or +inf; a bad value is an
-    InvariantViolation naming `field`."""
+    InvariantViolation naming it a time difference."""
     if value == INF:
         if finite_only:
             raise InvariantViolation("a finite time difference is required here")
         return INF
-    return json_int(value, f'{field}, if not "inf",')
+    return json_int(value, 'time difference, if not "inf",')
 
 
 def clamp_delta(value: DeltaValue, horizon: int) -> DeltaValue:

@@ -99,7 +99,7 @@ def test_02_coordinated_ensemble_characterisation():
         report = verify_greatest_coordinated_ensemble(
             psi, spec, enum_guard=1 << 14, seed=case
         )
-        assert report.ok(), f"case {case}: {report.to_json_dict()}"
+        assert report.ok(), f"case {case}: {report.parts}"
     _pass(2, "greatest coordinated ensemble characterisation (100 universes)")
 
 

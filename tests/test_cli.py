@@ -33,6 +33,10 @@ PKG_DATA = {
     )
 }
 
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text()
+)
+
 
 def run_cli(*argv):
     """Run the CLI on `argv` as a process would: the exit code, stdout and
@@ -426,6 +430,38 @@ def test_report_reads_the_responses_of_a_bare_result(tmp_path):
     assert any(t is not None for e in runs.values() for t in e["responses"].values())
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN["sha256"]))
+def test_verify_optimal_writes_the_same_bytes_for_a_bare_result(tmp_path, name):
+    scenario = str(timelyck.bundled_scenario_path(name))
+    solved, bare = tmp_path / "solve.json", tmp_path / "bare.json"
+    run_cli("solve", scenario, "-o", str(solved))
+    runs = json.loads(solved.read_text())["runs"]
+    bare.write_text(json.dumps({run: e.get("responses", {}) for run, e in runs.items()}))
+    outs = [tmp_path / "from_solve.json", tmp_path / "from_bare.json"]
+    codes = [run_cli("verify", scenario, str(result), "--optimal", "-o", str(out)).returncode
+             for result, out in zip((solved, bare), outs)]
+    assert codes[0] == codes[1] == GOLDEN["exit"][name]["verify --optimal"]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+# bounds past the horizon: a->b clamps to H + 1, and inf is kept as it is
+CLAMPED_SCENARIO = {
+    "agents": ["a", "b"], "trigger_times": [0],
+    "obs_delay": {"a": [0, 1], "b": [0, 1]},
+    "delta": {"a->b": 100, "b->a": "inf"},
+    "actions": {"a": "respond", "b": "respond"}, "horizon": 3,
+}
+
+
+@pytest.mark.parametrize("verb", ["generate", "gfp", "solve"])
+def test_clamped_bounds_are_reported_under_delta_normalized(tmp_path, verb):
+    scenario, out = tmp_path / "clamped.json", tmp_path / "out.json"
+    scenario.write_text(json.dumps(CLAMPED_SCENARIO))
+    proc = run_cli(verb, str(scenario), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["delta_normalized"] == {"a->b": [100, 4]}
+
+
 def test_verify_optimal_reads_an_unsolvable_solve_document_as_responding_nowhere(tmp_path):
     res_out = tmp_path / "result.json"
     assert run_cli("solve", PKG_DATA["unsatisfiable"], "-o", str(res_out)).returncode == 5
@@ -647,11 +683,6 @@ def test_solve_outputs_byte_identical(tmp_path):
         proc = run_cli("solve", PKG_DATA["car_wash"], "-o", str(path))
         assert proc.returncode == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "cli_golden.json").read_text()
-)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["sha256"]))

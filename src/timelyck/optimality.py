@@ -380,6 +380,7 @@ def verify_optimal(
         report = check_response_times(instance, responses, problems)
     if not report.ok():
         raise InvariantViolation(f"result is not a solution: {report.to_json_dict()}")
+    xi = knowledge_for(instance, knowledge)
 
     model = build_strategy_model(instance)
     if model.n_vars == 0:  # no triggered runs: the empty protocol is the answer
@@ -392,7 +393,6 @@ def verify_optimal(
             earliest={},
             latest={},
         )
-    xi = knowledge_for(instance, knowledge)
     assignment = _assignment(model, responses, problems)
     if not is_valid_assignment(model, assignment):
         raise InternalConsistencyError(

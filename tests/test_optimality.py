@@ -487,3 +487,15 @@ def test_a_supplied_knowledge_tuple_is_refused_before_the_sweeps(monkeypatch):
     swapped = EventTuple(instance.universe, {a: xi[a] for a in reversed(xi.agents)})
     with pytest.raises(InvariantViolation, match="knowledge agents"):
         verify_optimal(instance, result, knowledge=swapped)
+
+
+def test_a_supplied_knowledge_tuple_is_refused_without_triggered_runs():
+    # the empty protocol needs no sweep, but a tuple from another universe is
+    # still refused
+    timing = TimingSpec(("a", "b"), {("a", "b"): 0, ("b", "a"): 0})
+    instance = generate_system(make_scenario(("a", "b"), timing, trigger_times=()))
+    other = generate_system(make_scenario(("a", "b"), timing, trigger_times=(0,)))
+    result = synthesize_optimal(instance)
+    assert verify_optimal(instance, result).methods == ["empty_instance"]
+    with pytest.raises(UniverseMismatch):
+        verify_optimal(instance, result, knowledge=response_knowledge(other))
